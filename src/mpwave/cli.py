@@ -398,13 +398,9 @@ def _check_lines(grid, p, psi, A) -> tuple:
     psi_low = grid.ifft(grid.fft(psi.data) * mask[..., None])
     a_low = grid.ifft(grid.fft(A.data) * mask[..., None]).real
     pp = p.with_(model="P")
-    lap = pauli.covariant_laplacian(grid, pp, psi_low, a_low, model="P")
+    lap = pauli.covariant_laplacian(grid, pp, psi_low, a_low)
     twice = pauli.pauli_gradient(grid, pp, psi_low, a_low)
-    # sigma . D applied twice
-    again = np.zeros_like(psi_low)
-    dg = pauli.covariant_gradient(grid, pp, twice, a_low)
-    for a in range(3):
-        again += np.einsum("ij,...j->...i", pauli.SIGMA[a], dg[..., a, :])
+    again = pauli.pauli_gradient(grid, pp, twice, a_low)
     num = float(np.max(np.abs(lap - again)))
     den = max(float(np.max(np.abs(lap))), 1e-300)
     record("spin-laplacian-identity", num / den < 1e-8, f"relative defect {num / den:.3e}")

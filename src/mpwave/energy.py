@@ -28,7 +28,7 @@ import numpy as np
 
 from . import pauli, spectral
 from .errors import DomainGateError
-from .fields import PhysParams, as_array, inner, l2_norm_sq
+from .fields import PhysParams, as_array, l2_norm_sq
 from .grid import Grid
 
 #: Best constant in the Sobolev inequality |f|_{L^6} <= K_S |grad f|_{L^2}
@@ -89,6 +89,27 @@ def _v_deriv_sq(grid: Grid, A: np.ndarray, v: np.ndarray) -> float:
     return l2_norm_sq(grid, dv)
 
 
+def _field_part(grid: Grid, p: PhysParams, A: np.ndarray) -> float:
+    """Field term (1/8 pi) ( |grad A|^2 - |((v/c).grad) A|^2 ) of the energy."""
+    return (_grad_tensor_sq(grid, A) - _v_deriv_sq(grid, A, p.v_arr) / p.light_speed ** 2) / (
+        8.0 * np.pi
+    )
+
+
+def _kinetic(grid: Grid, p: PhysParams, psi, A, shift=None, a_low=None) -> float:
+    """Kinetic term |grad_{j,A} psi|^2 / 2m of the model ``p`` names."""
+    gpsi = pauli.kinetic_gradient(grid, p, psi, A, shift=shift, a_low=a_low)
+    return l2_norm_sq(grid, gpsi) / (2.0 * p.mass)
+
+
+def _drift(grid: Grid, p: PhysParams, psi: np.ndarray) -> float:
+    """Drift term (psi, i hbar (v.grad) psi); 0 at rest."""
+    if not np.any(p.v_arr):
+        return 0.0
+    vd = spectral.directional_derivative(grid, psi, p.v_arr)
+    return float(np.real(np.sum(np.conj(psi) * 1j * p.hbar * vd)) * grid.cell)
+
+
 def field_energy(grid: Grid, p: PhysParams, A, Adot) -> float:
     """Electromagnetic energy (1/8 pi) ( |curl A|^2 + |Adot / c|^2 )."""
     A = as_array(A)
@@ -103,30 +124,11 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     psi = as_array(psi)
     A = as_array(A)
     v = p.v_arr
-    two_m = 2.0 * p.mass
 
-    if p.model == "P":
-        gpsi = pauli.pauli_gradient(grid, p, psi, A)
-        kinetic = l2_norm_sq(grid, gpsi) / two_m
-        gpsi_sh = pauli.pauli_gradient(grid, p, psi, A, shift=p.mass * p.light_speed / p.charge * v)
-        kinetic_sh = l2_norm_sq(grid, gpsi_sh) / two_m
-    else:
-        dpsi = pauli.covariant_gradient(grid, p, psi, A)
-        kinetic = l2_norm_sq(grid, dpsi) / two_m
-        dpsi_sh = pauli.covariant_gradient(
-            grid, p, psi, A, shift=p.mass * p.light_speed / p.charge * v
-        )
-        kinetic_sh = l2_norm_sq(grid, dpsi_sh) / two_m
-
-    field = (_grad_tensor_sq(grid, A) - _v_deriv_sq(grid, A, v) / p.light_speed ** 2) / (
-        8.0 * np.pi
-    )
-
-    if np.any(v):
-        vdpsi = spectral.directional_derivative(grid, psi, v)
-        drift = float(np.real(inner(grid, psi, 1j * p.hbar * vdpsi)))
-    else:
-        drift = 0.0
+    kinetic = _kinetic(grid, p, psi, A)
+    kinetic_sh = _kinetic(grid, p, psi, A, shift=p.mass * p.light_speed / p.charge * v)
+    field = _field_part(grid, p, A)
+    drift = _drift(grid, p, psi)
 
     psi_low = spectral.dealias(grid, psi)
     dens_low = np.sum(np.abs(psi_low) ** 2, axis=-1)
@@ -164,10 +166,7 @@ def travelling_energy(grid: Grid, p: PhysParams, psi, A) -> float:
     """
     psi = as_array(psi)
     A = as_array(A)
-    if p.model == "P":
-        kinetic = l2_norm_sq(grid, pauli.pauli_gradient(grid, p, psi, A)) / (2.0 * p.mass)
-    else:
-        kinetic = l2_norm_sq(grid, pauli.covariant_gradient(grid, p, psi, A)) / (2.0 * p.mass)
+    kinetic = _kinetic(grid, p, psi, A)
     curl_sq = l2_norm_sq(grid, spectral.curl(grid, A))
     conv_sq = _v_deriv_sq(grid, A, p.v_arr) / p.light_speed ** 2
     return kinetic + p.lam * (curl_sq + conv_sq) / (8.0 * np.pi)

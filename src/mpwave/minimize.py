@@ -13,9 +13,7 @@ div A = 0 by alternating two moves:
 
 * A: the energy is an inhomogeneous positive-definite quadratic in A at
   fixed psi, so the subproblem is solved essentially exactly by
-  preconditioned conjugate gradients in Fourier space (option
-  "fourier_linear", the default) or by a few preconditioned steepest
-  descent sweeps (option "gradient").
+  preconditioned conjugate gradients in Fourier space.
 
 On a periodic box the average of the gauge current need not vanish while
 the wave operator k^2 - (v.k)^2/c^2 kills the k = 0 mode, so the zeroth
@@ -33,7 +31,16 @@ import numpy as np
 
 from . import energy as energy_mod
 from . import pauli, spectral
-from .energy import EnergyBreakdown, carrier_gate, energy_functional, field_energy, speed_gate
+from .energy import (
+    EnergyBreakdown,
+    _drift,
+    _field_part,
+    _kinetic,
+    carrier_gate,
+    energy_functional,
+    field_energy,
+    speed_gate,
+)
 from .errors import InputError, SolverError
 from .fields import PhysParams, SpinorField, VectorField, as_array, l2_norm_sq, normalize_to_lambda, random_fields
 from .grid import Grid
@@ -57,24 +64,31 @@ def grad_psi(grid: Grid, p: PhysParams, psi, A, a_low=None) -> np.ndarray:
 def lagrange_theta(grid: Grid, p: PhysParams, psi, A) -> float:
     """Multiplier of the mass constraint at (psi, A),
 
-    theta = -( |grad_{j,A} psi|^2 + 2m (psi, i hbar v.grad psi) )
-            / (2 m hbar |psi|^2).
+    theta = -( |grad_{j,A} psi|^2 / 2m + (psi, i hbar v.grad psi) )
+            / (hbar |psi|^2).
 
     The measured norm |psi|^2 is used rather than the nominal lambda, so
     the tangency identity <psi, G + hbar theta psi> = 0 is exact even for
     slightly off-constraint states.
     """
     psi_a = as_array(psi)
-    if p.model == "P":
-        kin2 = l2_norm_sq(grid, pauli.pauli_gradient(grid, p, psi_a, A))
-    else:
-        kin2 = l2_norm_sq(grid, pauli.covariant_gradient(grid, p, psi_a, A))
-    drift = 0.0
-    if np.any(p.v_arr):
-        vd = spectral.directional_derivative(grid, psi_a, p.v_arr)
-        drift = float(np.real(np.sum(np.conj(psi_a) * 1j * p.hbar * vd)) * grid.cell)
-    lam_meas = l2_norm_sq(grid, psi_a)
-    return -(kin2 + 2.0 * p.mass * drift) / (2.0 * p.mass * p.hbar * lam_meas)
+    return -_psi_energy_part(grid, p, psi_a, as_array(A)) / (p.hbar * l2_norm_sq(grid, psi_a))
+
+
+def _tangent(
+    grid: Grid,
+    p: PhysParams,
+    psi: np.ndarray,
+    G: np.ndarray,
+    lam_meas: float,
+    theta: float | None = None,
+) -> tuple[np.ndarray, float]:
+    """G + hbar theta psi and theta; by default theta is the multiplier
+    that makes the sum tangent to the mass sphere at psi, whose measured
+    |psi|^2 is ``lam_meas``."""
+    if theta is None:
+        theta = -float(np.real(np.sum(np.conj(psi) * G)) * grid.cell) / (p.hbar * lam_meas)
+    return G + p.hbar * theta * psi, theta
 
 
 def omega_from_theta(grid: Grid, p: PhysParams, A, theta: float) -> float:
@@ -133,9 +147,7 @@ def el_residual(
     A_a = as_array(A)
     G = grad_psi(grid, p, psi_a, A_a, a_low=a_low)
     lam_meas = l2_norm_sq(grid, psi_a)
-    if theta is None:
-        theta = -float(np.real(np.sum(np.conj(psi_a) * G)) * grid.cell) / (p.hbar * lam_meas)
-    resid = G + p.hbar * theta * psi_a
+    resid, theta = _tangent(grid, p, psi_a, G, lam_meas, theta)
     psi_raw = np.sqrt(l2_norm_sq(grid, resid))
     # exactly flat states (constant psi, vanishing current) leave every
     # term at rounding scale; flooring the denominators by the weakest
@@ -206,30 +218,19 @@ def _a_operator(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> Callable[[np.
     mask = grid.dealias_mask
     kx, ky, kz = grid.k
     inv_k2 = grid.inv_k2
-    spin = p.model == "P"
 
     def op(a_hat: np.ndarray) -> np.ndarray:
-        # the sandwich mirrors pauli.current term by term (same dealias
-        # placement) so the solve is stationary for the same equation
-        # el_residual checks
+        # the A-derivative of pauli.current, built from the same
+        # contraction and pairing with the same dealias placement, so the
+        # solve is stationary for the same equation el_residual checks
         out = sym[..., None] * a_hat
-        if spin:
-            g = np.zeros(grid.shape + (2,), dtype=complex)
-            for b in range(3):
-                low = np.real(grid.ifft(a_hat[..., b] * mask))
-                prod = grid.ifft(grid.fft(low[..., None] * psi_low) * mask[..., None])
-                g += np.einsum("ij,...j->...i", pauli.SIGMA[b], prod)
-            for a in range(3):
-                pair = np.real(
-                    np.einsum("...i,ij,...j->...", np.conj(psi_low), pauli.SIGMA[a], g)
-                )
-                out[..., a] += coef * (grid.fft(pair) * mask)
-        else:
-            for a in range(3):
-                low = np.real(grid.ifft(a_hat[..., a] * mask))
-                t1 = grid.ifft(grid.fft(low[..., None] * psi_low) * mask[..., None])
-                t2 = np.real(np.sum(np.conj(psi_low) * t1, axis=-1))
-                out[..., a] += coef * (grid.fft(t2) * mask)
+        prods = np.empty(grid.shape + (3, 2), dtype=complex)
+        for b in range(3):
+            low = np.real(grid.ifft(a_hat[..., b] * mask))
+            prods[..., b, :] = grid.ifft(grid.fft(low[..., None] * psi_low) * mask[..., None])
+        g = pauli._spin_contract(p.model, prods)
+        for a in range(3):
+            out[..., a] += coef * (grid.fft(pauli._pair(p.model, psi_low, g, a)) * mask)
         kdot = kx * out[..., 0] + ky * out[..., 1] + kz * out[..., 2]
         out[..., 0] -= kx * kdot * inv_k2
         out[..., 1] -= ky * kdot * inv_k2
@@ -262,14 +263,10 @@ def solve_vector_potential(
     A0=None,
     tol: float = 1e-11,
     max_iter: int = 400,
-    method: str = "fourier_linear",
 ) -> tuple[VectorField, int]:
     """Minimize the energy over solenoidal zero-mean A at fixed psi.
 
-    Returns the minimizer and the number of operator applications.  The
-    plain-descent variant ("gradient") performs preconditioned steepest
-    descent with exact line search instead of conjugate gradients; both
-    act on the same positive-definite system.
+    Returns the minimizer and the number of operator applications.
     """
     psi_a = as_array(psi)
     psi_low = spectral.dealias(grid, psi_a)
@@ -295,21 +292,6 @@ def solve_vector_potential(
     # a warm start can sit far from the solution, so the target is
     # relative to whichever of |b| and |r0| is larger
     ref = max(b_norm, np.sqrt(dot(r, r)))
-    if method == "gradient":
-        for _ in range(max_iter):
-            if np.sqrt(dot(r, r)) <= tol * ref:
-                break
-            z = inv * r
-            if dot(r, z) <= 0:
-                break
-            oz = op(z)
-            n_ops += 1
-            alpha = dot(r, z) / max(dot(z, oz), np.finfo(float).tiny)
-            x += alpha * z
-            r -= alpha * oz
-        out = np.real(grid.ifft(x))
-        return VectorField(grid, out), n_ops
-
     z = inv * r
     d = z.copy()
     rz = dot(r, z)
@@ -417,7 +399,6 @@ class MinimizeConfig:
     backtrack: float = 0.5
     armijo: float = 1e-4
     max_backtracks: int = 40
-    a_solver: str = "fourier_linear"
     a_every: int = 2
     a_tol: float = 1e-9
     a_max_iter: int = 400
@@ -428,8 +409,6 @@ class MinimizeConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.a_solver not in ("fourier_linear", "gradient"):
-            raise InputError(f"unknown a_solver {self.a_solver!r}")
         if self.init not in ("trial", "random", "plane", "given"):
             raise InputError(f"unknown init {self.init!r}")
 
@@ -457,22 +436,7 @@ def _psi_energy_part(
     grid: Grid, p: PhysParams, psi: np.ndarray, A: np.ndarray, a_low=None
 ) -> float:
     """kinetic + drift at fixed A (the A-only field term is cached outside)."""
-    if p.model == "P":
-        kin = l2_norm_sq(grid, pauli.pauli_gradient(grid, p, psi, A, a_low=a_low)) / (2.0 * p.mass)
-    else:
-        kin = l2_norm_sq(grid, pauli.covariant_gradient(grid, p, psi, A, a_low=a_low)) / (2.0 * p.mass)
-    drift = 0.0
-    if np.any(p.v_arr):
-        vd = spectral.directional_derivative(grid, psi, p.v_arr)
-        drift = float(np.real(np.sum(np.conj(psi) * 1j * p.hbar * vd)) * grid.cell)
-    return kin + drift
-
-
-def _field_part(grid: Grid, p: PhysParams, A: np.ndarray) -> float:
-    return (
-        energy_mod._grad_tensor_sq(grid, A)
-        - energy_mod._v_deriv_sq(grid, A, p.v_arr) / p.light_speed ** 2
-    ) / (8.0 * np.pi)
+    return _kinetic(grid, p, psi, A, a_low=a_low) + _drift(grid, p, psi)
 
 
 def minimize(
@@ -495,19 +459,13 @@ def minimize(
     psi = psi_f.data
     A = A_f.data
 
-    def tangent(G: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
-        lam_meas = l2_norm_sq(grid, psi)
-        theta = -float(np.real(np.sum(np.conj(psi) * G)) * grid.cell) / (p.hbar * lam_meas)
-        return G + p.hbar * theta * psi, theta
-
     def renorm(psi: np.ndarray) -> np.ndarray:
         return psi * np.sqrt(p.lam / (l2_norm_sq(grid, psi)))
 
     a_ops_total = 0
     if config.a_every > 0:
         A_f, n_ops = solve_vector_potential(
-            grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter,
-            method=config.a_solver,
+            grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter
         )
         A = A_f.data
         a_ops_total += n_ops
@@ -517,7 +475,7 @@ def minimize(
     e_psi = _psi_energy_part(grid, p, psi, A, a_low=a_low)
     E = e_psi + field_term
     G = grad_psi(grid, p, psi, A, a_low=a_low)
-    Gt, theta = tangent(G, psi)
+    Gt, theta = _tangent(grid, p, psi, G, l2_norm_sq(grid, psi))
 
     step = config.step0
     trace = [E]
@@ -571,8 +529,7 @@ def minimize(
 
         if config.a_every > 0 and it % config.a_every == 0:
             A_f, n_ops = solve_vector_potential(
-                grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter,
-                method=config.a_solver,
+                grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter
             )
             A = A_f.data
             a_ops_total += n_ops
@@ -582,7 +539,7 @@ def minimize(
             E = e_psi + field_term
 
         G = grad_psi(grid, p, psi, A, a_low=a_low)
-        Gt, theta = tangent(G, psi)
+        Gt, theta = _tangent(grid, p, psi, G, l2_norm_sq(grid, psi))
         trace.append(E)
 
         if config.log_every and it % config.log_every == 0:
@@ -609,8 +566,7 @@ def minimize(
     if config.a_every > 0:
         # polish the quadratic subproblem before reporting
         A_f, n_ops = solve_vector_potential(
-            grid, p, psi, A0=A, tol=1e-12, max_iter=config.a_max_iter,
-            method=config.a_solver,
+            grid, p, psi, A0=A, tol=1e-12, max_iter=config.a_max_iter
         )
         A = A_f.data
         a_ops_total += n_ops

@@ -119,6 +119,46 @@ def covariant_gradient(
     return out
 
 
+def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
+    """Kinetic contraction of the model.
+
+    ``c`` stacks one spinor per direction, shape (n, n, n, 3, 2).  Model
+    "P" contracts it with the Pauli matrices to sum_b sigma^b c_b, an
+    (n, n, n, 2) spinor; model "S" keeps it as it is.
+    """
+    if model == "S":
+        return c
+    out = np.zeros(c.shape[:3] + (2,), dtype=complex)
+    for b in range(3):
+        out += np.einsum("ij,...j->...i", SIGMA[b], c[..., b, :])
+    return out
+
+
+def _pair(model: str, psi_low: np.ndarray, g: np.ndarray, a: int) -> np.ndarray:
+    """Pointwise Re <psi_low, g_a> (model "S") or Re <psi_low, sigma^a g>
+    (model "P"), for ``g`` as returned by ``_spin_contract``."""
+    if model == "S":
+        return np.real(np.sum(np.conj(psi_low) * g[..., a, :], axis=-1))
+    return np.real(np.einsum("...i,ij,...j->...", np.conj(psi_low), SIGMA[a], g))
+
+
+def kinetic_gradient(
+    grid: Grid,
+    p: PhysParams,
+    psi,
+    A,
+    shift: np.ndarray | None = None,
+    a_low: np.ndarray | None = None,
+) -> np.ndarray:
+    """Kinetic gradient of the model: sigma . D psi for "P", D psi for "S".
+
+    The kinetic energy of either model is |kinetic_gradient|^2 / 2m.
+    ``shift`` and ``a_low`` are as in ``covariant_gradient``.
+    """
+    gradient = pauli_gradient if p.model == "P" else covariant_gradient
+    return gradient(grid, p, psi, A, shift=shift, a_low=a_low)
+
+
 def pauli_gradient(
     grid: Grid,
     p: PhysParams,
@@ -127,12 +167,9 @@ def pauli_gradient(
     shift: np.ndarray | None = None,
     a_low: np.ndarray | None = None,
 ) -> np.ndarray:
-    """sigma . D psi as an (n, n, n, 2) spinor."""
+    """sigma . D psi as an (n, n, n, 2) spinor, whichever model ``p`` names."""
     dpsi = covariant_gradient(grid, p, psi, A, shift=shift, a_low=a_low)
-    out = np.zeros(dpsi.shape[:3] + (2,), dtype=complex)
-    for a in range(3):
-        out += np.einsum("ij,...j->...i", SIGMA[a], dpsi[..., a, :])
-    return out
+    return _spin_contract("P", dpsi)
 
 
 def covariant_laplacian(
@@ -140,7 +177,6 @@ def covariant_laplacian(
     p: PhysParams,
     psi,
     A,
-    model: str | None = None,
     a_low: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_a D_a D_a psi, plus the spin-curvature term for model "P".
@@ -153,8 +189,6 @@ def covariant_laplacian(
     product again dealiased.
     """
     psi = _arr(psi)
-    if model is None:
-        model = p.model
     a_low = _low_pass(grid, A, a_low)
     mask = grid.dealias_mask[..., None]
     dpsi = covariant_gradient(grid, p, psi, A, a_low=a_low)
@@ -166,7 +200,7 @@ def covariant_laplacian(
         acc_hat += 1j * p.hbar * (1j * kvec[a][..., None]) * comp_hat
         comp_low = grid.ifft(comp_hat * mask)
         acc_hat += coef * mask * grid.fft(a_low[..., a, None] * comp_low)
-    if model == "P":
+    if p.model == "P":
         b_field = spectral.curl(grid, a_low)
         psi_low = grid.ifft(grid.fft(psi) * mask)
         for a in range(3):
@@ -180,7 +214,6 @@ def current(
     p: PhysParams,
     psi,
     A,
-    model: str | None = None,
     a_low: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gauge current density J as a real (n, n, n, 3) array.
@@ -193,23 +226,11 @@ def current(
     kinetic energy evaluated by ``energy_functional``.
     """
     psi = _arr(psi)
-    if model is None:
-        model = p.model
     psi_low = spectral.dealias(grid, psi)
-    if model == "P":
-        gpsi = pauli_gradient(grid, p, psi, A, a_low=a_low)
-        gpsi = spectral.dealias(grid, gpsi)
-        out = np.empty(psi.shape[:3] + (3,), dtype=float)
-        for a in range(3):
-            pair = np.einsum("...i,ij,...j->...", np.conj(psi_low), SIGMA[a], gpsi)
-            out[..., a] = spectral.dealias(grid, np.real(pair))
-    else:
-        dpsi = covariant_gradient(grid, p, psi, A, a_low=a_low)
-        out = np.empty(psi.shape[:3] + (3,), dtype=float)
-        for a in range(3):
-            comp = spectral.dealias(grid, dpsi[..., a, :])
-            pair = np.sum(np.conj(psi_low) * comp, axis=-1)
-            out[..., a] = spectral.dealias(grid, np.real(pair))
+    g = spectral.dealias(grid, kinetic_gradient(grid, p, psi, A, a_low=a_low))
+    out = np.empty(psi.shape[:3] + (3,), dtype=float)
+    for a in range(3):
+        out[..., a] = spectral.dealias(grid, _pair(p.model, psi_low, g, a))
     return -(p.charge / p.mass) * out
 
 
@@ -218,6 +239,7 @@ __all__ = [
     "sigma_dot",
     "sigma_identity_check",
     "covariant_gradient",
+    "kinetic_gradient",
     "pauli_gradient",
     "covariant_laplacian",
     "current",

@@ -123,7 +123,7 @@ def test_02_spin_laplacian_identity(grid):
     for seed in range(50):
         psi, A = random_fields(grid, p, seed=seed, max_mode=cap)
         psi_a, a_a = psi.data, A.data
-        lap = pauli.covariant_laplacian(grid, p, psi_a, a_a, model="P")
+        lap = pauli.covariant_laplacian(grid, p, psi_a, a_a)
         once = pauli.pauli_gradient(grid, p, psi_a, a_a)
         dg = pauli.covariant_gradient(grid, p, once, a_a)
         again = np.zeros_like(psi_a)

@@ -315,6 +315,14 @@ class TestCli:
         rc, _, err = _main(["solve", "--config", str(cfg)], capsys)
         assert rc == 2 and "unknown config key" in err
 
+    def test_exit_2_removed_a_solver_key(self, tmp_path, capsys):
+        """The A-solve has one method; its former selector is unknown."""
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("minimize.a_solver = gradient\n")
+        rc, _, err = _main(["solve", "--config", str(cfg), "--grid", "16",
+                            "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and "unknown config key" in err
+
     def test_exit_2_missing_config(self, tmp_path, capsys):
         rc, _, err = _main(["solve", "--config", str(tmp_path / "absent.cfg")],
                            capsys)

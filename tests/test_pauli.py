@@ -83,7 +83,7 @@ class TestCovariantDerivative:
         phi = random_spinor(grid16, rng)
         psi = random_spinor(grid16, rng)
         A = rng.standard_normal(grid16.shape + (3,))
-        lap = covariant_laplacian(grid16, p, psi, A, model="S")
+        lap = covariant_laplacian(grid16, p, psi, A)
         lhs = inner(grid16, phi, lap)
         dphi = covariant_gradient(grid16, p, phi, A)
         dpsi = covariant_gradient(grid16, p, psi, A)
@@ -94,7 +94,7 @@ class TestCovariantDerivative:
         p = PhysParams()
         psi = random_spinor(grid16, rng)
         A = rng.standard_normal(grid16.shape + (3,))
-        val = inner(grid16, psi, covariant_laplacian(grid16, p, psi, A, model="S"))
+        val = inner(grid16, psi, covariant_laplacian(grid16, p, psi, A))
         assert abs(val.imag) < 1e-12 * abs(val.real)
         assert val.real > 0.0
 
@@ -145,7 +145,7 @@ class TestLichnerowicz:
         psi, A = random_fields(grid16, p, seed=21, max_mode=mm)
         first = pauli_gradient(grid16, p, psi.data, A.data)
         second = pauli_gradient(grid16, p, first, A.data)
-        direct = covariant_laplacian(grid16, p, psi.data, A.data, model="P")
+        direct = covariant_laplacian(grid16, p, psi.data, A.data)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(second - direct)) < 1e-12 * scale
 
@@ -153,7 +153,7 @@ class TestLichnerowicz:
         p = PhysParams(model="P")
         mm = grid16.mode_cut // 2
         psi, A = random_fields(grid16, p, seed=22, max_mode=mm)
-        lap = covariant_laplacian(grid16, p, psi.data, A.data, model="P")
+        lap = covariant_laplacian(grid16, p, psi.data, A.data)
         lhs = inner(grid16, psi.data, lap).real
         rhs = l2_norm_sq(grid16, pauli_gradient(grid16, p, psi.data, A.data))
         assert rel(lhs, rhs) < 1e-12
@@ -163,7 +163,7 @@ class TestLichnerowicz:
         level of the quadratic gauge terms, which stays modest."""
         p = PhysParams(model="P")
         psi, A = random_fields(grid16, p, seed=23)
-        lap = covariant_laplacian(grid16, p, psi.data, A.data, model="P")
+        lap = covariant_laplacian(grid16, p, psi.data, A.data)
         lhs = inner(grid16, psi.data, lap).real
         rhs = l2_norm_sq(grid16, pauli_gradient(grid16, p, psi.data, A.data))
         assert rel(lhs, rhs) < 1e-2
@@ -225,6 +225,6 @@ class TestCurrent:
         p_s = PhysParams(model="S")
         p_p = PhysParams(model="P")
         psi, A = random_fields(grid16, p_s, seed=41)
-        js = current(grid16, p_s, psi.data, A.data, model="S")
-        jp = current(grid16, p_p, psi.data, A.data, model="P")
+        js = current(grid16, p_s, psi.data, A.data)
+        jp = current(grid16, p_p, psi.data, A.data)
         assert np.max(np.abs(js - jp)) > 1e-8 * np.max(np.abs(js))
