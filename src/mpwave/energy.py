@@ -96,9 +96,9 @@ def _field_part(grid: Grid, p: PhysParams, A: np.ndarray) -> float:
     )
 
 
-def _kinetic(grid: Grid, p: PhysParams, psi, A, shift=None, a_low=None) -> float:
+def _kinetic(grid: Grid, p: PhysParams, psi, A, a_low=None) -> float:
     """Kinetic term |grad_{j,A} psi|^2 / 2m of the model ``p`` names."""
-    gpsi = pauli.kinetic_gradient(grid, p, psi, A, shift=shift, a_low=a_low)
+    gpsi = pauli.kinetic_gradient(grid, p, psi, A, a_low=a_low)
     return l2_norm_sq(grid, gpsi) / (2.0 * p.mass)
 
 
@@ -125,14 +125,19 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     A = as_array(A)
     v = p.v_arr
 
-    kinetic = _kinetic(grid, p, psi, A)
-    kinetic_sh = _kinetic(grid, p, psi, A, shift=p.mass * p.light_speed / p.charge * v)
+    a_low = spectral.dealias(grid, A)
+    dpsi = pauli.covariant_gradient(grid, p, psi, A, a_low=a_low)
+    # the shifted form sees A + (mc/Q) v; a constant cannot alias, so it
+    # multiplies psi directly instead of passing through the dealiased product
+    boost = (p.charge / p.light_speed) * (p.mass * p.light_speed / p.charge * v)
+    dpsi_sh = dpsi + boost[:, None] * psi[..., None, :]
+    kinetic = l2_norm_sq(grid, pauli._spin_contract(p.model, dpsi)) / (2.0 * p.mass)
+    kinetic_sh = l2_norm_sq(grid, pauli._spin_contract(p.model, dpsi_sh)) / (2.0 * p.mass)
     field = _field_part(grid, p, A)
     drift = _drift(grid, p, psi)
 
     psi_low = spectral.dealias(grid, psi)
     dens_low = np.sum(np.abs(psi_low) ** 2, axis=-1)
-    a_low = spectral.dealias(grid, A)
     coupling = -(p.charge / p.light_speed) * float(
         grid.integrate(dens_low * np.tensordot(a_low, v, axes=(-1, 0)))
     )

@@ -68,7 +68,11 @@ def write_state(path: str, grid: Grid, p: PhysParams, psi, A) -> None:
 
 
 def read_state(path: str) -> tuple[Grid, PhysParams, SpinorField, VectorField]:
-    """Load a state file written by :func:`write_state`."""
+    """Load a state file written by :func:`write_state`.
+
+    Raises InputError on a short or overlong file and on non-finite
+    psi or A values.
+    """
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -101,8 +105,12 @@ def read_state(path: str) -> tuple[Grid, PhysParams, SpinorField, VectorField]:
         a_raw = fh.read(count_a * 8)
         if len(psi_raw) != count_psi * 16 or len(a_raw) != count_a * 8:
             raise InputError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise InputError(f"{path}: trailing bytes after the payload")
         psi = np.frombuffer(psi_raw, dtype="<c16").reshape(grid.shape + (2,))
         a = np.frombuffer(a_raw, dtype="<f8").reshape(grid.shape + (3,))
+        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(a))):
+            raise InputError(f"{path}: non-finite values in the payload")
     return grid, p, SpinorField(grid, psi.copy()), VectorField(grid, a.copy())
 
 

@@ -76,18 +76,12 @@ def lagrange_theta(grid: Grid, p: PhysParams, psi, A) -> float:
 
 
 def _tangent(
-    grid: Grid,
-    p: PhysParams,
-    psi: np.ndarray,
-    G: np.ndarray,
-    lam_meas: float,
-    theta: float | None = None,
+    grid: Grid, p: PhysParams, psi: np.ndarray, G: np.ndarray, lam_meas: float
 ) -> tuple[np.ndarray, float]:
-    """G + hbar theta psi and theta; by default theta is the multiplier
-    that makes the sum tangent to the mass sphere at psi, whose measured
-    |psi|^2 is ``lam_meas``."""
-    if theta is None:
-        theta = -float(np.real(np.sum(np.conj(psi) * G)) * grid.cell) / (p.hbar * lam_meas)
+    """G + hbar theta psi and theta, the multiplier that makes the sum
+    tangent to the mass sphere at psi, whose measured |psi|^2 is
+    ``lam_meas``."""
+    theta = -float(np.real(np.sum(np.conj(psi) * G)) * grid.cell) / (p.hbar * lam_meas)
     return G + p.hbar * theta * psi, theta
 
 
@@ -133,9 +127,7 @@ class ELResidual:
         return max(self.psi_rel, self.a_rel)
 
 
-def el_residual(
-    grid: Grid, p: PhysParams, psi, A, theta: float | None = None, a_low=None
-) -> ELResidual:
+def el_residual(grid: Grid, p: PhysParams, psi, A, a_low=None) -> ELResidual:
     """Residuals of the stationarity system at (psi, A).
 
     psi-side: |(1/2m) lap_{j,A} psi + hbar theta psi + i hbar v.grad psi|
@@ -145,9 +137,15 @@ def el_residual(
     """
     psi_a = as_array(psi)
     A_a = as_array(A)
-    G = grad_psi(grid, p, psi_a, A_a, a_low=a_low)
+    return _residual(grid, p, psi_a, A_a, grad_psi(grid, p, psi_a, A_a, a_low=a_low), a_low)
+
+
+def _residual(
+    grid: Grid, p: PhysParams, psi_a: np.ndarray, A_a: np.ndarray, G: np.ndarray, a_low
+) -> ELResidual:
+    """``el_residual`` for a caller that already holds G = grad_psi(psi, A)."""
     lam_meas = l2_norm_sq(grid, psi_a)
-    resid, theta = _tangent(grid, p, psi_a, G, lam_meas, theta)
+    resid, theta = _tangent(grid, p, psi_a, G, lam_meas)
     psi_raw = np.sqrt(l2_norm_sq(grid, resid))
     # exactly flat states (constant psi, vanishing current) leave every
     # term at rounding scale; flooring the denominators by the weakest
@@ -513,7 +511,7 @@ def minimize(
                 break
             s *= config.backtrack
         if not accepted:
-            res = el_residual(grid, p, psi, A, a_low=a_low)
+            res = _residual(grid, p, psi, A, G, a_low)
             converged = res.max_rel < config.residual_tol
             msg = (
                 "stationary: no descent direction left"
@@ -552,7 +550,7 @@ def minimize(
             since_best += 1
 
         if it % config.check_every == 0 or since_best >= config.patience:
-            res = el_residual(grid, p, psi, A, a_low=a_low)
+            res = _residual(grid, p, psi, A, G, a_low)
             # a small residual alone can be a slow plateau transit; accept
             # stationarity only once the energy has also stopped moving
             if res.max_rel < config.residual_tol and since_best >= config.confirm_stall:

@@ -7,18 +7,20 @@ magnetic covariant derivative acting on a spinor is
 
 where the product A_a psi is evaluated through the dealiased multiply
 (see :mod:`mpwave.spectral`), so each D_a is exactly self-adjoint for the
-grid inner product.  The spin-coupled ("Pauli") gradient is sigma . D.
+grid inner product.  The kinetic operator K is D psi for the scalar
+model ("S") and sigma . D psi for the spin-coupled model ("P"); the
+kinetic energy is |K psi|^2 / 2m and ``covariant_laplacian`` is
+K^dagger K psi, its exact psi-gradient, in both.
 
-``covariant_laplacian`` returns sum_a D_a D_a psi for the scalar model and
-the Lichnerowicz form for the spin-coupled model,
+The Lichnerowicz identity
 
-    (sigma . D)^2 psi = sum_a D_a D_a psi - (hbar*Q/c) sigma . B psi,
+    (sigma . D)^2 psi = sum_a D_a D_a psi - (hbar*Q/c) sigma . B psi
 
-with B the curl of the dealiased vector potential.  The two sides of the
-Lichnerowicz identity agree exactly whenever psi and A are band limited to
-half the dealiasing cutoff (products of three such factors stay below the
-grid Nyquist band); for rougher fields they differ by the aliasing residue
-of the cubic terms only.
+is a check, through ``spin_term``, not a kernel: its two sides agree
+exactly whenever psi and A are band limited to half the dealiasing
+cutoff (products of three such factors stay below the grid Nyquist
+band); for rougher fields they differ by the aliasing residue of the
+cubic terms.
 """
 from __future__ import annotations
 
@@ -47,14 +49,7 @@ def sigma_dot(vec: np.ndarray, psi: np.ndarray) -> np.ndarray:
     ``vec`` has shape (..., 3) or (3,), ``psi`` has shape (..., 2); the
     result is sum_a vec_a (sigma^a psi).
     """
-    vec = np.asarray(vec)
-    if vec.ndim == 1:
-        mat = np.tensordot(vec, SIGMA, axes=(0, 0))
-        return np.einsum("ij,...j->...i", mat, psi)
-    out = np.zeros_like(psi, dtype=np.result_type(vec.dtype, psi.dtype, np.complex128))
-    for a in range(3):
-        out += vec[..., a, None] * np.einsum("ij,...j->...i", SIGMA[a], psi)
-    return out
+    return _spin_contract("P", np.asarray(vec)[..., :, None] * np.asarray(psi)[..., None, :])
 
 
 def sigma_identity_check(f: np.ndarray, g: np.ndarray) -> float:
@@ -87,15 +82,9 @@ def covariant_gradient(
     p: PhysParams,
     psi,
     A,
-    shift: np.ndarray | None = None,
     a_low: np.ndarray | None = None,
 ) -> np.ndarray:
     """All three components D_a psi, stacked as (n, n, n, 3, 2).
-
-    ``shift`` is an optional constant 3-vector added to A.  A constant
-    cannot alias, so it multiplies psi directly instead of passing through
-    the dealiased product; this keeps the algebra of the boosted gauge
-    field A + (mc/Q) v exact at grid level.
 
     ``a_low`` may carry a precomputed dealias(A) (it is recomputed here
     otherwise); callers that apply many derivatives against one A save
@@ -113,24 +102,33 @@ def covariant_gradient(
         dpsi = grid.ifft(1j * kvec[a][..., None] * psi_hat)
         prod_hat = grid.fft(a_low[..., a, None] * psi_low)
         out[..., a, :] = 1j * p.hbar * dpsi + coef * grid.ifft(prod_hat * mask)
-    if shift is not None:
-        shift = np.asarray(shift, dtype=float)
-        out += coef * shift[None, None, None, :, None] * psi[..., None, :]
     return out
 
 
 def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
     """Kinetic contraction of the model.
 
-    ``c`` stacks one spinor per direction, shape (n, n, n, 3, 2).  Model
-    "P" contracts it with the Pauli matrices to sum_b sigma^b c_b, an
-    (n, n, n, 2) spinor; model "S" keeps it as it is.
+    ``c`` stacks one spinor per direction, shape (..., 3, 2).  Model "P"
+    contracts it with the Pauli matrices to sum_b sigma^b c_b, a (..., 2)
+    spinor, summed in the order x, y, z; model "S" keeps it as it is.
     """
     if model == "S":
         return c
-    out = np.zeros(c.shape[:3] + (2,), dtype=complex)
-    for b in range(3):
-        out += np.einsum("ij,...j->...i", SIGMA[b], c[..., b, :])
+    out = np.empty(c.shape[:-2] + (2,), dtype=complex)
+    out[..., 0] = c[..., 0, 1] - 1j * c[..., 1, 1] + c[..., 2, 0]
+    out[..., 1] = c[..., 0, 0] + 1j * c[..., 1, 0] - c[..., 2, 1]
+    return out
+
+
+def _spin_expand(model: str, h: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_spin_contract``: the stack sigma^a h over a = x, y, z
+    for model "P", shape (..., 3, 2); model "S" keeps ``h``."""
+    if model == "S":
+        return h
+    out = np.empty(h.shape[:-1] + (3, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = h[..., 1], h[..., 0]
+    out[..., 1, 0], out[..., 1, 1] = -1j * h[..., 1], 1j * h[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = h[..., 0], -h[..., 1]
     return out
 
 
@@ -147,29 +145,14 @@ def kinetic_gradient(
     p: PhysParams,
     psi,
     A,
-    shift: np.ndarray | None = None,
     a_low: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Kinetic gradient of the model: sigma . D psi for "P", D psi for "S".
+    """Kinetic operator K of the model: sigma . D psi for "P", D psi for "S".
 
-    The kinetic energy of either model is |kinetic_gradient|^2 / 2m.
-    ``shift`` and ``a_low`` are as in ``covariant_gradient``.
+    The kinetic energy of either model is |K psi|^2 / 2m.  ``a_low`` is
+    as in ``covariant_gradient``.
     """
-    gradient = pauli_gradient if p.model == "P" else covariant_gradient
-    return gradient(grid, p, psi, A, shift=shift, a_low=a_low)
-
-
-def pauli_gradient(
-    grid: Grid,
-    p: PhysParams,
-    psi,
-    A,
-    shift: np.ndarray | None = None,
-    a_low: np.ndarray | None = None,
-) -> np.ndarray:
-    """sigma . D psi as an (n, n, n, 2) spinor, whichever model ``p`` names."""
-    dpsi = covariant_gradient(grid, p, psi, A, shift=shift, a_low=a_low)
-    return _spin_contract("P", dpsi)
+    return _spin_contract(p.model, covariant_gradient(grid, p, psi, A, a_low=a_low))
 
 
 def covariant_laplacian(
@@ -179,34 +162,32 @@ def covariant_laplacian(
     A,
     a_low: np.ndarray | None = None,
 ) -> np.ndarray:
-    """sum_a D_a D_a psi, plus the spin-curvature term for model "P".
-
-    The scalar part reuses ``covariant_gradient`` for the inner derivative
-    and applies each D_a once more, so self-adjointness of the individual
-    factors carries over:  <psi, covariant_laplacian psi> = |D psi|^2
-    exactly.  For model "P" the Lichnerowicz correction - (hbar Q / c)
-    sigma . B psi is added, with B = curl of the dealiased A and the
-    product again dealiased.
-    """
+    """K^dagger K psi = sum_a D_a h_a, with h_a = D_a psi (model "S") or
+    sigma^a K psi (model "P").  Each D_a is exactly self-adjoint, so
+    <phi, covariant_laplacian psi> = <K phi, K psi> to rounding on any
+    grid fields."""
     psi = _arr(psi)
     a_low = _low_pass(grid, A, a_low)
     mask = grid.dealias_mask[..., None]
-    dpsi = covariant_gradient(grid, p, psi, A, a_low=a_low)
+    h = _spin_expand(p.model, kinetic_gradient(grid, p, psi, A, a_low=a_low))
     kvec = grid.k
     coef = p.charge / p.light_speed
     acc_hat = np.zeros_like(psi)
     for a in range(3):
-        comp_hat = grid.fft(dpsi[..., a, :])
+        comp_hat = grid.fft(h[..., a, :])
         acc_hat += 1j * p.hbar * (1j * kvec[a][..., None]) * comp_hat
         comp_low = grid.ifft(comp_hat * mask)
         acc_hat += coef * mask * grid.fft(a_low[..., a, None] * comp_low)
-    if p.model == "P":
-        b_field = spectral.curl(grid, a_low)
-        psi_low = grid.ifft(grid.fft(psi) * mask)
-        for a in range(3):
-            spin_a = b_field[..., a, None] * np.einsum("ij,...j->...i", SIGMA[a], psi_low)
-            acc_hat -= p.hbar * coef * mask * grid.fft(spin_a)
     return grid.ifft(acc_hat)
+
+
+def spin_term(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
+    """-(hbar Q / c) T(sigma . B T psi), B = curl T(A): covariant_laplacian
+    of model "P" minus that of model "S" on fields band limited to half
+    the dealias cutoff (Lichnerowicz); a check, not a kernel."""
+    b_field = spectral.curl(grid, spectral.dealias(grid, _arr(A)))
+    spin = sigma_dot(b_field, spectral.dealias(grid, _arr(psi)))
+    return -p.hbar * p.charge / p.light_speed * spectral.dealias(grid, spin)
 
 
 def current(
@@ -240,7 +221,7 @@ __all__ = [
     "sigma_identity_check",
     "covariant_gradient",
     "kinetic_gradient",
-    "pauli_gradient",
     "covariant_laplacian",
+    "spin_term",
     "current",
 ]

@@ -5,11 +5,12 @@ axes; trailing component axes (spinor or vector) pass through untouched.
 Real inputs give real outputs (the imaginary round-off from the FFT
 round trip is dropped).
 
-The only nonlinear primitive is :func:`dealiased_mul`, the 2/3-rule
-product T(T(a)·T(f)).  T is an orthogonal projector in the grid inner
-product, so the primitive is self-adjoint in each factor — every energy
-expression and every gradient in the package is built from it, which is
-what makes the discrete integration-by-parts identities exact.
+The only nonlinear product is the 2/3-rule product T(T(a)·T(f)) of
+:func:`dealiased_mul`.  T is an orthogonal projector in the grid inner
+product, so the product is self-adjoint in each factor.  The kernels
+inline the same T(Ta·Tf) product rather than call :func:`dealiased_mul`;
+every energy and gradient is built from it, which is what makes the
+discrete integration-by-parts identities exact.
 """
 
 from __future__ import annotations

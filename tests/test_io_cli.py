@@ -121,6 +121,32 @@ class TestStateFile:
         with pytest.raises(InputError, match="truncated payload"):
             read_state(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "s.mpwf")
+        _write_sample(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(InputError, match="trailing bytes"):
+            read_state(path)
+
+    def test_non_finite_payload_rejected(self, tmp_path, capsys):
+        """A NaN in psi or an inf in A is refused, and check exits 2."""
+        grid = Grid(16, 40.0)
+        p = params()
+        psi, A = random_fields(grid, p, seed=3)
+        for field in ("psi", "A"):
+            bad_psi, bad_a = psi.data.copy(), A.data.copy()
+            if field == "psi":
+                bad_psi[1, 2, 3, 0] = np.nan
+            else:
+                bad_a[3, 2, 1, 2] = np.inf
+            path = str(tmp_path / f"{field}.mpwf")
+            write_state(path, grid, p, bad_psi, bad_a)
+            with pytest.raises(InputError, match="non-finite"):
+                read_state(path)
+            rc, _, err = _main(["check", path], capsys)
+            assert rc == 2 and "non-finite" in err, field
+
     def test_missing_file_is_input_error(self, tmp_path):
         with pytest.raises(InputError, match="cannot read state"):
             read_state(str(tmp_path / "absent.mpwf"))
@@ -302,6 +328,19 @@ class TestCli:
         assert "SKIP stationarity: not a minimizer" in out
         assert "SKIP a-priori-bounds: static state" in out
         assert out.strip().splitlines()[-1] == "all checks passed"
+
+    def test_check_band_limit_between_powers_of_two(self, tmp_path, capsys):
+        """At n = 24 the identity lines band-limit the state to half the
+        dealias cutoff, where they are exact: a valid random state passes."""
+        grid = Grid(24, 40.0)
+        p = params(model="P")
+        psi, A = random_fields(grid, p, seed=1, a_amp=0.1)
+        path = tmp_path / "n24.mpwf"
+        write_state(str(path), grid, p, psi, A)
+        rc, out, _ = _main(["check", str(path)], capsys)
+        assert "PASS spin-laplacian-identity" in out
+        assert "PASS gauge-covariance" in out
+        assert rc == 0, out
 
     def test_exit_2_bad_velocity_flag(self, tmp_path, capsys):
         rc, _, err = _main(["solve", "--grid", "16", "--out", str(tmp_path),

@@ -58,18 +58,18 @@ class TestGradients:
         assert rel(fd, slope) < 1e-9
 
     def test_grad_psi_second_model(self, grid16, rng):
-        # the spin-coupled operator identity behind grad_psi is exact
-        # once single mode products stay inside the band
+        # grad_psi applies K^dagger K, so it is exact on band-limited and
+        # on broadband states alike
         p = params("P", v=0.2)
-        mm = grid16.mode_cut // 2
-        psi, A = random_fields(grid16, p, seed=52, max_mode=mm)
         delta = rng.standard_normal(grid16.shape + (2,)) + 1j * rng.standard_normal(
             grid16.shape + (2,)
         )
-        G = grad_psi(grid16, p, psi.data, A.data)
-        slope = 2.0 * float(np.real(inner(grid16, G, delta)))
-        fd = self.fd_psi(grid16, p, psi.data, A.data, delta)
-        assert rel(fd, slope) < 1e-9
+        for mm in (grid16.mode_cut // 2, None):
+            psi, A = random_fields(grid16, p, seed=52, max_mode=mm)
+            G = grad_psi(grid16, p, psi.data, A.data)
+            slope = 2.0 * float(np.real(inner(grid16, G, delta)))
+            fd = self.fd_psi(grid16, p, psi.data, A.data, delta)
+            assert rel(fd, slope) < 1e-9, mm
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_grad_A(self, grid16, rng, model):
@@ -89,17 +89,17 @@ class TestGradients:
     def test_multiplier_tangency(self, grid16, model):
         """<psi, G + hbar theta psi> = 0 at the measured multiplier.
 
-        The identity rests on <psi, lap psi> = |grad psi|^2, which for
-        the spin-coupled model is exact on band-limited states only.
+        The identity rests on <psi, lap psi> = |K psi|^2, which holds to
+        rounding for both models on band-limited and broadband states.
         """
         p = params(model, v=0.15)
-        mm = grid16.mode_cut // 2 if model == "P" else None
-        psi, A = random_fields(grid16, p, seed=54, max_mode=mm)
-        theta = lagrange_theta(grid16, p, psi.data, A.data)
-        G = grad_psi(grid16, p, psi.data, A.data)
-        proj = inner(grid16, psi.data, G + p.hbar * theta * psi.data)
-        scale = np.sqrt(l2_norm_sq(grid16, G) * l2_norm_sq(grid16, psi.data))
-        assert abs(proj) < 1e-12 * scale
+        for mm in (grid16.mode_cut // 2, None):
+            psi, A = random_fields(grid16, p, seed=54, max_mode=mm)
+            theta = lagrange_theta(grid16, p, psi.data, A.data)
+            G = grad_psi(grid16, p, psi.data, A.data)
+            proj = inner(grid16, psi.data, G + p.hbar * theta * psi.data)
+            scale = np.sqrt(l2_norm_sq(grid16, G) * l2_norm_sq(grid16, psi.data))
+            assert abs(proj) < 1e-12 * scale, mm
 
     def test_theta_against_energy_at_zero_field(self, grid16):
         """With A = 0 the multiplier reduces to -E / (hbar lambda)."""
@@ -112,10 +112,11 @@ class TestGradients:
 
     def test_theta_matches_residual_report(self, grid16):
         p = params("P", v=0.1)
-        psi, A = random_fields(grid16, p, seed=56, max_mode=grid16.mode_cut // 2)
-        theta = lagrange_theta(grid16, p, psi.data, A.data)
-        res = el_residual(grid16, p, psi.data, A.data)
-        assert rel(theta, res.theta) < 1e-12
+        for mm in (grid16.mode_cut // 2, None):
+            psi, A = random_fields(grid16, p, seed=56, max_mode=mm)
+            theta = lagrange_theta(grid16, p, psi.data, A.data)
+            res = el_residual(grid16, p, psi.data, A.data)
+            assert rel(theta, res.theta) < 1e-12, mm
 
     def test_omega_formula(self, grid16):
         p = params("S", v=0.1)

@@ -5,15 +5,19 @@ import pytest
 
 from mpwave import PhysParams
 from mpwave import spectral
+from mpwave.energy import energy_functional
 from mpwave.fields import inner, l2_norm_sq, random_fields
 from mpwave.pauli import (
     SIGMA,
+    _spin_contract,
+    _spin_expand,
     covariant_gradient,
     covariant_laplacian,
     current,
-    pauli_gradient,
+    kinetic_gradient,
     sigma_dot,
     sigma_identity_check,
+    spin_term,
 )
 
 from conftest import rel
@@ -63,6 +67,24 @@ class TestSigmaAlgebra:
         assert np.max(np.abs(sigma_dot(vec, psi) - sigma_dot(broad, psi))) < 1e-14
 
 
+    def test_component_contraction_matches_matrix_loop(self, grid16, rng):
+        """The component forms of the spin contraction and its adjoint
+        equal the per-matrix products exactly, and are adjoint."""
+        c = rng.standard_normal(grid16.shape + (3, 2)) + 1j * rng.standard_normal(
+            grid16.shape + (3, 2)
+        )
+        h = random_spinor(grid16, rng)
+        loop = np.zeros_like(h)
+        for b in range(3):
+            loop += np.einsum("ij,...j->...i", SIGMA[b], c[..., b, :])
+        assert np.array_equal(_spin_contract("P", c), loop)
+        stack = np.stack([np.einsum("ij,...j->...i", SIGMA[a], h) for a in range(3)], axis=-2)
+        assert np.array_equal(_spin_expand("P", h), stack)
+        lhs = inner(grid16, h, _spin_contract("P", c))
+        rhs = inner(grid16, _spin_expand("P", h), c)
+        assert rel(lhs, rhs) < 1e-14
+
+
 class TestCovariantDerivative:
     def test_component_self_adjoint(self, grid16, rng):
         """Each D_a = i hbar d_a + (Q/c) T(A T .) is exactly symmetric."""
@@ -78,37 +100,43 @@ class TestCovariantDerivative:
             assert rel(lhs, rhs) < 1e-12
 
     def test_quadratic_form_identity(self, grid16, rng):
-        """<phi, sum_a D_a D_a psi> = sum_a <D_a phi, D_a psi> on rough fields."""
-        p = PhysParams()
+        """<phi, K^dagger K psi> = <K phi, K psi> on rough fields, both models."""
         phi = random_spinor(grid16, rng)
         psi = random_spinor(grid16, rng)
         A = rng.standard_normal(grid16.shape + (3,))
-        lap = covariant_laplacian(grid16, p, psi, A)
-        lhs = inner(grid16, phi, lap)
-        dphi = covariant_gradient(grid16, p, phi, A)
-        dpsi = covariant_gradient(grid16, p, psi, A)
-        rhs = sum(inner(grid16, dphi[..., a, :], dpsi[..., a, :]) for a in range(3))
-        assert rel(lhs, rhs) < 1e-12
+        for model in ("S", "P"):
+            p = PhysParams(model=model)
+            lhs = inner(grid16, phi, covariant_laplacian(grid16, p, psi, A))
+            rhs = inner(
+                grid16,
+                kinetic_gradient(grid16, p, phi, A),
+                kinetic_gradient(grid16, p, psi, A),
+            )
+            assert rel(lhs, rhs) < 1e-12, model
 
     def test_laplacian_positive_on_state(self, grid16, rng):
-        p = PhysParams()
         psi = random_spinor(grid16, rng)
         A = rng.standard_normal(grid16.shape + (3,))
-        val = inner(grid16, psi, covariant_laplacian(grid16, p, psi, A))
-        assert abs(val.imag) < 1e-12 * abs(val.real)
-        assert val.real > 0.0
+        for model in ("S", "P"):
+            val = inner(grid16, psi, covariant_laplacian(grid16, PhysParams(model=model), psi, A))
+            assert abs(val.imag) < 1e-12 * abs(val.real), model
+            assert val.real > 0.0, model
 
-    def test_shift_equals_constant_gauge_field(self, grid16, rng):
-        """Adding a constant to A and using the shift path agree exactly
-        on band-limited states (a constant cannot alias)."""
-        p = PhysParams()
-        psi = spectral.dealias(grid16, random_spinor(grid16, rng))
-        A = rng.standard_normal(grid16.shape + (3,))
-        s = np.array([0.4, -0.1, 0.9])
-        via_shift = covariant_gradient(grid16, p, psi, A, shift=s)
-        via_field = covariant_gradient(grid16, p, psi, A + s)
-        scale = np.max(np.abs(via_shift))
-        assert np.max(np.abs(via_shift - via_field)) < 1e-13 * scale
+    def test_shift_equals_constant_gauge_field(self, grid16):
+        """The shifted kinetic term of ``energy_functional`` is the kinetic
+        energy at A + (mc/Q) v: the constant multiplies psi directly, which
+        agrees with the dealiased product on band-limited psi (a constant
+        cannot alias)."""
+        for model in ("S", "P"):
+            p = PhysParams(model=model, v=(0.4, -0.1, 0.9))
+            psi, A = random_fields(grid16, p, seed=24)
+            psi = spectral.dealias(grid16, psi.data)
+            s = p.mass * p.light_speed / p.charge * p.v_arr
+            via_field = l2_norm_sq(
+                grid16, kinetic_gradient(grid16, p, psi, A.data + s)
+            ) / (2.0 * p.mass)
+            br = energy_functional(grid16, p, psi, A.data)
+            assert rel(br.kinetic_shifted, via_field) < 1e-13, model
 
     def test_gauge_covariance(self, grid16):
         """A -> A + grad u, psi -> e^{iQu/(hbar c)} psi preserves |D psi|^2
@@ -143,30 +171,35 @@ class TestLichnerowicz:
         p = PhysParams(model="P")
         mm = grid16.mode_cut // 2
         psi, A = random_fields(grid16, p, seed=21, max_mode=mm)
-        first = pauli_gradient(grid16, p, psi.data, A.data)
-        second = pauli_gradient(grid16, p, first, A.data)
         direct = covariant_laplacian(grid16, p, psi.data, A.data)
+        split = covariant_laplacian(
+            grid16, p.with_(model="S"), psi.data, A.data
+        ) + spin_term(grid16, p, psi.data, A.data)
         scale = np.max(np.abs(direct))
-        assert np.max(np.abs(second - direct)) < 1e-12 * scale
+        assert np.max(np.abs(split - direct)) < 1e-12 * scale
 
     def test_energy_form_on_band_limited_fields(self, grid16):
         p = PhysParams(model="P")
         mm = grid16.mode_cut // 2
         psi, A = random_fields(grid16, p, seed=22, max_mode=mm)
-        lap = covariant_laplacian(grid16, p, psi.data, A.data)
+        lap = covariant_laplacian(
+            grid16, p.with_(model="S"), psi.data, A.data
+        ) + spin_term(grid16, p, psi.data, A.data)
         lhs = inner(grid16, psi.data, lap).real
-        rhs = l2_norm_sq(grid16, pauli_gradient(grid16, p, psi.data, A.data))
+        rhs = l2_norm_sq(grid16, kinetic_gradient(grid16, p, psi.data, A.data))
         assert rel(lhs, rhs) < 1e-12
 
     def test_rough_field_defect_is_small(self, grid16):
-        """On unrestricted draws the identity only holds to the aliasing
-        level of the quadratic gauge terms, which stays modest."""
+        """The spin-coupled Laplacian is K^dagger K, so its energy form is
+        |K psi|^2 to rounding on unrestricted draws too, where the
+        Lichnerowicz split into scalar Laplacian plus spin term only holds
+        to the aliasing level of the cubic gauge terms."""
         p = PhysParams(model="P")
         psi, A = random_fields(grid16, p, seed=23)
         lap = covariant_laplacian(grid16, p, psi.data, A.data)
         lhs = inner(grid16, psi.data, lap).real
-        rhs = l2_norm_sq(grid16, pauli_gradient(grid16, p, psi.data, A.data))
-        assert rel(lhs, rhs) < 1e-2
+        rhs = l2_norm_sq(grid16, kinetic_gradient(grid16, p, psi.data, A.data))
+        assert rel(lhs, rhs) < 1e-12
 
 
 class TestCurrent:
@@ -207,10 +240,7 @@ class TestCurrent:
         dA = rng.standard_normal(grid16.shape + (3,))
 
         def kin(field):
-            if model == "P":
-                g = pauli_gradient(grid16, p, psi.data, field)
-            else:
-                g = covariant_gradient(grid16, p, psi.data, field)
+            g = kinetic_gradient(grid16, p, psi.data, field)
             return l2_norm_sq(grid16, g) / (2.0 * p.mass)
 
         eps = 1e-4
