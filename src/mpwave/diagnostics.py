@@ -211,7 +211,7 @@ def trial_energy_terms(grid: Grid, p: PhysParams, spec: TrialSpec) -> TrialEnerg
     lam_meas = float(np.sum(dens)) * grid.cell
     rest = -0.5 * p.mass * float(v @ v) * lam_meas
 
-    field = _field_part(grid, p, a_data)
+    field = _field_part(grid, p, grid.fft(a_data))
 
     spin = 0.0
     if p.model == "P":

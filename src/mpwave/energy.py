@@ -18,6 +18,11 @@ and because every gauge product in this package goes through the same
 self-adjoint dealiased multiply, the two forms agree to rounding error
 for arbitrary grid fields -- not just in the continuum limit.  The
 coupling term is evaluated with the filtered density accordingly.
+
+Every quadratic term is read from transforms by Parseval, in the same
+grid inner product h^3 sum |f|^2 = (h^3 / n^3) sum |f_hat|^2: the kinetic
+norms from the transform of K psi, the drift and the field term from
+psi_hat and A_hat weighted by their Fourier symbols.
 """
 from __future__ import annotations
 
@@ -59,55 +64,80 @@ class EnergyBreakdown:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
+def _vk(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Fourier symbol v.k of the directional derivative -i (v.grad)."""
+    kx, ky, kz = grid.k
+    return v[0] * kx + v[1] * ky + v[2] * kz
+
+
+def _vk_real(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """v.k for the derivative of a real field, whose real part the inverse
+    transform keeps: that drops the Nyquist wavenumber of each axis, where
+    the odd multiplier i k has no real counterpart."""
+    k1 = grid.k[0][:, 0, 0].copy()
+    k1[grid.n // 2] = 0.0
+    return v[0] * k1[:, None, None] + v[1] * k1[None, :, None] + v[2] * k1[None, None, :]
+
+
 def _wave_symbol(grid: Grid, p: PhysParams) -> np.ndarray:
     """Fourier symbol k^2 - (v.k)^2 / c^2 of the travelling wave operator.
 
     Positive away from k = 0 whenever |v| < c; vanishes identically at
     the zero mode, which is why that mode is frozen throughout.
     """
-    kx, ky, kz = grid.k
-    v = p.v_arr
-    vk = v[0] * kx + v[1] * ky + v[2] * kz
-    return grid.k2 - vk ** 2 / p.light_speed ** 2
+    return grid.k2 - _vk(grid, p.v_arr) ** 2 / p.light_speed ** 2
+
+
+def _parseval(grid: Grid, fh: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """Grid norm |f|^2 = h^3 sum |f|^2 = (h^3 / n^3) sum |f_hat|^2 read from
+    the transform, each mode weighted by the (n, n, n) symbol ``weight``
+    when one is given (the norm of the field that symbol maps f to)."""
+    sq = fh.real ** 2 + fh.imag ** 2
+    if weight is not None:
+        sq *= spectral._expand(weight, sq)
+    return float(np.sum(sq)) * grid.cell / grid.n ** 3
 
 
 def _grad_tensor_sq(grid: Grid, A: np.ndarray) -> float:
     """|grad (x) A|^2 = sum_{a,b} |d_a A_b|^2 over the box."""
-    a_hat = grid.fft(A)
-    total = 0.0
-    for a in range(3):
-        comp = grid.ifft(1j * grid.k[a][..., None] * a_hat)
-        total += l2_norm_sq(grid, comp)
-    return total
+    return _parseval(grid, grid.fft(A), grid.k2)
 
 
 def _v_deriv_sq(grid: Grid, A: np.ndarray, v: np.ndarray) -> float:
     """|(v.grad) A|^2 over the box (not normalized by |v|)."""
     if not np.any(v):
         return 0.0
-    dv = spectral.directional_derivative(grid, A, v)
-    return l2_norm_sq(grid, dv)
+    return _parseval(grid, grid.fft(A), _vk_real(grid, v) ** 2)
 
 
-def _field_part(grid: Grid, p: PhysParams, A: np.ndarray) -> float:
-    """Field term (1/8 pi) ( |grad A|^2 - |((v/c).grad) A|^2 ) of the energy."""
-    return (_grad_tensor_sq(grid, A) - _v_deriv_sq(grid, A, p.v_arr) / p.light_speed ** 2) / (
-        8.0 * np.pi
-    )
+def _field_part(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
+    """Field term (1/8 pi) ( |grad A|^2 - |((v/c).grad) A|^2 ) of the energy,
+    from the transform ``a_hat`` of A.  The weight k^2 - (v.k)^2 / c^2 is
+    the wave symbol, except that the convective part drops the Nyquist
+    wavenumbers as the derivative of a real field does (``_vk_real``); the
+    solver's A has no Nyquist content, so there the two agree."""
+    weight = grid.k2 - _vk_real(grid, p.v_arr) ** 2 / p.light_speed ** 2
+    return _parseval(grid, a_hat, weight) / (8.0 * np.pi)
 
 
-def _kinetic(grid: Grid, p: PhysParams, psi, A, a_low=None) -> float:
-    """Kinetic term |grad_{j,A} psi|^2 / 2m of the model ``p`` names."""
-    gpsi = pauli.kinetic_gradient(grid, p, psi, A, a_low=a_low)
-    return l2_norm_sq(grid, gpsi) / (2.0 * p.mass)
+def _kinetic_transforms(grid: Grid, p: PhysParams, psi: np.ndarray, a_low) -> tuple:
+    """(psi_hat, K psi_hat): the transforms of psi and of its kinetic
+    operator K against the band-limited potential ``a_low``."""
+    psi_hat, psi_low = spectral.band(grid, psi)
+    return psi_hat, pauli.kinetic_hat(grid, p, psi_hat, psi_low, a_low)
 
 
-def _drift(grid: Grid, p: PhysParams, psi: np.ndarray) -> float:
-    """Drift term (psi, i hbar (v.grad) psi); 0 at rest."""
+def _kinetic(grid: Grid, p: PhysParams, kpsi_hat: np.ndarray) -> float:
+    """Kinetic term |K psi|^2 / 2m of the model ``p`` names, from K psi_hat."""
+    return _parseval(grid, kpsi_hat) / (2.0 * p.mass)
+
+
+def _drift(grid: Grid, p: PhysParams, psi_hat: np.ndarray) -> float:
+    """Drift term (psi, i hbar (v.grad) psi) = -hbar sum (v.k) |psi_hat|^2
+    (Parseval); 0 at rest."""
     if not np.any(p.v_arr):
         return 0.0
-    vd = spectral.directional_derivative(grid, psi, p.v_arr)
-    return float(np.real(np.sum(np.conj(psi) * 1j * p.hbar * vd)) * grid.cell)
+    return -p.hbar * _parseval(grid, psi_hat, _vk(grid, p.v_arr))
 
 
 def field_energy(grid: Grid, p: PhysParams, A, Adot) -> float:
@@ -125,18 +155,18 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     A = as_array(A)
     v = p.v_arr
 
-    a_low = spectral.dealias(grid, A)
-    dpsi = pauli.covariant_gradient(grid, p, psi, A, a_low=a_low)
+    a_hat, a_low = spectral.band(grid, A)
+    psi_hat, psi_low = spectral.band(grid, psi)
+    kpsi_hat = pauli.kinetic_hat(grid, p, psi_hat, psi_low, a_low)
     # the shifted form sees A + (mc/Q) v; a constant cannot alias, so it
     # multiplies psi directly instead of passing through the dealiased product
     boost = (p.charge / p.light_speed) * (p.mass * p.light_speed / p.charge * v)
-    dpsi_sh = dpsi + boost[:, None] * psi[..., None, :]
-    kinetic = l2_norm_sq(grid, pauli._spin_contract(p.model, dpsi)) / (2.0 * p.mass)
-    kinetic_sh = l2_norm_sq(grid, pauli._spin_contract(p.model, dpsi_sh)) / (2.0 * p.mass)
-    field = _field_part(grid, p, A)
-    drift = _drift(grid, p, psi)
+    kinetic = _kinetic(grid, p, kpsi_hat)
+    kpsi_hat += pauli._spin_contract(p.model, boost[:, None] * psi_hat[..., None, :])
+    kinetic_sh = _kinetic(grid, p, kpsi_hat)
+    field = _field_part(grid, p, a_hat)
+    drift = _drift(grid, p, psi_hat)
 
-    psi_low = spectral.dealias(grid, psi)
     dens_low = np.sum(np.abs(psi_low) ** 2, axis=-1)
     coupling = -(p.charge / p.light_speed) * float(
         grid.integrate(dens_low * np.tensordot(a_low, v, axes=(-1, 0)))
@@ -171,7 +201,8 @@ def travelling_energy(grid: Grid, p: PhysParams, psi, A) -> float:
     """
     psi = as_array(psi)
     A = as_array(A)
-    kinetic = _kinetic(grid, p, psi, A)
+    _, kpsi_hat = _kinetic_transforms(grid, p, psi, spectral.dealias(grid, A))
+    kinetic = _kinetic(grid, p, kpsi_hat)
     curl_sq = l2_norm_sq(grid, spectral.curl(grid, A))
     conv_sq = _v_deriv_sq(grid, A, p.v_arr) / p.light_speed ** 2
     return kinetic + p.lam * (curl_sq + conv_sq) / (8.0 * np.pi)

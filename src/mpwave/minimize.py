@@ -36,6 +36,8 @@ from .energy import (
     _drift,
     _field_part,
     _kinetic,
+    _kinetic_transforms,
+    _vk,
     carrier_gate,
     energy_functional,
     field_energy,
@@ -46,19 +48,26 @@ from .fields import PhysParams, SpinorField, VectorField, as_array, l2_norm_sq, 
 from .grid import Grid
 
 
-def grad_psi(grid: Grid, p: PhysParams, psi, A, a_low=None) -> np.ndarray:
+def grad_psi(grid: Grid, p: PhysParams, psi, A, a_low=None, ws=None) -> np.ndarray:
     """First variation of the energy in psi-bar (unconstrained),
 
     G = (1/2m) lap_{j,A} psi + i hbar (v.grad) psi,
 
-    so that dE[delta] = 2 Re <G, delta>.
+    so that dE[delta] = 2 Re <G, delta>.  Both terms are summed in
+    spectral space, the drift as -hbar (v.k) psi_hat, before one inverse
+    transform.  ``ws`` may carry the (psi_hat, K psi_hat) pair that the
+    energy evaluation of this psi against ``a_low`` computed; it is
+    computed here otherwise.
     """
-    psi = as_array(psi)
-    A = as_array(A)
-    out = pauli.covariant_laplacian(grid, p, psi, A, a_low=a_low) / (2.0 * p.mass)
+    if a_low is None:
+        a_low = spectral.dealias(grid, as_array(A))
+    if ws is None:
+        ws = _kinetic_transforms(grid, p, as_array(psi), a_low)
+    psi_hat, kpsi_hat = ws
+    out_hat = pauli._laplacian_hat(grid, p, kpsi_hat, a_low) / (2.0 * p.mass)
     if np.any(p.v_arr):
-        out = out + 1j * p.hbar * spectral.directional_derivative(grid, psi, p.v_arr)
-    return out
+        out_hat -= p.hbar * _vk(grid, p.v_arr)[..., None] * psi_hat
+    return grid.ifft(out_hat)
 
 
 def lagrange_theta(grid: Grid, p: PhysParams, psi, A) -> float:
@@ -72,7 +81,8 @@ def lagrange_theta(grid: Grid, p: PhysParams, psi, A) -> float:
     slightly off-constraint states.
     """
     psi_a = as_array(psi)
-    return -_psi_energy_part(grid, p, psi_a, as_array(A)) / (p.hbar * l2_norm_sq(grid, psi_a))
+    e_psi, _ = _psi_energy_part(grid, p, psi_a, spectral.dealias(grid, as_array(A)))
+    return -e_psi / (p.hbar * l2_norm_sq(grid, psi_a))
 
 
 def _tangent(
@@ -137,6 +147,8 @@ def el_residual(grid: Grid, p: PhysParams, psi, A, a_low=None) -> ELResidual:
     """
     psi_a = as_array(psi)
     A_a = as_array(A)
+    if a_low is None:
+        a_low = spectral.dealias(grid, A_a)
     return _residual(grid, p, psi_a, A_a, grad_psi(grid, p, psi_a, A_a, a_low=a_low), a_low)
 
 
@@ -227,8 +239,10 @@ def _a_operator(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> Callable[[np.
             low = np.real(grid.ifft(a_hat[..., b] * mask))
             prods[..., b, :] = grid.ifft(grid.fft(low[..., None] * psi_low) * mask[..., None])
         g = pauli._spin_contract(p.model, prods)
+        del prods  # model P contracts into a new array; the stack can go
+        pair = pauli._pair(p.model, psi_low, g)
         for a in range(3):
-            out[..., a] += coef * (grid.fft(pauli._pair(p.model, psi_low, g, a)) * mask)
+            out[..., a] += coef * (grid.fft(pair[..., a]) * mask)
         kdot = kx * out[..., 0] + ky * out[..., 1] + kz * out[..., 2]
         out[..., 0] -= kx * kdot * inv_k2
         out[..., 1] -= ky * kdot * inv_k2
@@ -241,7 +255,8 @@ def _a_operator(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> Callable[[np.
 
 def _a_rhs(grid: Grid, p: PhysParams, psi: np.ndarray) -> np.ndarray:
     """Paramagnetic forcing (1/c) P J0 with the diamagnetic part removed."""
-    cur = pauli.current(grid, p, psi, np.zeros(grid.shape + (3,)))
+    zero = np.zeros(grid.shape + (3,))
+    cur = pauli.current(grid, p, psi, zero, a_low=zero)
     rhs = spectral.helmholtz_project(grid, cur / p.light_speed)
     return spectral.zero_mean(grid, rhs)
 
@@ -430,11 +445,12 @@ class MinimizeReport:
     energy_trace: list = field(default_factory=list)
 
 
-def _psi_energy_part(
-    grid: Grid, p: PhysParams, psi: np.ndarray, A: np.ndarray, a_low=None
-) -> float:
-    """kinetic + drift at fixed A (the A-only field term is cached outside)."""
-    return _kinetic(grid, p, psi, A, a_low=a_low) + _drift(grid, p, psi)
+def _psi_energy_part(grid: Grid, p: PhysParams, psi: np.ndarray, a_low: np.ndarray) -> tuple:
+    """kinetic + drift at fixed A (the A-only field term is cached outside),
+    and the (psi_hat, K psi_hat) pair both were read from, which
+    ``grad_psi`` takes as ``ws`` at the same psi and ``a_low``."""
+    ws = _kinetic_transforms(grid, p, psi, a_low)
+    return _kinetic(grid, p, ws[1]) + _drift(grid, p, ws[0]), ws
 
 
 def minimize(
@@ -460,6 +476,10 @@ def minimize(
     def renorm(psi: np.ndarray) -> np.ndarray:
         return psi * np.sqrt(p.lam / (l2_norm_sq(grid, psi)))
 
+    def field_and_band(A: np.ndarray) -> tuple[float, np.ndarray]:
+        a_hat, a_low = spectral.band(grid, A)
+        return _field_part(grid, p, a_hat), a_low
+
     a_ops_total = 0
     if config.a_every > 0:
         A_f, n_ops = solve_vector_potential(
@@ -467,13 +487,17 @@ def minimize(
         )
         A = A_f.data
         a_ops_total += n_ops
-    a_low = spectral.dealias(grid, A)
+    field_term, a_low = field_and_band(A)
 
-    field_term = _field_part(grid, p, A)
-    e_psi = _psi_energy_part(grid, p, psi, A, a_low=a_low)
+    # ws holds the (psi_hat, K psi_hat) pair of the last energy evaluation
+    # until grad_psi reads it; at most one is alive at a time, so it is
+    # dropped before the next trial and before each A-solve
+    e_psi, ws = _psi_energy_part(grid, p, psi, a_low)
     E = e_psi + field_term
-    G = grad_psi(grid, p, psi, A, a_low=a_low)
-    Gt, theta = _tangent(grid, p, psi, G, l2_norm_sq(grid, psi))
+    G = grad_psi(grid, p, psi, A, a_low=a_low, ws=ws)
+    ws = None
+    lam_meas = l2_norm_sq(grid, psi)
+    Gt, theta = _tangent(grid, p, psi, G, lam_meas)
 
     step = config.step0
     trace = [E]
@@ -503,12 +527,19 @@ def minimize(
                 step = min(max(num / den, config.step_min), config.step_max)
         accepted = False
         s = step
+        # a step that cannot move psi past its own rounding leaves the
+        # energy where it is: at a stationary start every trial would be
+        # rejected, so the search ends there as a failed one
+        floor = np.finfo(float).eps * np.sqrt(lam_meas)
         for _ in range(config.max_backtracks):
+            if s * np.sqrt(gnorm2) <= floor:
+                break
             trial = renorm(psi - s * Gt)
-            e_trial = _psi_energy_part(grid, p, trial, A, a_low=a_low)
+            e_trial, ws = _psi_energy_part(grid, p, trial, a_low)
             if e_trial + field_term <= E - config.armijo * s * gnorm2:
                 accepted = True
                 break
+            ws = None
             s *= config.backtrack
         if not accepted:
             res = _residual(grid, p, psi, A, G, a_low)
@@ -526,18 +557,20 @@ def minimize(
         E = e_psi + field_term
 
         if config.a_every > 0 and it % config.a_every == 0:
+            ws = None
             A_f, n_ops = solve_vector_potential(
                 grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter
             )
             A = A_f.data
             a_ops_total += n_ops
-            a_low = spectral.dealias(grid, A)
-            field_term = _field_part(grid, p, A)
-            e_psi = _psi_energy_part(grid, p, psi, A, a_low=a_low)
+            field_term, a_low = field_and_band(A)
+            e_psi, ws = _psi_energy_part(grid, p, psi, a_low)
             E = e_psi + field_term
 
-        G = grad_psi(grid, p, psi, A, a_low=a_low)
-        Gt, theta = _tangent(grid, p, psi, G, l2_norm_sq(grid, psi))
+        G = grad_psi(grid, p, psi, A, a_low=a_low, ws=ws)
+        ws = None
+        lam_meas = l2_norm_sq(grid, psi)
+        Gt, theta = _tangent(grid, p, psi, G, lam_meas)
         trace.append(E)
 
         if config.log_every and it % config.log_every == 0:

@@ -10,7 +10,10 @@ where the product A_a psi is evaluated through the dealiased multiply
 grid inner product.  The kinetic operator K is D psi for the scalar
 model ("S") and sigma . D psi for the spin-coupled model ("P"); the
 kinetic energy is |K psi|^2 / 2m and ``covariant_laplacian`` is
-K^dagger K psi, its exact psi-gradient, in both.
+K^dagger K psi, its exact psi-gradient, in both.  The one kernel is
+``kinetic_hat``: it builds the transform of K psi from psi_hat, T psi
+and T A, with the derivative as the multiplier -hbar k.  The real-space
+forms, the Laplacian and the current are all read from that transform.
 
 The Lichnerowicz identity
 
@@ -77,6 +80,30 @@ def _low_pass(grid: Grid, A, a_low) -> np.ndarray:
     return spectral.dealias(grid, _arr(A))
 
 
+def _covariant_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarray:
+    """Transforms of the three D_a psi, stacked as (n, n, n, 3, 2):
+    -hbar k_a psi_hat + (Q/c) mask FFT(a_low_a psi_low)."""
+    mask = grid.dealias_mask[..., None]
+    coef = p.charge / p.light_speed
+    out = np.empty(psi_hat.shape[:3] + (3, 2), dtype=complex)
+    for a in range(3):
+        prod_hat = grid.fft(a_low[..., a, None] * psi_low)
+        out[..., a, :] = (-p.hbar * grid.k[a][..., None]) * psi_hat + coef * (mask * prod_hat)
+    return out
+
+
+def kinetic_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarray:
+    """Transform of the kinetic operator K psi of the model: sigma . D psi
+    for "P", the stack D psi for "S".
+
+    Takes psi_hat = FFT(psi), psi_low = T psi and a_low = T A, and spends
+    one forward transform per direction on the products a_low_a psi_low.
+    The kinetic energy of either model is |K psi|^2 / 2m; callers take it
+    from this transform by Parseval.
+    """
+    return _spin_contract(p.model, _covariant_hat(grid, p, psi_hat, psi_low, a_low))
+
+
 def covariant_gradient(
     grid: Grid,
     p: PhysParams,
@@ -90,19 +117,8 @@ def covariant_gradient(
     otherwise); callers that apply many derivatives against one A save
     the repeated band limiting.
     """
-    psi = _arr(psi)
-    a_low = _low_pass(grid, A, a_low)
-    mask = grid.dealias_mask[..., None]
-    out = np.empty(psi.shape[:3] + (3, 2), dtype=complex)
-    psi_hat = grid.fft(psi)
-    psi_low = grid.ifft(psi_hat * mask)
-    kvec = grid.k
-    coef = p.charge / p.light_speed
-    for a in range(3):
-        dpsi = grid.ifft(1j * kvec[a][..., None] * psi_hat)
-        prod_hat = grid.fft(a_low[..., a, None] * psi_low)
-        out[..., a, :] = 1j * p.hbar * dpsi + coef * grid.ifft(prod_hat * mask)
-    return out
+    psi_hat, psi_low = spectral.band(grid, _arr(psi))
+    return grid.ifft(_covariant_hat(grid, p, psi_hat, psi_low, _low_pass(grid, A, a_low)))
 
 
 def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
@@ -111,6 +127,7 @@ def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
     ``c`` stacks one spinor per direction, shape (..., 3, 2).  Model "P"
     contracts it with the Pauli matrices to sum_b sigma^b c_b, a (..., 2)
     spinor, summed in the order x, y, z; model "S" keeps it as it is.
+    The contraction is a constant matrix, so it commutes with the FFT.
     """
     if model == "S":
         return c
@@ -132,12 +149,24 @@ def _spin_expand(model: str, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair(model: str, psi_low: np.ndarray, g: np.ndarray, a: int) -> np.ndarray:
+def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise Re <psi_low, g_a> (model "S") or Re <psi_low, sigma^a g>
-    (model "P"), for ``g`` as returned by ``_spin_contract``."""
+    (model "P") for a = x, y, z, stacked as (..., 3), for ``g`` as
+    returned by ``_spin_contract``."""
+    out = np.empty(psi_low.shape[:-1] + (3,))
     if model == "S":
-        return np.real(np.sum(np.conj(psi_low) * g[..., a, :], axis=-1))
-    return np.real(np.einsum("...i,ij,...j->...", np.conj(psi_low), SIGMA[a], g))
+        for a in range(3):
+            out[..., a] = np.real(np.sum(np.conj(psi_low) * g[..., a, :], axis=-1))
+        return out
+    c01 = np.conj(psi_low[..., 0]) * g[..., 1]
+    c10 = np.conj(psi_low[..., 1]) * g[..., 0]
+    out[..., 0] = c01.real + c10.real
+    out[..., 1] = c01.imag - c10.imag
+    del c01, c10
+    out[..., 2] = (np.conj(psi_low[..., 0]) * g[..., 0]).real - (
+        np.conj(psi_low[..., 1]) * g[..., 1]
+    ).real
+    return out
 
 
 def kinetic_gradient(
@@ -149,10 +178,27 @@ def kinetic_gradient(
 ) -> np.ndarray:
     """Kinetic operator K of the model: sigma . D psi for "P", D psi for "S".
 
-    The kinetic energy of either model is |K psi|^2 / 2m.  ``a_low`` is
-    as in ``covariant_gradient``.
+    The inverse transform of ``kinetic_hat``; ``a_low`` is as in
+    ``covariant_gradient``.
     """
-    return _spin_contract(p.model, covariant_gradient(grid, p, psi, A, a_low=a_low))
+    psi_hat, psi_low = spectral.band(grid, _arr(psi))
+    return grid.ifft(kinetic_hat(grid, p, psi_hat, psi_low, _low_pass(grid, A, a_low)))
+
+
+def _laplacian_hat(grid: Grid, p: PhysParams, kpsi_hat, a_low) -> np.ndarray:
+    """Transform of K^dagger K psi = sum_a D_a h_a, read from the
+    transform ``kpsi_hat`` of K psi: h_hat is ``_spin_expand`` of it, a
+    constant matrix, so h needs no forward FFT of its own."""
+    h_hat = _spin_expand(p.model, kpsi_hat)
+    mask = grid.dealias_mask[..., None]
+    coef = p.charge / p.light_speed
+    acc_hat = np.zeros(h_hat.shape[:3] + (2,), dtype=complex)
+    for a in range(3):
+        comp_hat = h_hat[..., a, :]
+        acc_hat += (-p.hbar * grid.k[a][..., None]) * comp_hat
+        comp_low = grid.ifft(comp_hat * mask)
+        acc_hat += coef * (mask * grid.fft(a_low[..., a, None] * comp_low))
+    return acc_hat
 
 
 def covariant_laplacian(
@@ -166,19 +212,9 @@ def covariant_laplacian(
     sigma^a K psi (model "P").  Each D_a is exactly self-adjoint, so
     <phi, covariant_laplacian psi> = <K phi, K psi> to rounding on any
     grid fields."""
-    psi = _arr(psi)
     a_low = _low_pass(grid, A, a_low)
-    mask = grid.dealias_mask[..., None]
-    h = _spin_expand(p.model, kinetic_gradient(grid, p, psi, A, a_low=a_low))
-    kvec = grid.k
-    coef = p.charge / p.light_speed
-    acc_hat = np.zeros_like(psi)
-    for a in range(3):
-        comp_hat = grid.fft(h[..., a, :])
-        acc_hat += 1j * p.hbar * (1j * kvec[a][..., None]) * comp_hat
-        comp_low = grid.ifft(comp_hat * mask)
-        acc_hat += coef * mask * grid.fft(a_low[..., a, None] * comp_low)
-    return grid.ifft(acc_hat)
+    psi_hat, psi_low = spectral.band(grid, _arr(psi))
+    return grid.ifft(_laplacian_hat(grid, p, kinetic_hat(grid, p, psi_hat, psi_low, a_low), a_low))
 
 
 def spin_term(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
@@ -206,19 +242,18 @@ def current(
     refiltered) so that ``current`` is exactly the A-derivative of the
     kinetic energy evaluated by ``energy_functional``.
     """
-    psi = _arr(psi)
-    psi_low = spectral.dealias(grid, psi)
-    g = spectral.dealias(grid, kinetic_gradient(grid, p, psi, A, a_low=a_low))
-    out = np.empty(psi.shape[:3] + (3,), dtype=float)
-    for a in range(3):
-        out[..., a] = spectral.dealias(grid, _pair(p.model, psi_low, g, a))
-    return -(p.charge / p.mass) * out
+    psi_hat, psi_low = spectral.band(grid, _arr(psi))
+    g_hat = kinetic_hat(grid, p, psi_hat, psi_low, _low_pass(grid, A, a_low))
+    g_hat *= spectral._expand(grid.dealias_mask, g_hat)
+    pair = _pair(p.model, psi_low, grid.ifft(g_hat))
+    return -(p.charge / p.mass) * spectral.dealias(grid, pair)
 
 
 __all__ = [
     "SIGMA",
     "sigma_dot",
     "sigma_identity_check",
+    "kinetic_hat",
     "covariant_gradient",
     "kinetic_gradient",
     "covariant_laplacian",

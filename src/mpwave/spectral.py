@@ -104,10 +104,15 @@ def poisson_solve(grid: Grid, f: np.ndarray) -> np.ndarray:
     return _match_real(out, f)
 
 
+def band(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transform f̂ and the band limit T f, from one forward FFT."""
+    fh = grid.fft(f)
+    return fh, _match_real(grid.ifft(_expand(grid.dealias_mask, f) * fh), f)
+
+
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Sharp 2/3-rule band limit T."""
-    out = grid.ifft(_expand(grid.dealias_mask, f) * grid.fft(f))
-    return _match_real(out, f)
+    return band(grid, f)[1]
 
 
 def dealiased_mul(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -135,6 +140,7 @@ __all__ = [
     "directional_derivative",
     "helmholtz_project",
     "poisson_solve",
+    "band",
     "dealias",
     "dealiased_mul",
     "zero_mean",

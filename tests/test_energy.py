@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from mpwave import Grid, PhysParams
 from mpwave import spectral
+from mpwave.pauli import SIGMA
 from mpwave.energy import (
     apriori_bounds,
     energy_functional,
@@ -49,6 +50,79 @@ class TestFormEquivalence:
             br.kinetic_shifted + br.coupling + br.rest + br.field, rel=1e-14
         )
         assert br.mass_constraint == pytest.approx(p.lam)
+
+
+def real_space_energy(grid, p, psi, A):
+    """Reference: the nine terms of ``energy_functional`` with every
+    derivative transformed back and every norm taken on the grid, as the
+    package evaluated them before it read norms from transforms."""
+    mask = grid.dealias_mask[..., None]
+    v = p.v_arr
+    a_low = np.real(grid.ifft(grid.fft(A) * mask))
+    psi_hat = grid.fft(psi)
+    psi_low = grid.ifft(psi_hat * mask)
+    dpsi = np.empty(grid.shape + (3, 2), dtype=complex)
+    for a in range(3):
+        deriv = grid.ifft(1j * grid.k[a][..., None] * psi_hat)
+        prod = grid.ifft(grid.fft(a_low[..., a, None] * psi_low) * mask)
+        dpsi[..., a, :] = 1j * p.hbar * deriv + p.charge / p.light_speed * prod
+
+    def kinetic_op(c):
+        return c if p.model == "S" else np.einsum("bij,...bj->...i", SIGMA, c)
+
+    boost = p.mass * v
+    kinetic = l2_norm_sq(grid, kinetic_op(dpsi)) / (2.0 * p.mass)
+    kinetic_sh = l2_norm_sq(
+        grid, kinetic_op(dpsi + boost[:, None] * psi[..., None, :])
+    ) / (2.0 * p.mass)
+    a_hat = grid.fft(A)
+    grad_sq = sum(
+        l2_norm_sq(grid, grid.ifft(1j * grid.k[a][..., None] * a_hat)) for a in range(3)
+    )
+    conv_sq = l2_norm_sq(grid, spectral.directional_derivative(grid, A, v))
+    field = (grad_sq - conv_sq / p.light_speed ** 2) / (8.0 * np.pi)
+    vd = spectral.directional_derivative(grid, psi, v)
+    drift = float(np.real(np.sum(np.conj(psi) * 1j * p.hbar * vd)) * grid.cell)
+    dens_low = np.sum(np.abs(psi_low) ** 2, axis=-1)
+    coupling = -(p.charge / p.light_speed) * float(
+        grid.integrate(dens_low * np.tensordot(a_low, v, axes=(-1, 0)))
+    )
+    lam = l2_norm_sq(grid, psi)
+    rest = -0.5 * p.mass * float(v @ v) * lam
+    return {
+        "kinetic": kinetic,
+        "field": field,
+        "drift": drift,
+        "total": kinetic + field + drift,
+        "kinetic_shifted": kinetic_sh,
+        "coupling": coupling,
+        "rest": rest,
+        "total_shifted": kinetic_sh + coupling + rest + field,
+        "mass_constraint": lam,
+    }
+
+
+class TestParsevalNorms:
+    """Every quadratic term is read from transforms by Parseval, in the
+    same grid inner product as the real-space sums it replaced."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_matches_real_space_reference(self, n, model):
+        grid = Grid(n, 40.0)
+        p = params(model, v=(0.15, 0.05, -0.1))
+        psi, A = random_fields(grid, p, seed=n, corr_len=0.5)
+        plane_psi, plane_A = plane_wave_state(grid, p)
+        # a raw real A keeps its Nyquist planes, where the convective
+        # derivative of a real field drops the odd multiplier
+        rough = np.random.default_rng(n).standard_normal(grid.shape + (3,))
+        states = ((psi.data, A.data), (psi.data, rough), (plane_psi.data, plane_A.data))
+        for psi, A in states:
+            got = energy_functional(grid, p, psi, A).as_dict()
+            ref = real_space_energy(grid, p, psi, A)
+            assert set(got) == set(ref)
+            for name, value in ref.items():
+                assert rel(got[name], value) <= 1e-13, (name, got[name], value)
 
 
 class TestClosedForms:

@@ -1,5 +1,7 @@
 """Gradients, the quadratic field subproblem, and the descent driver."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mpwave.minimize import (
     MinimizeConfig,
     _a_operator,
     _field_symbol,
+    _psi_energy_part,
     el_residual,
     grad_A,
     grad_psi,
@@ -100,6 +103,20 @@ class TestGradients:
             proj = inner(grid16, psi.data, G + p.hbar * theta * psi.data)
             scale = np.sqrt(l2_norm_sq(grid16, G) * l2_norm_sq(grid16, psi.data))
             assert abs(proj) < 1e-12 * scale, mm
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_workspace_gradient_is_bit_identical(self, grid16, model):
+        """The solver's G, read from the (psi_hat, K psi_hat) pair of its
+        energy evaluation, is a fresh grad_psi bit for bit, and that
+        evaluation is energy_functional's kinetic + drift bit for bit."""
+        p = params(model, v=(0.2, -0.1, 0.05))
+        psi, A = random_fields(grid16, p, seed=58)
+        a_low = spectral.dealias(grid16, A.data)
+        e_psi, ws = _psi_energy_part(grid16, p, psi.data, a_low)
+        cached = grad_psi(grid16, p, psi.data, A.data, a_low=a_low, ws=ws)
+        assert np.array_equal(cached, grad_psi(grid16, p, psi.data, A.data))
+        br = energy_functional(grid16, p, psi.data, A.data)
+        assert e_psi == br.kinetic + br.drift
 
     def test_theta_against_energy_at_zero_field(self, grid16):
         """With A = 0 the multiplier reduces to -E / (hbar lambda)."""
@@ -245,6 +262,27 @@ class TestMinimize:
         assert rel(
             rep.omega, omega_from_theta(grid16, p, rep.A.data, rep.theta)
         ) < 1e-12
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_stationary_start_ends_without_trials(self, grid16, model, monkeypatch):
+        """At the plane wave the tangent gradient is rounding noise, so
+        the first trial step would not move psi: the line search ends at
+        once through the stationarity check instead of backtracking."""
+        module = importlib.import_module("mpwave.minimize")
+        evaluated = []
+        energy_part = module._psi_energy_part
+
+        def counted(*args):
+            evaluated.append(args[2])
+            return energy_part(*args)
+
+        monkeypatch.setattr(module, "_psi_energy_part", counted)
+        p = params(model, v=0.1)
+        rep = minimize(grid16, p, MinimizeConfig(init="plane"))
+        assert rep.converged and rep.iterations == 1
+        assert rep.message == "stationary: no descent direction left"
+        assert len(evaluated) == 1  # the start's own energy, no trial
+        assert rel(rep.energy, lattice_energy(grid16, p)) < 1e-12
 
     def test_given_init_requires_both_fields(self, grid16):
         p = params("S", v=0.1)

@@ -9,6 +9,7 @@ from mpwave.energy import energy_functional
 from mpwave.fields import inner, l2_norm_sq, random_fields
 from mpwave.pauli import (
     SIGMA,
+    _pair,
     _spin_contract,
     _spin_expand,
     covariant_gradient,
@@ -83,6 +84,17 @@ class TestSigmaAlgebra:
         lhs = inner(grid16, h, _spin_contract("P", c))
         rhs = inner(grid16, _spin_expand("P", h), c)
         assert rel(lhs, rhs) < 1e-14
+
+    def test_component_pairing_matches_matrix_loop(self, grid16, rng):
+        """The component form of the model P pairing equals
+        Re <psi, sigma^a g> from the matrices to rounding."""
+        psi = random_spinor(grid16, rng)
+        g = random_spinor(grid16, rng)
+        loop = np.stack(
+            [np.real(np.einsum("...i,ij,...j->...", np.conj(psi), SIGMA[a], g)) for a in range(3)],
+            axis=-1,
+        )
+        assert np.max(np.abs(_pair("P", psi, g) - loop)) < 1e-14 * np.max(np.abs(loop))
 
 
 class TestCovariantDerivative:
