@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import logging
 import os
 import sys
 from dataclasses import dataclass, field
@@ -269,6 +270,8 @@ def _report_lines(cfg: RunConfig, rep) -> list:
         f"residual_A = {_fmt(rep.residual_a)}",
         f"current_defect = {_fmt(rep.current_defect)}",
         f"message = {rep.message}",
+        f"a_ops = {rep.a_ops}",
+        f"backtracks = {rep.backtracks}",
     ]
     if rep.breakdown is not None:
         for key, val in rep.breakdown.as_dict().items():
@@ -507,6 +510,9 @@ def main(argv=None) -> int:
     if threads:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, threads)
+    # solver progress (``minimize.log_every``) goes to stderr; stdout
+    # carries only the results
+    logging.basicConfig(format="%(message)s", level=logging.INFO)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,13 +3,17 @@
 The functional is minimized over pairs (psi, A) with |psi|^2 = lambda and
 div A = 0 by alternating two moves:
 
-* psi: projected Barzilai-Borwein descent on the sphere.  The raw
-  gradient G = (1/2m) lap_{j,A} psi + i hbar (v.grad) psi is projected on
-  the tangent space of the constraint (which is exactly G + hbar theta psi
-  with the standard multiplier theta), a quasi-Newton step length is taken
-  from the previous step/gradient pair, and the iterate is pulled back by
-  renormalization.  An Armijo backtracking guard keeps the energy
-  monotone.
+* psi: kinetic-preconditioned descent on the sphere.  The raw gradient
+  G = (1/2m) lap_{j,A} psi + i hbar (v.grad) psi is projected on the
+  tangent space of the constraint (which is exactly Gt = G + hbar theta
+  psi with the standard multiplier theta).  The spectral multiplier
+  P = (alpha + hbar^2 k^2 / 2m)^-1, with alpha the kinetic energy per
+  unit mass of the current state, equalizes the kinetic spectrum; P Gt
+  projected back on the tangent space is the search direction d.  The
+  step length is Barzilai-Borwein in the metric of P, the iterate is
+  pulled back by renormalization, and an Armijo backtracking guard keeps
+  the energy monotone (Antoine, Levitt & Tang, J. Comput. Phys. 343
+  (2017); Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20 (1998)).
 
 * A: the energy is an inhomogeneous positive-definite quadratic in A at
   fixed psi, so the subproblem is solved essentially exactly by
@@ -24,6 +28,7 @@ finite box, not of the optimizer.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,8 +49,10 @@ from .energy import (
     speed_gate,
 )
 from .errors import InputError, SolverError
-from .fields import PhysParams, SpinorField, VectorField, as_array, l2_norm_sq, normalize_to_lambda, random_fields
+from .fields import PhysParams, SpinorField, VectorField, as_array, inner, l2_norm_sq, normalize_to_lambda, random_fields
 from .grid import Grid
+
+logger = logging.getLogger(__name__)
 
 
 def grad_psi(grid: Grid, p: PhysParams, psi, A, a_low=None, ws=None) -> np.ndarray:
@@ -406,9 +413,6 @@ class MinimizeConfig:
     energy_tol: float = 1e-13
     patience: int = 100
     confirm_stall: int = 10
-    step0: float = 0.05
-    step_min: float = 1e-9
-    step_max: float = 1e3
     backtrack: float = 0.5
     armijo: float = 1e-4
     max_backtracks: int = 40
@@ -439,6 +443,8 @@ class MinimizeReport:
     residual_a: float
     current_defect: float
     message: str
+    a_ops: int
+    backtracks: int
     breakdown: EnergyBreakdown
     psi: SpinorField
     A: VectorField
@@ -453,6 +459,26 @@ def _psi_energy_part(grid: Grid, p: PhysParams, psi: np.ndarray, a_low: np.ndarr
     return _kinetic(grid, p, ws[1]) + _drift(grid, p, ws[0]), ws
 
 
+def _shift(grid: Grid, p: PhysParams, kpsi_hat: np.ndarray, lam_meas: float) -> float:
+    """Shift alpha of the preconditioner: the kinetic energy per unit mass
+    |K psi|^2 / (2m |psi|^2) read from K psi_hat, floored by that of the
+    longest wave the box holds so a flat state still gets a positive one."""
+    k_min = 2.0 * np.pi / grid.box_l
+    return max(_kinetic(grid, p, kpsi_hat) / lam_meas, p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass))
+
+
+def _direction(
+    grid: Grid, p: PhysParams, psi: np.ndarray, Gt: np.ndarray, alpha: float, lam_meas: float
+) -> np.ndarray:
+    """Preconditioned descent direction d at psi: P Gt with the spectral
+    multiplier P = 1 / (alpha + hbar^2 k^2 / 2m), projected back on the
+    tangent space of the mass sphere.  For a tangent Gt, Re <Gt, d> =
+    Re <Gt, P Gt> > 0, so d is a descent direction."""
+    symbol = 1.0 / (alpha + p.hbar ** 2 * grid.k2 / (2.0 * p.mass))
+    pg = grid.ifft(grid.fft(Gt) * symbol[..., None])
+    return pg - (inner(grid, psi, pg).real / lam_meas) * psi
+
+
 def minimize(
     grid: Grid,
     p: PhysParams,
@@ -460,7 +486,24 @@ def minimize(
     psi0=None,
     A0=None,
 ) -> MinimizeReport:
-    """Alternating projected-BB / linear-solve descent to a stationary pair."""
+    """Alternating preconditioned-descent / linear-solve minimization to a
+    stationary pair.
+
+    Each iteration moves psi along the preconditioned tangent direction d
+    of the module docstring.  The step length is s = 1 at the first
+    iteration and the Barzilai-Borwein length in the metric of P after it,
+
+        s = Re <dpsi, dGt> / Re <dd, dGt>,
+
+    from the differences of psi, Gt and d over the previous step; the
+    previous s is kept when either sum is not positive.  A trial is
+    accepted under the Armijo test E(trial) <= E - armijo s Re <Gt, d>;
+    otherwise s shrinks by the factor ``backtrack``.  Every ``a_every``
+    iterations the quadratic subproblem in A is solved again from a warm
+    start.  The search ends as a failed one, without a trial energy, once
+    the predicted decrease s Re <Gt, d> is below the rounding of E; the
+    stationarity residual then decides whether that is convergence.
+    """
     if config is None:
         config = MinimizeConfig()
     if config.force:
@@ -480,26 +523,28 @@ def minimize(
         a_hat, a_low = spectral.band(grid, A)
         return _field_part(grid, p, a_hat), a_low
 
-    a_ops_total = 0
+    a_ops = 0
     if config.a_every > 0:
         A_f, n_ops = solve_vector_potential(
             grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter
         )
         A = A_f.data
-        a_ops_total += n_ops
+        a_ops += n_ops
     field_term, a_low = field_and_band(A)
 
     # ws holds the (psi_hat, K psi_hat) pair of the last energy evaluation
-    # until grad_psi reads it; at most one is alive at a time, so it is
-    # dropped before the next trial and before each A-solve
+    # until alpha and grad_psi read it; at most one is alive at a time, so
+    # it is dropped before the next trial and before each A-solve
     e_psi, ws = _psi_energy_part(grid, p, psi, a_low)
     E = e_psi + field_term
+    lam_meas = l2_norm_sq(grid, psi)
+    alpha = _shift(grid, p, ws[1], lam_meas)
     G = grad_psi(grid, p, psi, A, a_low=a_low, ws=ws)
     ws = None
-    lam_meas = l2_norm_sq(grid, psi)
     Gt, theta = _tangent(grid, p, psi, G, lam_meas)
 
-    step = config.step0
+    step = 1.0
+    backtracks = 0
     trace = [E]
     best_E = E
     since_best = 0
@@ -507,39 +552,41 @@ def minimize(
     converged = False
     it = 0
     res = None
-    prev_psi = None
-    prev_Gt = None
+    prev_psi = prev_Gt = prev_d = None
 
     for it in range(1, config.max_iter + 1):
-        gnorm2 = l2_norm_sq(grid, Gt)
-        if gnorm2 == 0.0:
+        d = _direction(grid, p, psi, Gt, alpha, lam_meas)
+        gd = inner(grid, Gt, d).real
+        if gd == 0.0:
             msg = "stationary: zero tangent gradient"
             converged = True
             break
 
-        # projected BB step with Armijo guard
+        # BB step in the metric of P, with Armijo guard
         if prev_psi is not None:
-            dpsi = psi - prev_psi
-            dG = Gt - prev_Gt
-            num = float(np.real(np.sum(np.conj(dpsi) * dpsi)) * grid.cell)
-            den = float(np.real(np.sum(np.conj(dpsi) * dG)) * grid.cell)
-            if den > 0:
-                step = min(max(num / den, config.step_min), config.step_max)
+            dGt = Gt - prev_Gt
+            num = inner(grid, psi - prev_psi, dGt).real
+            den = inner(grid, d - prev_d, dGt).real
+            if num > 0 and den > 0:
+                step = num / den
         accepted = False
         s = step
-        # a step that cannot move psi past its own rounding leaves the
-        # energy where it is: at a stationary start every trial would be
-        # rejected, so the search ends there as a failed one
-        floor = np.finfo(float).eps * np.sqrt(lam_meas)
+        # a step whose predicted decrease is below the rounding of E cannot
+        # be told from no step: at a stationary start every trial would be
+        # rejected, so the search ends there as a failed one.  E carries
+        # the rounding of its kinetic term, at most alpha |psi|^2, even
+        # where the terms cancel to E ~ 0
+        floor = np.finfo(float).eps * (abs(E) + alpha * lam_meas)
         for _ in range(config.max_backtracks):
-            if s * np.sqrt(gnorm2) <= floor:
+            if s * gd <= floor:
                 break
-            trial = renorm(psi - s * Gt)
+            trial = renorm(psi - s * d)
             e_trial, ws = _psi_energy_part(grid, p, trial, a_low)
-            if e_trial + field_term <= E - config.armijo * s * gnorm2:
+            if e_trial + field_term <= E - config.armijo * s * gd:
                 accepted = True
                 break
             ws = None
+            backtracks += 1
             s *= config.backtrack
         if not accepted:
             res = _residual(grid, p, psi, A, G, a_low)
@@ -551,7 +598,7 @@ def minimize(
             )
             break
 
-        prev_psi, prev_Gt = psi, Gt
+        prev_psi, prev_Gt, prev_d = psi, Gt, d
         psi = trial
         e_psi = e_trial
         E = e_psi + field_term
@@ -562,19 +609,20 @@ def minimize(
                 grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter
             )
             A = A_f.data
-            a_ops_total += n_ops
+            a_ops += n_ops
             field_term, a_low = field_and_band(A)
             e_psi, ws = _psi_energy_part(grid, p, psi, a_low)
             E = e_psi + field_term
 
+        lam_meas = l2_norm_sq(grid, psi)
+        alpha = _shift(grid, p, ws[1], lam_meas)
         G = grad_psi(grid, p, psi, A, a_low=a_low, ws=ws)
         ws = None
-        lam_meas = l2_norm_sq(grid, psi)
         Gt, theta = _tangent(grid, p, psi, G, lam_meas)
         trace.append(E)
 
         if config.log_every and it % config.log_every == 0:
-            print(f"iter {it:5d}  E = {E:+.12e}  step = {s:.3e}")
+            logger.info("iter %5d  E = %+.12e  step = %.3e  alpha = %.3e", it, E, s, alpha)
 
         if E < best_E - config.energy_tol * max(1.0, abs(best_E)):
             best_E = E
@@ -600,7 +648,7 @@ def minimize(
             grid, p, psi, A0=A, tol=1e-12, max_iter=config.a_max_iter
         )
         A = A_f.data
-        a_ops_total += n_ops
+        a_ops += n_ops
         a_low = spectral.dealias(grid, A)
         res = el_residual(grid, p, psi, A, a_low=a_low)
         converged = res.max_rel < config.residual_tol
@@ -619,6 +667,8 @@ def minimize(
         residual_a=res.a_rel,
         current_defect=res.current_defect,
         message=msg,
+        a_ops=a_ops,
+        backtracks=backtracks,
         breakdown=breakdown,
         psi=SpinorField(grid, psi),
         A=VectorField(grid, A),

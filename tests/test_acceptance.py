@@ -23,8 +23,8 @@ continuum statements that a 40-unit lab-frame box cannot represent:
   larger.  This test fails honestly with the measured fit until a
   co-moving frame strips the carrier.
 
-The module-level fixtures cache the expensive minimizers so the whole
-suite stays inside a desk-scale runtime budget (about ten minutes).
+The module-level fixtures cache the minimizers; with the preconditioned
+solver the whole suite runs in about 20 s on a 2-core VM.
 """
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ from mpwave.errors import InputError
 from mpwave.fields import PhysParams, random_fields
 from mpwave.grid import Grid
 from mpwave.io import read_state, write_state
-from mpwave.minimize import solve_vector_potential
+from mpwave.minimize import MinimizeConfig, minimize, solve_vector_potential
 
 from conftest import params
 
@@ -283,6 +283,18 @@ class TestCli:
         assert rows[0] == "sample,energy"
         assert float(rows[-1].split(",")[1]) == float(report["energy"])
 
+    def test_report_counts_solver_work(self, solve_dir):
+        """report.txt carries the A-operator applications and the rejected
+        trial energies of the solve it describes."""
+        _, _, out = solve_dir
+        report = dict(
+            line.split(" = ", 1)
+            for line in (out / "report.txt").read_text().splitlines()
+        )
+        rep = minimize(Grid(16, 40.0), params(v=0.1), MinimizeConfig(init="plane"))
+        assert int(report["a_ops"]) == rep.a_ops
+        assert int(report["backtracks"]) == rep.backtracks == 0
+
     def test_solve_stdout(self, solve_dir, capsys):
         base, cfg, _ = solve_dir
         out2 = base / "stdout"
@@ -362,6 +374,16 @@ class TestCli:
                             "--out", str(tmp_path / "out")], capsys)
         assert rc == 2 and "unknown config key" in err
 
+    @pytest.mark.parametrize("key", ["step0", "step_min", "step_max"])
+    def test_exit_2_removed_step_key(self, tmp_path, capsys, key):
+        """The preconditioned descent takes no step-length knobs; the
+        former ones are unknown."""
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"minimize.{key} = 0.05\n")
+        rc, _, err = _main(["solve", "--config", str(cfg), "--grid", "16",
+                            "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and "unknown config key" in err
+
     def test_exit_2_missing_config(self, tmp_path, capsys):
         rc, _, err = _main(["solve", "--config", str(tmp_path / "absent.cfg")],
                            capsys)
@@ -435,3 +457,18 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "exit codes" in proc.stdout
+
+    def test_progress_goes_to_stderr(self, tmp_path):
+        """``minimize.log_every`` progress lines reach stderr; stdout keeps
+        only the results."""
+        cfg = tmp_path / "log.cfg"
+        cfg.write_text("minimize.log_every = 2\nminimize.max_iter = 4\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpwave", "solve", "--config", str(cfg),
+             "--grid", "16", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        progress = [line for line in proc.stderr.splitlines() if line.startswith("iter ")]
+        assert len(progress) == 2
+        assert "iter " not in proc.stdout

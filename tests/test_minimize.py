@@ -1,6 +1,7 @@
 """Gradients, the quadratic field subproblem, and the descent driver."""
 
 import importlib
+import logging
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from mpwave.pauli import current
 from mpwave.minimize import (
     MinimizeConfig,
     _a_operator,
+    _direction,
     _field_symbol,
     _psi_energy_part,
+    _shift,
+    _tangent,
     el_residual,
     grad_A,
     grad_psi,
@@ -292,3 +296,57 @@ class TestMinimize:
     def test_config_validation(self):
         with pytest.raises(InputError):
             MinimizeConfig(init="nope")
+
+
+class TestPreconditionedDescent:
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_direction_is_tangent_and_descending(self, grid16, model):
+        """d = P Gt projected on the tangent space: Re <psi, d> vanishes to
+        rounding and Re <Gt, d> = Re <Gt, P Gt> is positive."""
+        p = params(model, v=0.15)
+        for mm in (grid16.mode_cut // 2, None):
+            psi, A = random_fields(grid16, p, seed=59, max_mode=mm)
+            a_low = spectral.dealias(grid16, A.data)
+            _, ws = _psi_energy_part(grid16, p, psi.data, a_low)
+            lam = l2_norm_sq(grid16, psi.data)
+            G = grad_psi(grid16, p, psi.data, A.data, a_low=a_low, ws=ws)
+            Gt, _ = _tangent(grid16, p, psi.data, G, lam)
+            d = _direction(grid16, p, psi.data, Gt, _shift(grid16, p, ws[1], lam), lam)
+            d_norm = np.sqrt(l2_norm_sq(grid16, d))
+            assert abs(inner(grid16, psi.data, d).real) <= 1e-13 * np.sqrt(lam) * d_norm, mm
+            assert inner(grid16, Gt, d).real > 0, mm
+
+    def test_shift_is_floored_for_a_flat_state(self, grid16):
+        """A constant psi has no kinetic energy; the shift falls back to
+        that of the longest wave the box holds."""
+        p = params("S", v=0.0, hbar=0.9, mass=1.2)
+        psi = np.full(grid16.shape + (2,), 0.1 + 0.0j)
+        a_low = np.zeros(grid16.shape + (3,))
+        _, ws = _psi_energy_part(grid16, p, psi, a_low)
+        k_min = 2.0 * np.pi / grid16.box_l
+        floor = p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass)
+        assert _shift(grid16, p, ws[1], l2_norm_sq(grid16, psi)) == floor
+
+    @pytest.mark.parametrize(
+        "model, init, seed",
+        [("S", "trial", 0), ("P", "trial", 0)] + [("P", "random", s) for s in range(4)],
+    )
+    def test_converges_in_few_iterations(self, grid16, model, init, seed):
+        """The preconditioned solve reaches the lattice plane wave in tens
+        of iterations; the unpreconditioned one needed several hundred."""
+        p = params(model, v=0.1)
+        rep = minimize(grid16, p, MinimizeConfig(init=init, seed=seed))
+        assert rep.converged, rep.message
+        assert rep.iterations <= 80
+        assert rel(rep.energy, lattice_energy(grid16, p)) < 1e-9
+
+    def test_progress_is_logged(self, grid16, caplog, capsys):
+        """``log_every`` reports E, the step and the shift through logging,
+        not on stdout."""
+        p = params("S", v=0.1)
+        with caplog.at_level(logging.INFO, logger="mpwave.minimize"):
+            minimize(grid16, p, MinimizeConfig(init="trial", max_iter=4, log_every=2))
+        messages = [r.getMessage() for r in caplog.records if r.name == "mpwave.minimize"]
+        assert len(messages) == 2
+        assert all("E = " in m and "step = " in m and "alpha = " in m for m in messages)
+        assert capsys.readouterr().out == ""
