@@ -120,13 +120,6 @@ def _field_part(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
     return _parseval(grid, a_hat, weight) / (8.0 * np.pi)
 
 
-def _kinetic_transforms(grid: Grid, p: PhysParams, psi: np.ndarray, a_low) -> tuple:
-    """(psi_hat, K psi_hat): the transforms of psi and of its kinetic
-    operator K against the band-limited potential ``a_low``."""
-    psi_hat, psi_low = spectral.band(grid, psi)
-    return psi_hat, pauli.kinetic_hat(grid, p, psi_hat, psi_low, a_low)
-
-
 def _kinetic(grid: Grid, p: PhysParams, kpsi_hat: np.ndarray) -> float:
     """Kinetic term |K psi|^2 / 2m of the model ``p`` names, from K psi_hat."""
     return _parseval(grid, kpsi_hat) / (2.0 * p.mass)
@@ -156,18 +149,18 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     v = p.v_arr
 
     a_hat, a_low = spectral.band(grid, A)
-    psi_hat, psi_low = spectral.band(grid, psi)
-    kpsi_hat = pauli.kinetic_hat(grid, p, psi_hat, psi_low, a_low)
+    st = pauli.kinetic_state(grid, p, psi, a_low)
     # the shifted form sees A + (mc/Q) v; a constant cannot alias, so it
-    # multiplies psi directly instead of passing through the dealiased product
+    # multiplies psi directly, shifting the local record's K psi_hat in place
     boost = (p.charge / p.light_speed) * (p.mass * p.light_speed / p.charge * v)
+    kpsi_hat = st.kpsi_hat
     kinetic = _kinetic(grid, p, kpsi_hat)
-    kpsi_hat += pauli._spin_contract(p.model, boost[:, None] * psi_hat[..., None, :])
+    kpsi_hat += pauli._spin_contract(p.model, boost[:, None] * st.psi_hat[..., None, :])
     kinetic_sh = _kinetic(grid, p, kpsi_hat)
     field = _field_part(grid, p, a_hat)
-    drift = _drift(grid, p, psi_hat)
+    drift = _drift(grid, p, st.psi_hat)
 
-    dens_low = np.sum(np.abs(psi_low) ** 2, axis=-1)
+    dens_low = np.sum(np.abs(st.psi_low) ** 2, axis=-1)
     coupling = -(p.charge / p.light_speed) * float(
         grid.integrate(dens_low * np.tensordot(a_low, v, axes=(-1, 0)))
     )
@@ -201,8 +194,7 @@ def travelling_energy(grid: Grid, p: PhysParams, psi, A) -> float:
     """
     psi = as_array(psi)
     A = as_array(A)
-    _, kpsi_hat = _kinetic_transforms(grid, p, psi, spectral.dealias(grid, A))
-    kinetic = _kinetic(grid, p, kpsi_hat)
+    kinetic = _kinetic(grid, p, pauli._state(grid, p, psi, A).kpsi_hat)
     curl_sq = l2_norm_sq(grid, spectral.curl(grid, A))
     conv_sq = _v_deriv_sq(grid, A, p.v_arr) / p.light_speed ** 2
     return kinetic + p.lam * (curl_sq + conv_sq) / (8.0 * np.pi)

@@ -41,7 +41,6 @@ from .energy import (
     _drift,
     _field_part,
     _kinetic,
-    _kinetic_transforms,
     _vk,
     carrier_gate,
     energy_functional,
@@ -55,26 +54,30 @@ from .grid import Grid
 logger = logging.getLogger(__name__)
 
 
-def grad_psi(grid: Grid, p: PhysParams, psi, A, a_low=None, ws=None) -> np.ndarray:
+def grad_psi(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     """First variation of the energy in psi-bar (unconstrained),
 
     G = (1/2m) lap_{j,A} psi + i hbar (v.grad) psi,
 
     so that dE[delta] = 2 Re <G, delta>.  Both terms are summed in
     spectral space, the drift as -hbar (v.k) psi_hat, before one inverse
-    transform.  ``ws`` may carry the (psi_hat, K psi_hat) pair that the
-    energy evaluation of this psi against ``a_low`` computed; it is
-    computed here otherwise.
+    transform.  The solver reads the same G from the ``KineticState`` of
+    its energy evaluation (``_gradient``).
     """
-    if a_low is None:
-        a_low = spectral.dealias(grid, as_array(A))
-    if ws is None:
-        ws = _kinetic_transforms(grid, p, as_array(psi), a_low)
-    psi_hat, kpsi_hat = ws
-    out_hat = pauli._laplacian_hat(grid, p, kpsi_hat, a_low) / (2.0 * p.mass)
+    return _gradient(grid, p, pauli._state(grid, p, psi, A))
+
+
+def _gradient(grid: Grid, p: PhysParams, st: pauli.KineticState) -> np.ndarray:
+    """``grad_psi`` of the state whose record is ``st``."""
+    out_hat = pauli._laplacian_hat(grid, p, st) / (2.0 * p.mass)
     if np.any(p.v_arr):
-        out_hat -= p.hbar * _vk(grid, p.v_arr)[..., None] * psi_hat
+        out_hat -= p.hbar * _vk(grid, p.v_arr)[..., None] * st.psi_hat
     return grid.ifft(out_hat)
+
+
+def _psi_energy(grid: Grid, p: PhysParams, st: pauli.KineticState) -> float:
+    """Kinetic + drift of the record ``st``: the energy less its field term."""
+    return _kinetic(grid, p, st.kpsi_hat) + _drift(grid, p, st.psi_hat)
 
 
 def lagrange_theta(grid: Grid, p: PhysParams, psi, A) -> float:
@@ -88,7 +91,7 @@ def lagrange_theta(grid: Grid, p: PhysParams, psi, A) -> float:
     slightly off-constraint states.
     """
     psi_a = as_array(psi)
-    e_psi, _ = _psi_energy_part(grid, p, psi_a, spectral.dealias(grid, as_array(A)))
+    e_psi = _psi_energy(grid, p, pauli._state(grid, p, psi_a, A))
     return -e_psi / (p.hbar * l2_norm_sq(grid, psi_a))
 
 
@@ -144,28 +147,30 @@ class ELResidual:
         return max(self.psi_rel, self.a_rel)
 
 
-def el_residual(grid: Grid, p: PhysParams, psi, A, a_low=None) -> ELResidual:
+def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
     """Residuals of the stationarity system at (psi, A).
 
     psi-side: |(1/2m) lap_{j,A} psi + hbar theta psi + i hbar v.grad psi|
     relative to the size of its constituents; A-side: analogous for the
     wave equation with the k = 0 mode split off into ``current_defect``
-    (reported as (4 pi / c) |mean J|).
+    (reported as (4 pi / c) |mean J|).  Both read one ``KineticState``.
     """
     psi_a = as_array(psi)
     A_a = as_array(A)
-    if a_low is None:
-        a_low = spectral.dealias(grid, A_a)
-    return _residual(grid, p, psi_a, A_a, grad_psi(grid, p, psi_a, A_a, a_low=a_low), a_low)
+    st = pauli._state(grid, p, psi_a, A_a)
+    return _residual(grid, p, psi_a, A_a, _gradient(grid, p, st), st)
 
 
 def _residual(
-    grid: Grid, p: PhysParams, psi_a: np.ndarray, A_a: np.ndarray, G: np.ndarray, a_low
+    grid: Grid, p: PhysParams, psi_a: np.ndarray, A_a: np.ndarray, G: np.ndarray,
+    st: pauli.KineticState,
 ) -> ELResidual:
-    """``el_residual`` for a caller that already holds G = grad_psi(psi, A)."""
+    """``el_residual`` for a caller that already holds G = grad_psi(psi, A)
+    and the KineticState ``st`` of (psi, A)."""
     lam_meas = l2_norm_sq(grid, psi_a)
     resid, theta = _tangent(grid, p, psi_a, G, lam_meas)
     psi_raw = np.sqrt(l2_norm_sq(grid, resid))
+    del resid  # not held through the A-side, where el_residual peaks
     # exactly flat states (constant psi, vanishing current) leave every
     # term at rounding scale; flooring the denominators by the weakest
     # signal the box can carry turns 0/0 noise into a ~0 report
@@ -177,14 +182,13 @@ def _residual(
     )
     psi_rel = psi_raw / psi_scale if psi_scale > 0 else 0.0
 
-    cur = pauli.current(grid, p, psi_a, A_a, a_low=a_low)
-    pcur = spectral.helmholtz_project(grid, cur)
-    rhs_hat = grid.fft(pcur) * (4.0 * np.pi / p.light_speed)
+    # (4 pi / c) P J_hat from the record; its k = 0 mode is the mean drive
+    coef = -4.0 * np.pi * p.charge / (p.mass * p.light_speed)
+    rhs_hat = spectral.project_hat(grid, coef * pauli._pair_hat(grid, p, st))
     lhs_hat = grid.fft(A_a) * energy_mod._wave_symbol(grid, p)[..., None]
-    mask = ~np.all(np.isclose(np.stack(grid.k, axis=-1), 0.0), axis=-1)
-    diff = (lhs_hat - rhs_hat) * mask[..., None]
+    mask = (grid.k2 > 0)[..., None]
     norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
-    a_raw = norm(diff)
+    a_raw = norm((lhs_hat - rhs_hat) * mask)
     # scale against the full source (k = 0 included) so delocalised states
     # with a pure mean current do not degenerate to 0/0, floored by the
     # drive a unit-mass plane wave on the largest scale would produce
@@ -192,11 +196,10 @@ def _residual(
         4.0 * np.pi * abs(p.charge) * p.hbar * k_min * lam_meas
         / (p.mass * p.light_speed * grid.box_l ** 1.5)
     )
-    a_scale = max(norm(lhs_hat * mask[..., None]) + norm(rhs_hat), a_floor)
+    a_scale = max(norm(lhs_hat * mask) + norm(rhs_hat), a_floor)
     a_rel = a_raw / a_scale if a_scale > 0 else 0.0
 
-    mean_j = np.mean(pcur, axis=(0, 1, 2))
-    defect = 4.0 * np.pi / p.light_speed * float(np.linalg.norm(mean_j))
+    defect = float(np.linalg.norm(rhs_hat[0, 0, 0].real)) / grid.n ** 3
     return ELResidual(
         psi_raw=float(psi_raw),
         psi_scale=float(psi_scale),
@@ -233,8 +236,6 @@ def _a_operator(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> Callable[[np.
     sym = _field_symbol(grid, p)
     coef = p.charge ** 2 / (p.mass * p.light_speed ** 2)
     mask = grid.dealias_mask
-    kx, ky, kz = grid.k
-    inv_k2 = grid.inv_k2
 
     def op(a_hat: np.ndarray) -> np.ndarray:
         # the A-derivative of pauli.current, built from the same
@@ -250,22 +251,20 @@ def _a_operator(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> Callable[[np.
         pair = pauli._pair(p.model, psi_low, g)
         for a in range(3):
             out[..., a] += coef * (grid.fft(pair[..., a]) * mask)
-        kdot = kx * out[..., 0] + ky * out[..., 1] + kz * out[..., 2]
-        out[..., 0] -= kx * kdot * inv_k2
-        out[..., 1] -= ky * kdot * inv_k2
-        out[..., 2] -= kz * kdot * inv_k2
+        spectral.project_hat(grid, out)
         out[0, 0, 0, :] = 0.0
         return out
 
     return op
 
 
-def _a_rhs(grid: Grid, p: PhysParams, psi: np.ndarray) -> np.ndarray:
-    """Paramagnetic forcing (1/c) P J0 with the diamagnetic part removed."""
-    zero = np.zeros(grid.shape + (3,))
-    cur = pauli.current(grid, p, psi, zero, a_low=zero)
-    rhs = spectral.helmholtz_project(grid, cur / p.light_speed)
-    return spectral.zero_mean(grid, rhs)
+def _a_rhs(grid: Grid, p: PhysParams, st: pauli.KineticState) -> np.ndarray:
+    """Transform of the paramagnetic forcing (1/c) P J0, the current at
+    A = 0 read from the field-free record ``st``, with k = 0 frozen."""
+    coef = -p.charge / (p.mass * p.light_speed)
+    b = spectral.project_hat(grid, coef * pauli._pair_hat(grid, p, st))
+    b[0, 0, 0, :] = 0.0
+    return b
 
 
 def _a_precond(grid: Grid, p: PhysParams) -> np.ndarray:
@@ -286,18 +285,21 @@ def solve_vector_potential(
 ) -> tuple[VectorField, int]:
     """Minimize the energy over solenoidal zero-mean A at fixed psi.
 
-    Returns the minimizer and the number of operator applications.
+    Returns the minimizer and the number of operator applications, and
+    logs at DEBUG level on the ``mpwave.minimize`` logger the stop reason
+    (tol, stagnation, blow-up, max_iter, rz <= 0 or dAd <= 0), the
+    operator applications and the best |r| relative to the reference.
     """
-    psi_a = as_array(psi)
-    psi_low = spectral.dealias(grid, psi_a)
-    op = _a_operator(grid, p, psi_low)
+    st = pauli.kinetic_state(grid, p, psi)
+    b = _a_rhs(grid, p, st)
+    op = _a_operator(grid, p, st.psi_low)
+    del st  # psi_hat and K psi_hat are not needed past the forcing
     inv = _a_precond(grid, p)
-    b = grid.fft(_a_rhs(grid, p, psi_a))
-    b[0, 0, 0, :] = 0.0
     if A0 is None:
         x = np.zeros(grid.shape + (3,), dtype=complex)
     else:
-        x = grid.fft(spectral.zero_mean(grid, spectral.helmholtz_project(grid, as_array(A0))))
+        x = spectral.project_hat(grid, grid.fft(as_array(A0)))
+        x[0, 0, 0, :] = 0.0
 
     # everything lives in spectral space; the inner product matches the
     # grid one through Parseval
@@ -305,6 +307,7 @@ def solve_vector_potential(
     dot = lambda u, w: float(np.real(np.sum(np.conj(u) * w))) * scale
     b_norm = np.sqrt(dot(b, b))
     if b_norm == 0.0:
+        logger.debug("A-solve: tol after 0 operator applications, zero forcing")
         return VectorField(grid, np.zeros(grid.shape + (3,))), 0
 
     r = b - op(x)
@@ -328,17 +331,16 @@ def solve_vector_potential(
         # past the rounding floor the recurrence decouples from the true
         # residual and can amplify junk geometrically; any of these
         # signals ends the iteration, and the best iterate is returned
-        if (
-            r_norm <= tol * ref
-            or rz <= 0
-            or since_best >= 15
-            or r_norm > 100.0 * best
-        ):
+        stops = (("tol", r_norm <= tol * ref), ("rz <= 0", rz <= 0),
+                 ("stagnation", since_best >= 15), ("blow-up", r_norm > 100.0 * best))
+        reason = next((name for name, hit in stops if hit), None)
+        if reason is not None:
             break
         od = op(d)
         n_ops += 1
         denom = dot(d, od)
         if denom <= 0:
+            reason = "dAd <= 0"
             break
         alpha = rz / denom
         x += alpha * d
@@ -347,6 +349,10 @@ def solve_vector_potential(
         rz_new = dot(r, z)
         d = z + (rz_new / rz) * d
         rz = rz_new
+    else:
+        reason = "max_iter"
+    logger.debug("A-solve: %s after %d operator applications, best |r|/ref = %.3e",
+                 reason, n_ops, best / ref)
     out = np.real(grid.ifft(best_x))
     if not np.all(np.isfinite(out)):
         raise SolverError("vector-potential subproblem diverged")
@@ -451,20 +457,12 @@ class MinimizeReport:
     energy_trace: list = field(default_factory=list)
 
 
-def _psi_energy_part(grid: Grid, p: PhysParams, psi: np.ndarray, a_low: np.ndarray) -> tuple:
-    """kinetic + drift at fixed A (the A-only field term is cached outside),
-    and the (psi_hat, K psi_hat) pair both were read from, which
-    ``grad_psi`` takes as ``ws`` at the same psi and ``a_low``."""
-    ws = _kinetic_transforms(grid, p, psi, a_low)
-    return _kinetic(grid, p, ws[1]) + _drift(grid, p, ws[0]), ws
-
-
-def _shift(grid: Grid, p: PhysParams, kpsi_hat: np.ndarray, lam_meas: float) -> float:
+def _shift(grid: Grid, p: PhysParams, st: pauli.KineticState, lam_meas: float) -> float:
     """Shift alpha of the preconditioner: the kinetic energy per unit mass
-    |K psi|^2 / (2m |psi|^2) read from K psi_hat, floored by that of the
+    |K psi|^2 / (2m |psi|^2) read from ``st``, floored by that of the
     longest wave the box holds so a flat state still gets a positive one."""
     k_min = 2.0 * np.pi / grid.box_l
-    return max(_kinetic(grid, p, kpsi_hat) / lam_meas, p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass))
+    return max(_kinetic(grid, p, st.kpsi_hat) / lam_meas, p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass))
 
 
 def _direction(
@@ -519,10 +517,6 @@ def minimize(
     def renorm(psi: np.ndarray) -> np.ndarray:
         return psi * np.sqrt(p.lam / (l2_norm_sq(grid, psi)))
 
-    def field_and_band(A: np.ndarray) -> tuple[float, np.ndarray]:
-        a_hat, a_low = spectral.band(grid, A)
-        return _field_part(grid, p, a_hat), a_low
-
     a_ops = 0
     if config.a_every > 0:
         A_f, n_ops = solve_vector_potential(
@@ -530,17 +524,17 @@ def minimize(
         )
         A = A_f.data
         a_ops += n_ops
-    field_term, a_low = field_and_band(A)
+    a_hat, a_low = spectral.band(grid, A)
+    field_term = _field_part(grid, p, a_hat)
 
-    # ws holds the (psi_hat, K psi_hat) pair of the last energy evaluation
-    # until alpha and grad_psi read it; at most one is alive at a time, so
-    # it is dropped before the next trial and before each A-solve
-    e_psi, ws = _psi_energy_part(grid, p, psi, a_low)
-    E = e_psi + field_term
+    # st, the KineticState of psi, is read by E, alpha, G and the residual
+    # check; at most one is alive, so it goes at the top of each iteration
+    # and, with the transforms of A, before each A-solve
+    st = pauli.kinetic_state(grid, p, psi, a_low)
+    E = _psi_energy(grid, p, st) + field_term
     lam_meas = l2_norm_sq(grid, psi)
-    alpha = _shift(grid, p, ws[1], lam_meas)
-    G = grad_psi(grid, p, psi, A, a_low=a_low, ws=ws)
-    ws = None
+    alpha = _shift(grid, p, st, lam_meas)
+    G = _gradient(grid, p, st)
     Gt, theta = _tangent(grid, p, psi, G, lam_meas)
 
     step = 1.0
@@ -555,6 +549,7 @@ def minimize(
     prev_psi = prev_Gt = prev_d = None
 
     for it in range(1, config.max_iter + 1):
+        st = None
         d = _direction(grid, p, psi, Gt, alpha, lam_meas)
         gd = inner(grid, Gt, d).real
         if gd == 0.0:
@@ -581,15 +576,17 @@ def minimize(
             if s * gd <= floor:
                 break
             trial = renorm(psi - s * d)
-            e_trial, ws = _psi_energy_part(grid, p, trial, a_low)
+            st = pauli.kinetic_state(grid, p, trial, a_low)
+            e_trial = _psi_energy(grid, p, st)
             if e_trial + field_term <= E - config.armijo * s * gd:
                 accepted = True
                 break
-            ws = None
+            st = None
             backtracks += 1
             s *= config.backtrack
         if not accepted:
-            res = _residual(grid, p, psi, A, G, a_low)
+            # rebuilt here rather than kept alive through the trials
+            res = _residual(grid, p, psi, A, G, pauli.kinetic_state(grid, p, psi, a_low))
             converged = res.max_rel < config.residual_tol
             msg = (
                 "stationary: no descent direction left"
@@ -600,24 +597,23 @@ def minimize(
 
         prev_psi, prev_Gt, prev_d = psi, Gt, d
         psi = trial
-        e_psi = e_trial
-        E = e_psi + field_term
+        E = e_trial + field_term
 
         if config.a_every > 0 and it % config.a_every == 0:
-            ws = None
+            st = a_hat = a_low = None
             A_f, n_ops = solve_vector_potential(
                 grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter
             )
             A = A_f.data
             a_ops += n_ops
-            field_term, a_low = field_and_band(A)
-            e_psi, ws = _psi_energy_part(grid, p, psi, a_low)
-            E = e_psi + field_term
+            a_hat, a_low = spectral.band(grid, A)
+            field_term = _field_part(grid, p, a_hat)
+            st = pauli.kinetic_state(grid, p, psi, a_low)
+            E = _psi_energy(grid, p, st) + field_term
 
         lam_meas = l2_norm_sq(grid, psi)
-        alpha = _shift(grid, p, ws[1], lam_meas)
-        G = grad_psi(grid, p, psi, A, a_low=a_low, ws=ws)
-        ws = None
+        alpha = _shift(grid, p, st, lam_meas)
+        G = _gradient(grid, p, st)
         Gt, theta = _tangent(grid, p, psi, G, lam_meas)
         trace.append(E)
 
@@ -631,7 +627,7 @@ def minimize(
             since_best += 1
 
         if it % config.check_every == 0 or since_best >= config.patience:
-            res = _residual(grid, p, psi, A, G, a_low)
+            res = _residual(grid, p, psi, A, G, st)
             # a small residual alone can be a slow plateau transit; accept
             # stationarity only once the energy has also stopped moving
             if res.max_rel < config.residual_tol and since_best >= config.confirm_stall:
@@ -642,6 +638,8 @@ def minimize(
                 msg = f"stalled: no energy decrease for {config.patience} iterations"
                 break
 
+    # the loop's arrays go before the polish solve, which sets peak memory
+    st = a_hat = a_low = G = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
     if config.a_every > 0:
         # polish the quadratic subproblem before reporting
         A_f, n_ops = solve_vector_potential(
@@ -649,11 +647,10 @@ def minimize(
         )
         A = A_f.data
         a_ops += n_ops
-        a_low = spectral.dealias(grid, A)
-        res = el_residual(grid, p, psi, A, a_low=a_low)
+        res = el_residual(grid, p, psi, A)
         converged = res.max_rel < config.residual_tol
     if res is None:
-        res = el_residual(grid, p, psi, A, a_low=a_low)
+        res = el_residual(grid, p, psi, A)
     breakdown = energy_functional(grid, p, psi, A)
     omega = omega_from_theta(grid, p, A, res.theta)
     stride = max(1, len(trace) // 1000)

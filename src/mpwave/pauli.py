@@ -12,8 +12,10 @@ model ("S") and sigma . D psi for the spin-coupled model ("P"); the
 kinetic energy is |K psi|^2 / 2m and ``covariant_laplacian`` is
 K^dagger K psi, its exact psi-gradient, in both.  The one kernel is
 ``kinetic_hat``: it builds the transform of K psi from psi_hat, T psi
-and T A, with the derivative as the multiplier -hbar k.  The real-space
-forms, the Laplacian and the current are all read from that transform.
+and T A, with the derivative as the multiplier -hbar k.  One frozen
+``KineticState`` per state carries these transforms, built once by
+``kinetic_state``; the real-space forms, the Laplacian, the current and
+every energy term read it.
 
 The Lichnerowicz identity
 
@@ -26,6 +28,8 @@ band); for rougher fields they differ by the aliasing residue of the
 cubic terms.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,22 +77,16 @@ def sigma_identity_check(f: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _low_pass(grid: Grid, A, a_low) -> np.ndarray:
-    """Resolve the optional cached dealiased vector potential."""
-    if a_low is not None:
-        return _arr(a_low)
-    return spectral.dealias(grid, _arr(A))
-
-
 def _covariant_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarray:
     """Transforms of the three D_a psi, stacked as (n, n, n, 3, 2):
-    -hbar k_a psi_hat + (Q/c) mask FFT(a_low_a psi_low)."""
+    -hbar k_a psi_hat + (Q/c) mask FFT(a_low_a psi_low), a_low None for A = 0."""
     mask = grid.dealias_mask[..., None]
     coef = p.charge / p.light_speed
     out = np.empty(psi_hat.shape[:3] + (3, 2), dtype=complex)
     for a in range(3):
-        prod_hat = grid.fft(a_low[..., a, None] * psi_low)
-        out[..., a, :] = (-p.hbar * grid.k[a][..., None]) * psi_hat + coef * (mask * prod_hat)
+        out[..., a, :] = (-p.hbar * grid.k[a][..., None]) * psi_hat
+        if a_low is not None:
+            out[..., a, :] += coef * (mask * grid.fft(a_low[..., a, None] * psi_low))
     return out
 
 
@@ -96,29 +94,42 @@ def kinetic_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarra
     """Transform of the kinetic operator K psi of the model: sigma . D psi
     for "P", the stack D psi for "S".
 
-    Takes psi_hat = FFT(psi), psi_low = T psi and a_low = T A, and spends
-    one forward transform per direction on the products a_low_a psi_low.
-    The kinetic energy of either model is |K psi|^2 / 2m; callers take it
-    from this transform by Parseval.
+    Takes psi_hat = FFT(psi), psi_low = T psi and a_low = T A (None for
+    A = 0), and spends one forward transform per direction on the products
+    a_low_a psi_low.  The kinetic energy of either model is |K psi|^2 / 2m;
+    callers take it from this transform by Parseval.
     """
     return _spin_contract(p.model, _covariant_hat(grid, p, psi_hat, psi_low, a_low))
 
 
-def covariant_gradient(
-    grid: Grid,
-    p: PhysParams,
-    psi,
-    A,
-    a_low: np.ndarray | None = None,
-) -> np.ndarray:
-    """All three components D_a psi, stacked as (n, n, n, 3, 2).
+@dataclass(frozen=True)
+class KineticState:
+    """The transforms of one state (psi, A) that the kernels read:
+    FFT(psi), T psi, the transform of K psi and T A (None for A = 0)."""
 
-    ``a_low`` may carry a precomputed dealias(A) (it is recomputed here
-    otherwise); callers that apply many derivatives against one A save
-    the repeated band limiting.
-    """
+    psi_hat: np.ndarray
+    psi_low: np.ndarray
+    kpsi_hat: np.ndarray
+    a_low: np.ndarray | None
+
+
+def kinetic_state(grid: Grid, p: PhysParams, psi, a_low=None) -> KineticState:
+    """The ``KineticState`` of psi against ``a_low`` = T A, or A = 0 when
+    it is None: 4 scalar transforms for psi, and 6 for K psi with a field.
+    Callers that evaluate many psi against one A band it once."""
     psi_hat, psi_low = spectral.band(grid, _arr(psi))
-    return grid.ifft(_covariant_hat(grid, p, psi_hat, psi_low, _low_pass(grid, A, a_low)))
+    return KineticState(psi_hat, psi_low, kinetic_hat(grid, p, psi_hat, psi_low, a_low), a_low)
+
+
+def _state(grid: Grid, p: PhysParams, psi, A) -> KineticState:
+    """``kinetic_state`` of (psi, A) for a real field A."""
+    return kinetic_state(grid, p, psi, spectral.dealias(grid, _arr(A)))
+
+
+def covariant_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
+    """All three components D_a psi, stacked as (n, n, n, 3, 2)."""
+    psi_hat, psi_low = spectral.band(grid, _arr(psi))
+    return grid.ifft(_covariant_hat(grid, p, psi_hat, psi_low, spectral.dealias(grid, _arr(A))))
 
 
 def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
@@ -149,6 +160,11 @@ def _spin_expand(model: str, h: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_one(psi_low: np.ndarray, g_a: np.ndarray) -> np.ndarray:
+    """Pointwise Re <psi_low, g_a>, the model "S" pairing of one direction."""
+    return np.real(np.sum(np.conj(psi_low) * g_a, axis=-1))
+
+
 def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise Re <psi_low, g_a> (model "S") or Re <psi_low, sigma^a g>
     (model "P") for a = x, y, z, stacked as (..., 3), for ``g`` as
@@ -156,7 +172,7 @@ def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
     out = np.empty(psi_low.shape[:-1] + (3,))
     if model == "S":
         for a in range(3):
-            out[..., a] = np.real(np.sum(np.conj(psi_low) * g[..., a, :], axis=-1))
+            out[..., a] = _pair_one(psi_low, g[..., a, :])
         return out
     c01 = np.conj(psi_low[..., 0]) * g[..., 1]
     c10 = np.conj(psi_low[..., 1]) * g[..., 0]
@@ -169,27 +185,19 @@ def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def kinetic_gradient(
-    grid: Grid,
-    p: PhysParams,
-    psi,
-    A,
-    a_low: np.ndarray | None = None,
-) -> np.ndarray:
+def kinetic_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     """Kinetic operator K of the model: sigma . D psi for "P", D psi for "S".
 
-    The inverse transform of ``kinetic_hat``; ``a_low`` is as in
-    ``covariant_gradient``.
+    The inverse transform of ``kinetic_hat``.
     """
-    psi_hat, psi_low = spectral.band(grid, _arr(psi))
-    return grid.ifft(kinetic_hat(grid, p, psi_hat, psi_low, _low_pass(grid, A, a_low)))
+    return grid.ifft(_state(grid, p, psi, A).kpsi_hat)
 
 
-def _laplacian_hat(grid: Grid, p: PhysParams, kpsi_hat, a_low) -> np.ndarray:
-    """Transform of K^dagger K psi = sum_a D_a h_a, read from the
-    transform ``kpsi_hat`` of K psi: h_hat is ``_spin_expand`` of it, a
-    constant matrix, so h needs no forward FFT of its own."""
-    h_hat = _spin_expand(p.model, kpsi_hat)
+def _laplacian_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
+    """Transform of K^dagger K psi = sum_a D_a h_a, read from the record
+    ``st``: h_hat is ``_spin_expand`` of K psi_hat, a constant matrix, so
+    h needs no forward FFT of its own."""
+    h_hat = _spin_expand(p.model, st.kpsi_hat)
     mask = grid.dealias_mask[..., None]
     coef = p.charge / p.light_speed
     acc_hat = np.zeros(h_hat.shape[:3] + (2,), dtype=complex)
@@ -197,24 +205,16 @@ def _laplacian_hat(grid: Grid, p: PhysParams, kpsi_hat, a_low) -> np.ndarray:
         comp_hat = h_hat[..., a, :]
         acc_hat += (-p.hbar * grid.k[a][..., None]) * comp_hat
         comp_low = grid.ifft(comp_hat * mask)
-        acc_hat += coef * (mask * grid.fft(a_low[..., a, None] * comp_low))
+        acc_hat += coef * (mask * grid.fft(st.a_low[..., a, None] * comp_low))
     return acc_hat
 
 
-def covariant_laplacian(
-    grid: Grid,
-    p: PhysParams,
-    psi,
-    A,
-    a_low: np.ndarray | None = None,
-) -> np.ndarray:
+def covariant_laplacian(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     """K^dagger K psi = sum_a D_a h_a, with h_a = D_a psi (model "S") or
     sigma^a K psi (model "P").  Each D_a is exactly self-adjoint, so
     <phi, covariant_laplacian psi> = <K phi, K psi> to rounding on any
     grid fields."""
-    a_low = _low_pass(grid, A, a_low)
-    psi_hat, psi_low = spectral.band(grid, _arr(psi))
-    return grid.ifft(_laplacian_hat(grid, p, kinetic_hat(grid, p, psi_hat, psi_low, a_low), a_low))
+    return grid.ifft(_laplacian_hat(grid, p, _state(grid, p, psi, A)))
 
 
 def spin_term(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
@@ -226,13 +226,19 @@ def spin_term(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     return -p.hbar * p.charge / p.light_speed * spectral.dealias(grid, spin)
 
 
-def current(
-    grid: Grid,
-    p: PhysParams,
-    psi,
-    A,
-    a_low: np.ndarray | None = None,
-) -> np.ndarray:
+def _pair_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
+    """Transform of T of the pairing ``_pair`` of T psi with T K psi, read
+    from the record: the current is J = -(Q/m) times its inverse."""
+    mask = grid.dealias_mask[..., None]
+    if p.model == "S":  # one direction at a time, so T K psi is never held whole
+        low = (grid.ifft(st.kpsi_hat[..., a, :] * mask) for a in range(3))
+        pair = np.stack([_pair_one(st.psi_low, g_a) for g_a in low], axis=-1)
+    else:
+        pair = _pair(p.model, st.psi_low, grid.ifft(st.kpsi_hat * mask))
+    return mask * grid.fft(pair)
+
+
+def current(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     """Gauge current density J as a real (n, n, n, 3) array.
 
     J_a = -(Q/m) Re <psi, D_a psi>_C2             (model "S")
@@ -242,11 +248,8 @@ def current(
     refiltered) so that ``current`` is exactly the A-derivative of the
     kinetic energy evaluated by ``energy_functional``.
     """
-    psi_hat, psi_low = spectral.band(grid, _arr(psi))
-    g_hat = kinetic_hat(grid, p, psi_hat, psi_low, _low_pass(grid, A, a_low))
-    g_hat *= spectral._expand(grid.dealias_mask, g_hat)
-    pair = _pair(p.model, psi_low, grid.ifft(g_hat))
-    return -(p.charge / p.mass) * spectral.dealias(grid, pair)
+    pair_hat = _pair_hat(grid, p, _state(grid, p, psi, A))
+    return -(p.charge / p.mass) * grid.ifft(pair_hat).real
 
 
 __all__ = [
@@ -254,6 +257,8 @@ __all__ = [
     "sigma_dot",
     "sigma_identity_check",
     "kinetic_hat",
+    "KineticState",
+    "kinetic_state",
     "covariant_gradient",
     "kinetic_gradient",
     "covariant_laplacian",

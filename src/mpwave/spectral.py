@@ -74,23 +74,27 @@ def directional_derivative(grid: Grid, f: np.ndarray, v) -> np.ndarray:
     return _match_real(out, f)
 
 
-def helmholtz_project(grid: Grid, F: np.ndarray) -> np.ndarray:
-    """Leray projection onto divergence-free fields.
+def project_hat(grid: Grid, Fh: np.ndarray) -> np.ndarray:
+    """Leray projection of the transform ``Fh`` of a vector field, in place.
 
     F̂ ↦ F̂ − k (k·F̂)/|k|²; the k = 0 mode passes through unchanged.
     Nyquist planes are dropped: the per-mode multiplier is not
     conjugate-symmetric there, so a real field cannot stay both real and
-    solenoidal with that content.
+    solenoidal with that content.  Returns ``Fh``.
     """
-    Fh = grid.fft(F) * grid.nyquist_mask[..., None]
+    Fh *= grid.nyquist_mask[..., None]
     kx, ky, kz = grid.k
     kdot = kx * Fh[..., 0] + ky * Fh[..., 1] + kz * Fh[..., 2]
-    kdot = kdot * grid.inv_k2
-    out = np.empty_like(Fh)
-    out[..., 0] = Fh[..., 0] - kx * kdot
-    out[..., 1] = Fh[..., 1] - ky * kdot
-    out[..., 2] = Fh[..., 2] - kz * kdot
-    return _match_real(grid.ifft(out), F)
+    kdot *= grid.inv_k2
+    for a, ka in enumerate(grid.k):
+        Fh[..., a] -= ka * kdot
+    return Fh
+
+
+def helmholtz_project(grid: Grid, F: np.ndarray) -> np.ndarray:
+    """Leray projection onto divergence-free fields: ``project_hat`` of
+    the transform of F, transformed back."""
+    return _match_real(grid.ifft(project_hat(grid, grid.fft(F))), F)
 
 
 def poisson_solve(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -138,6 +142,7 @@ __all__ = [
     "curl",
     "laplacian",
     "directional_derivative",
+    "project_hat",
     "helmholtz_project",
     "poisson_solve",
     "band",

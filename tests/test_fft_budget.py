@@ -12,7 +12,8 @@ import pytest
 from mpwave import Grid, spectral
 from mpwave.energy import energy_functional
 from mpwave.fields import random_fields
-from mpwave.minimize import el_residual, grad_psi
+from mpwave.minimize import MinimizeConfig, el_residual, grad_psi, minimize, solve_vector_potential
+from mpwave.pauli import current, kinetic_state
 
 from conftest import params
 
@@ -23,15 +24,26 @@ BUDGET = {
     # A: forward 3 + band limit 3; psi: forward 2 + band limit 2;
     # K psi_hat: one forward transform of a_low_a * T psi per direction
     "energy_functional": (16, 16),
-    # T(A) 6, psi_hat and K psi_hat 10, K^dagger K 12, one inverse 2
+    # the KineticState 16, K^dagger K 12, one inverse 2
     "grad_psi": (30, 30),
-    # the solver's call, reading the workspace of its energy evaluation
-    "grad_psi from the workspace": (14, 14),
-    # T(A) 6, grad_psi 24, current 22 / 18, projection and transforms 12
-    "el_residual": (64, 60),
+    # the solver's call, reading the KineticState of its energy evaluation
+    "grad_psi from the record": (14, 14),
+    # the KineticState 16, G from it 14, the current pairing: T K psi 6 / 2
+    # inverse and the pair 3 forward, A_hat 3
+    "el_residual": (42, 38),
     # one Armijo trial energy: psi_hat, T psi and K psi_hat
     "trial energy": (10, 10),
+    # the KineticState 16, the pairing 9 / 5, one inverse 3
+    "current": (28, 24),
+    "A-operator matvec": (18, 18),
+    # one warm A-solve less its matvecs: psi_hat and T psi 4, the forcing
+    # at A = 0 (no product transforms) 6 / 2 + 3, the warm start 3 forward,
+    # the result 3 inverse
+    "A-solve, fixed": (19, 15),
 }
+
+#: scalar transforms of a whole trial-start solve at n = 16, v = 0.1
+SOLVE_BUDGET = {"S": 3000, "P": 3100}
 
 
 @pytest.fixture()
@@ -61,17 +73,34 @@ def test_transforms_per_call(grid16, model, count_ffts):
     psi, A = random_fields(grid16, p, seed=3)
     psi, A = psi.data, A.data
     a_low = spectral.dealias(grid16, A)
-    _, ws = minimize_mod._psi_energy_part(grid16, p, psi, a_low)
+    st = kinetic_state(grid16, p, psi, a_low)
+    op = minimize_mod._a_operator(grid16, p, st.psi_low)
+    a_hat = grid16.fft(A)
+    n_ops = []
     counts = {
         "energy_functional": count_ffts(lambda: energy_functional(grid16, p, psi, A)),
         "grad_psi": count_ffts(lambda: grad_psi(grid16, p, psi, A)),
-        "grad_psi from the workspace": count_ffts(
-            lambda: grad_psi(grid16, p, psi, A, a_low=a_low, ws=ws)
-        ),
+        "grad_psi from the record": count_ffts(lambda: minimize_mod._gradient(grid16, p, st)),
         "el_residual": count_ffts(lambda: el_residual(grid16, p, psi, A)),
         "trial energy": count_ffts(
-            lambda: minimize_mod._psi_energy_part(grid16, p, psi, a_low)
+            lambda: minimize_mod._psi_energy(grid16, p, kinetic_state(grid16, p, psi, a_low))
+        ),
+        "current": count_ffts(lambda: current(grid16, p, psi, A)),
+        "A-operator matvec": count_ffts(lambda: op(a_hat)),
+        "A-solve, fixed": count_ffts(
+            lambda: n_ops.append(solve_vector_potential(grid16, p, psi, A0=A)[1])
         ),
     }
+    counts["A-solve, fixed"] -= n_ops[0] * counts["A-operator matvec"]
     column = "SP".index(model)
     assert counts == {name: pair[column] for name, pair in BUDGET.items()}
+
+
+@pytest.mark.parametrize("model", ["S", "P"])
+def test_transforms_per_solve(grid16, model, count_ffts):
+    """A whole trial-start solve, A-solves and residual checks included."""
+    p = params(model, v=0.1)
+    reports = []
+    used = count_ffts(lambda: reports.append(minimize(grid16, p, MinimizeConfig(init="trial"))))
+    assert reports[0].converged
+    assert used <= SOLVE_BUDGET[model]

@@ -8,17 +8,19 @@ import pytest
 
 from mpwave import Grid, PhysParams
 from mpwave import spectral
-from mpwave.energy import energy_functional, field_energy
+from mpwave.energy import _wave_symbol, energy_functional, field_energy
 from mpwave.diagnostics import TrialSpec, trial_fields
 from mpwave.errors import DomainGateError, InputError, SolverError
 from mpwave.fields import inner, l2_norm_sq, random_fields
-from mpwave.pauli import current
+from mpwave.pauli import current, kinetic_state
 from mpwave.minimize import (
     MinimizeConfig,
     _a_operator,
+    _a_rhs,
     _direction,
     _field_symbol,
-    _psi_energy_part,
+    _gradient,
+    _psi_energy,
     _shift,
     _tangent,
     el_residual,
@@ -42,6 +44,47 @@ def lattice_energy(grid, p):
     return p.lam * (
         p.hbar ** 2 * k2 / (2.0 * p.mass) - p.hbar * float(p.v_arr @ kstar)
     )
+
+
+def real_space_residual(grid, p, psi, A):
+    """The fields of ``el_residual`` from real-space kernels: the current
+    through ``pauli.current``, projected and transformed, with k = 0 the
+    only mode split off the A-side."""
+    G = grad_psi(grid, p, psi, A)
+    lam = l2_norm_sq(grid, psi)
+    theta = -inner(grid, psi, G).real / (p.hbar * lam)
+    k_min = 2.0 * np.pi / grid.box_l
+    psi_raw = np.sqrt(l2_norm_sq(grid, G + p.hbar * theta * psi))
+    psi_scale = max(
+        np.sqrt(l2_norm_sq(grid, G)) + abs(p.hbar * theta) * np.sqrt(lam),
+        p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass) * np.sqrt(lam),
+    )
+    pcur = spectral.helmholtz_project(grid, current(grid, p, psi, A))
+    rhs_hat = grid.fft(pcur) * (4.0 * np.pi / p.light_speed)
+    lhs_hat = grid.fft(A) * _wave_symbol(grid, p)[..., None]
+    mask = (grid.k2 > 0)[..., None]
+    norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
+    a_raw = norm((lhs_hat - rhs_hat) * mask)
+    a_floor = (
+        4.0 * np.pi * abs(p.charge) * p.hbar * k_min * lam
+        / (p.mass * p.light_speed * grid.box_l ** 1.5)
+    )
+    a_scale = max(norm(lhs_hat * mask) + norm(rhs_hat), a_floor)
+    return {
+        "psi_raw": psi_raw,
+        "psi_scale": psi_scale,
+        "psi_rel": psi_raw / psi_scale,
+        "a_raw": a_raw,
+        "a_scale": a_scale,
+        "a_rel": a_raw / a_scale,
+        "current_defect": 4.0 * np.pi / p.light_speed
+        * float(np.linalg.norm(np.mean(pcur, axis=(0, 1, 2)))),
+        "theta": theta,
+    }
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 class TestGradients:
@@ -110,17 +153,46 @@ class TestGradients:
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_workspace_gradient_is_bit_identical(self, grid16, model):
-        """The solver's G, read from the (psi_hat, K psi_hat) pair of its
-        energy evaluation, is a fresh grad_psi bit for bit, and that
-        evaluation is energy_functional's kinetic + drift bit for bit."""
+        """The solver's G, read from the KineticState of its energy
+        evaluation, is a fresh grad_psi bit for bit, and that evaluation
+        is energy_functional's kinetic + drift bit for bit."""
         p = params(model, v=(0.2, -0.1, 0.05))
         psi, A = random_fields(grid16, p, seed=58)
-        a_low = spectral.dealias(grid16, A.data)
-        e_psi, ws = _psi_energy_part(grid16, p, psi.data, a_low)
-        cached = grad_psi(grid16, p, psi.data, A.data, a_low=a_low, ws=ws)
+        st = kinetic_state(grid16, p, psi.data, spectral.dealias(grid16, A.data))
+        e_psi = _psi_energy(grid16, p, st)
+        cached = _gradient(grid16, p, st)
         assert np.array_equal(cached, grad_psi(grid16, p, psi.data, A.data))
         br = energy_functional(grid16, p, psi.data, A.data)
         assert e_psi == br.kinetic + br.drift
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_residual_matches_real_space_reference(self, grid16, grid32, model, n):
+        """el_residual reads the current from the KineticState of (psi, A)
+        and stays in spectral space; every field equals the real-space
+        reference to rounding."""
+        grid = {16: grid16, 32: grid32}[n]
+        p = params(model, v=(0.2, -0.1, 0.05))
+        psi, A = random_fields(grid, p, seed=66, a_amp=0.3)
+        res = el_residual(grid, p, psi.data, A.data)
+        ref = real_space_residual(grid, p, psi.data, A.data)
+        for name, value in ref.items():
+            assert rel(getattr(res, name), value) <= 1e-13, name
+
+    def test_residual_keeps_low_modes_on_a_large_box(self):
+        """Only k = 0 is split off the A-side residual.  On L = 1e9 the
+        lowest wavenumbers are below 1e-8, so a mask built with the
+        default ``np.isclose`` tolerance would drop the 26 modes next to
+        k = 0 as well."""
+        grid = Grid(16, 1e9)
+        assert 2.0 * np.pi / grid.box_l < 1e-8
+        for model in ("S", "P"):
+            p = params(model, v=0.1)
+            psi, A = random_fields(grid, p, seed=5, max_mode=1)
+            res = el_residual(grid, p, psi.data, A.data)
+            ref = real_space_residual(grid, p, psi.data, A.data)
+            assert rel(res.a_raw, ref["a_raw"]) <= 1e-13, model
+            assert rel(res.a_scale, ref["a_scale"]) <= 1e-13, model
 
     def test_theta_against_energy_at_zero_field(self, grid16):
         """With A = 0 the multiplier reduces to -E / (hbar lambda)."""
@@ -176,6 +248,49 @@ class TestVectorPotentialSolve:
         rhs = -grid16.fft(spectral.helmholtz_project(grid16, dj)) / p.light_speed
         rhs[0, 0, 0, :] = 0.0
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_forcing_matches_real_space_reference(self, grid16, grid32, model, n):
+        """The spectral forcing, read from the field-free KineticState,
+        is the transform of (1/c) P J0 built in real space, k = 0 frozen."""
+        grid = {16: grid16, 32: grid32}[n]
+        p = params(model, v=0.2)
+        psi, _ = random_fields(grid, p, seed=67)
+        zero = np.zeros(grid.shape + (3,))
+        cur = current(grid, p, psi.data, zero) / p.light_speed
+        ref = grid.fft(spectral.zero_mean(grid, spectral.helmholtz_project(grid, cur)))
+        ref[0, 0, 0, :] = 0.0
+        b = _a_rhs(grid, p, kinetic_state(grid, p, psi.data))
+        assert max_rel(b, ref) <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_warm_start_matches_real_space_projection(self, grid16, grid32, model, n):
+        """With no iteration the solve returns its warm start, projected
+        on its transform: the real-space solenoidal zero-mean projection."""
+        grid = {16: grid16, 32: grid32}[n]
+        p = params(model, v=0.2)
+        psi, _ = random_fields(grid, p, seed=68)
+        raw = np.random.default_rng(68).standard_normal(grid.shape + (3,))
+        A, n_ops = solve_vector_potential(grid, p, psi.data, A0=raw, max_iter=0)
+        ref = spectral.zero_mean(grid, spectral.helmholtz_project(grid, raw))
+        assert n_ops == 1
+        assert max_rel(A.data, ref) <= 1e-13
+
+    def test_stop_reason_is_logged(self, grid16, caplog):
+        """Each solve logs how it ended at DEBUG level: the stop reason,
+        the operator applications and the best relative residual."""
+        p = params("S", v=0.2)
+        psi, _ = random_fields(grid16, p, seed=61)
+        with caplog.at_level(logging.DEBUG, logger="mpwave.minimize"):
+            _, n_cut = solve_vector_potential(grid16, p, psi.data, max_iter=1)
+            _, n_full = solve_vector_potential(grid16, p, psi.data)
+        messages = [r.getMessage() for r in caplog.records if r.name == "mpwave.minimize"]
+        assert len(messages) == 2
+        assert messages[0].startswith(f"A-solve: max_iter after {n_cut} operator applications")
+        assert messages[1].startswith(f"A-solve: tol after {n_full} operator applications")
+        assert all("best |r|/ref = " in m for m in messages)
 
     def test_warm_start_stays_put(self, grid16):
         p = params("S", v=0.2)
@@ -274,13 +389,13 @@ class TestMinimize:
         once through the stationarity check instead of backtracking."""
         module = importlib.import_module("mpwave.minimize")
         evaluated = []
-        energy_part = module._psi_energy_part
+        energy_part = module._psi_energy
 
         def counted(*args):
             evaluated.append(args[2])
             return energy_part(*args)
 
-        monkeypatch.setattr(module, "_psi_energy_part", counted)
+        monkeypatch.setattr(module, "_psi_energy", counted)
         p = params(model, v=0.1)
         rep = minimize(grid16, p, MinimizeConfig(init="plane"))
         assert rep.converged and rep.iterations == 1
@@ -306,12 +421,11 @@ class TestPreconditionedDescent:
         p = params(model, v=0.15)
         for mm in (grid16.mode_cut // 2, None):
             psi, A = random_fields(grid16, p, seed=59, max_mode=mm)
-            a_low = spectral.dealias(grid16, A.data)
-            _, ws = _psi_energy_part(grid16, p, psi.data, a_low)
+            st = kinetic_state(grid16, p, psi.data, spectral.dealias(grid16, A.data))
             lam = l2_norm_sq(grid16, psi.data)
-            G = grad_psi(grid16, p, psi.data, A.data, a_low=a_low, ws=ws)
+            G = _gradient(grid16, p, st)
             Gt, _ = _tangent(grid16, p, psi.data, G, lam)
-            d = _direction(grid16, p, psi.data, Gt, _shift(grid16, p, ws[1], lam), lam)
+            d = _direction(grid16, p, psi.data, Gt, _shift(grid16, p, st, lam), lam)
             d_norm = np.sqrt(l2_norm_sq(grid16, d))
             assert abs(inner(grid16, psi.data, d).real) <= 1e-13 * np.sqrt(lam) * d_norm, mm
             assert inner(grid16, Gt, d).real > 0, mm
@@ -321,11 +435,10 @@ class TestPreconditionedDescent:
         that of the longest wave the box holds."""
         p = params("S", v=0.0, hbar=0.9, mass=1.2)
         psi = np.full(grid16.shape + (2,), 0.1 + 0.0j)
-        a_low = np.zeros(grid16.shape + (3,))
-        _, ws = _psi_energy_part(grid16, p, psi, a_low)
+        st = kinetic_state(grid16, p, psi, np.zeros(grid16.shape + (3,)))
         k_min = 2.0 * np.pi / grid16.box_l
         floor = p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass)
-        assert _shift(grid16, p, ws[1], l2_norm_sq(grid16, psi)) == floor
+        assert _shift(grid16, p, st, l2_norm_sq(grid16, psi)) == floor
 
     @pytest.mark.parametrize(
         "model, init, seed",
