@@ -120,6 +120,15 @@ def _field_part(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
     return _parseval(grid, a_hat, weight) / (8.0 * np.pi)
 
 
+def _field_band(grid: Grid, p: PhysParams, A: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """T A and the field term of the real field A, from one forward FFT of
+    A; (None, 0.0) for an all-zero A, which the field-free record stands for."""
+    if not np.any(A):
+        return None, 0.0
+    a_hat, a_low = spectral.band(grid, A)
+    return a_low, _field_part(grid, p, a_hat)
+
+
 def _kinetic(grid: Grid, p: PhysParams, kpsi_hat: np.ndarray) -> float:
     """Kinetic term |K psi|^2 / 2m of the model ``p`` names, from K psi_hat."""
     return _parseval(grid, kpsi_hat) / (2.0 * p.mass)
@@ -148,7 +157,7 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     A = as_array(A)
     v = p.v_arr
 
-    a_hat, a_low = spectral.band(grid, A)
+    a_low, field = _field_band(grid, p, A)
     st = pauli.kinetic_state(grid, p, psi, a_low)
     # the shifted form sees A + (mc/Q) v; a constant cannot alias, so it
     # multiplies psi directly, shifting the local record's K psi_hat in place
@@ -157,13 +166,14 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     kinetic = _kinetic(grid, p, kpsi_hat)
     kpsi_hat += pauli._spin_contract(p.model, boost[:, None] * st.psi_hat[..., None, :])
     kinetic_sh = _kinetic(grid, p, kpsi_hat)
-    field = _field_part(grid, p, a_hat)
     drift = _drift(grid, p, st.psi_hat)
 
-    dens_low = np.sum(np.abs(st.psi_low) ** 2, axis=-1)
-    coupling = -(p.charge / p.light_speed) * float(
-        grid.integrate(dens_low * np.tensordot(a_low, v, axes=(-1, 0)))
-    )
+    coupling = 0.0
+    if a_low is not None:
+        dens_low = np.sum(np.abs(st.psi_low) ** 2, axis=-1)
+        coupling = -(p.charge / p.light_speed) * float(
+            grid.integrate(dens_low * np.tensordot(a_low, v, axes=(-1, 0)))
+        )
 
     lam_meas = l2_norm_sq(grid, psi)
     rest = -0.5 * p.mass * float(v @ v) * lam_meas

@@ -39,7 +39,7 @@ from . import pauli, spectral
 from .energy import (
     EnergyBreakdown,
     _drift,
-    _field_part,
+    _field_band,
     _kinetic,
     _vk,
     carrier_gate,
@@ -258,13 +258,16 @@ def _a_operator(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> Callable[[np.
     return op
 
 
-def _a_rhs(grid: Grid, p: PhysParams, st: pauli.KineticState) -> np.ndarray:
+def _a_rhs(grid: Grid, p: PhysParams, st: pauli.KineticState) -> tuple[np.ndarray, float]:
     """Transform of the paramagnetic forcing (1/c) P J0, the current at
-    A = 0 read from the field-free record ``st``, with k = 0 frozen."""
+    A = 0 read from the field-free record ``st``, with k = 0 frozen, and
+    the grid norm of the unprojected (1/c) J0, k = 0 included."""
     coef = -p.charge / (p.mass * p.light_speed)
-    b = spectral.project_hat(grid, coef * pauli._pair_hat(grid, p, st))
+    j_hat = coef * pauli._pair_hat(grid, p, st)
+    j_norm = np.sqrt(energy_mod._parseval(grid, j_hat))
+    b = spectral.project_hat(grid, j_hat)
     b[0, 0, 0, :] = 0.0
-    return b
+    return b, j_norm
 
 
 def _a_precond(grid: Grid, p: PhysParams) -> np.ndarray:
@@ -287,29 +290,36 @@ def solve_vector_potential(
 
     Returns the minimizer and the number of operator applications, and
     logs at DEBUG level on the ``mpwave.minimize`` logger the stop reason
-    (tol, stagnation, blow-up, max_iter, rz <= 0 or dAd <= 0), the
+    (floor, tol, stagnation, blow-up, max_iter, rz <= 0 or dAd <= 0), the
     operator applications and the best |r| relative to the reference.
+    A forcing |b| at the rounding floor eps log2(n^3) |J| of the transform
+    of the current it came from (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002) is the projection's residue of a current
+    with no transverse part, such as a plane wave's mean current: the
+    solve returns the exact minimizer A = 0 after no operator application
+    and logs the reason "floor" with |b| / |J|.
     """
     st = pauli.kinetic_state(grid, p, psi)
-    b = _a_rhs(grid, p, st)
+    b, j_norm = _a_rhs(grid, p, st)
     op = _a_operator(grid, p, st.psi_low)
     del st  # psi_hat and K psi_hat are not needed past the forcing
-    inv = _a_precond(grid, p)
-    if A0 is None:
-        x = np.zeros(grid.shape + (3,), dtype=complex)
-    else:
-        x = spectral.project_hat(grid, grid.fft(as_array(A0)))
-        x[0, 0, 0, :] = 0.0
 
     # everything lives in spectral space; the inner product matches the
     # grid one through Parseval
     scale = grid.cell / grid.n ** 3
     dot = lambda u, w: float(np.real(np.sum(np.conj(u) * w))) * scale
     b_norm = np.sqrt(dot(b, b))
-    if b_norm == 0.0:
-        logger.debug("A-solve: tol after 0 operator applications, zero forcing")
+    if b_norm <= np.finfo(float).eps * np.log2(grid.n ** 3) * j_norm:
+        logger.debug("A-solve: floor after 0 operator applications, |b|/|J| = %.3e",
+                     b_norm / j_norm if j_norm > 0 else 0.0)
         return VectorField(grid, np.zeros(grid.shape + (3,))), 0
 
+    inv = _a_precond(grid, p)
+    if A0 is None:
+        x = np.zeros(grid.shape + (3,), dtype=complex)
+    else:
+        x = spectral.project_hat(grid, grid.fft(as_array(A0)))
+        x[0, 0, 0, :] = 0.0
     r = b - op(x)
     n_ops = 1
     # a warm start can sit far from the solution, so the target is
@@ -351,6 +361,11 @@ def solve_vector_potential(
         rz = rz_new
     else:
         reason = "max_iter"
+        # the last step's iterate has not been tested yet
+        r_norm = np.sqrt(dot(r, r))
+        if r_norm < best:
+            best = r_norm
+            best_x[...] = x
     logger.debug("A-solve: %s after %d operator applications, best |r|/ref = %.3e",
                  reason, n_ops, best / ref)
     out = np.real(grid.ifft(best_x))
@@ -524,8 +539,9 @@ def minimize(
         )
         A = A_f.data
         a_ops += n_ops
-    a_hat, a_low = spectral.band(grid, A)
-    field_term = _field_part(grid, p, a_hat)
+    # an all-zero A, as the solve returns at a forcing on its rounding
+    # floor, is the field-free record: no transform of A or of a product
+    a_low, field_term = _field_band(grid, p, A)
 
     # st, the KineticState of psi, is read by E, alpha, G and the residual
     # check; at most one is alive, so it goes at the top of each iteration
@@ -600,14 +616,13 @@ def minimize(
         E = e_trial + field_term
 
         if config.a_every > 0 and it % config.a_every == 0:
-            st = a_hat = a_low = None
+            st = a_low = None
             A_f, n_ops = solve_vector_potential(
                 grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter
             )
             A = A_f.data
             a_ops += n_ops
-            a_hat, a_low = spectral.band(grid, A)
-            field_term = _field_part(grid, p, a_hat)
+            a_low, field_term = _field_band(grid, p, A)
             st = pauli.kinetic_state(grid, p, psi, a_low)
             E = _psi_energy(grid, p, st) + field_term
 
@@ -639,7 +654,7 @@ def minimize(
                 break
 
     # the loop's arrays go before the polish solve, which sets peak memory
-    st = a_hat = a_low = G = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
+    st = a_low = G = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
     if config.a_every > 0:
         # polish the quadratic subproblem before reporting
         A_f, n_ops = solve_vector_potential(

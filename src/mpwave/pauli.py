@@ -122,8 +122,10 @@ def kinetic_state(grid: Grid, p: PhysParams, psi, a_low=None) -> KineticState:
 
 
 def _state(grid: Grid, p: PhysParams, psi, A) -> KineticState:
-    """``kinetic_state`` of (psi, A) for a real field A."""
-    return kinetic_state(grid, p, psi, spectral.dealias(grid, _arr(A)))
+    """``kinetic_state`` of (psi, A) for a real field A; an all-zero A
+    gives the field-free record, with no transform of A."""
+    A = _arr(A)
+    return kinetic_state(grid, p, psi, spectral.dealias(grid, A) if np.any(A) else None)
 
 
 def covariant_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
@@ -161,8 +163,10 @@ def _spin_expand(model: str, h: np.ndarray) -> np.ndarray:
 
 
 def _pair_one(psi_low: np.ndarray, g_a: np.ndarray) -> np.ndarray:
-    """Pointwise Re <psi_low, g_a>, the model "S" pairing of one direction."""
-    return np.real(np.sum(np.conj(psi_low) * g_a, axis=-1))
+    """Pointwise Re <psi_low, g_a>, the model "S" pairing of one direction;
+    the two spin terms are added directly, not by a size-2 reduction."""
+    t = np.conj(psi_low) * g_a
+    return t[..., 0].real + t[..., 1].real
 
 
 def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -196,7 +200,7 @@ def kinetic_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
 def _laplacian_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
     """Transform of K^dagger K psi = sum_a D_a h_a, read from the record
     ``st``: h_hat is ``_spin_expand`` of K psi_hat, a constant matrix, so
-    h needs no forward FFT of its own."""
+    h needs no forward FFT of its own, and with A = 0 no transform at all."""
     h_hat = _spin_expand(p.model, st.kpsi_hat)
     mask = grid.dealias_mask[..., None]
     coef = p.charge / p.light_speed
@@ -204,8 +208,9 @@ def _laplacian_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
     for a in range(3):
         comp_hat = h_hat[..., a, :]
         acc_hat += (-p.hbar * grid.k[a][..., None]) * comp_hat
-        comp_low = grid.ifft(comp_hat * mask)
-        acc_hat += coef * (mask * grid.fft(st.a_low[..., a, None] * comp_low))
+        if st.a_low is not None:
+            comp_low = grid.ifft(comp_hat * mask)
+            acc_hat += coef * (mask * grid.fft(st.a_low[..., a, None] * comp_low))
     return acc_hat
 
 

@@ -21,7 +21,9 @@ from .grid import Grid
 
 
 def _match_real(out: np.ndarray, like: np.ndarray) -> np.ndarray:
-    return out.real if like.dtype.kind != "c" else out
+    """``out`` for a complex ``like``; its real part otherwise, as an array
+    of its own, since a ``.real`` view would keep all of ``out`` alive."""
+    return out.real.copy() if like.dtype.kind != "c" else out
 
 
 def _expand(sym: np.ndarray, arr: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ counts c scalar (n, n, n) transforms.
 
 import importlib
 
+import numpy as np
 import pytest
 
 from mpwave import Grid, spectral
@@ -42,8 +43,22 @@ BUDGET = {
     "A-solve, fixed": (19, 15),
 }
 
+#: scalar transforms per call at A = 0, which reads the field-free record:
+#: no transform of A and none of a product
+ZERO_FIELD_BUDGET = {
+    # psi: forward 2 + band limit 2
+    "energy_functional": (4, 4),
+    # psi 4, G 2 inverse, the current pairing 9 / 5, A_hat 3
+    "el_residual": (18, 14),
+}
+
 #: scalar transforms of a whole trial-start solve at n = 16, v = 0.1
 SOLVE_BUDGET = {"S": 3000, "P": 3100}
+
+#: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: both
+#: A-solves end on the rounding floor of their forcing, so no A-operator
+#: matvec is made and every state is read from the field-free record
+PLANE_BUDGET = {"S": 92, "P": 76}
 
 
 @pytest.fixture()
@@ -94,6 +109,28 @@ def test_transforms_per_call(grid16, model, count_ffts):
     counts["A-solve, fixed"] -= n_ops[0] * counts["A-operator matvec"]
     column = "SP".index(model)
     assert counts == {name: pair[column] for name, pair in BUDGET.items()}
+
+
+@pytest.mark.parametrize("model", ["S", "P"])
+def test_transforms_per_call_at_zero_field(grid16, model, count_ffts):
+    p = params(model, v=0.1)
+    psi, A = random_fields(grid16, p, seed=3)
+    psi, zero = psi.data, np.zeros_like(A.data)
+    counts = {
+        "energy_functional": count_ffts(lambda: energy_functional(grid16, p, psi, zero)),
+        "el_residual": count_ffts(lambda: el_residual(grid16, p, psi, zero)),
+    }
+    column = "SP".index(model)
+    assert counts == {name: pair[column] for name, pair in ZERO_FIELD_BUDGET.items()}
+
+
+@pytest.mark.parametrize("model", ["S", "P"])
+def test_transforms_per_plane_start_solve(grid16, model, count_ffts):
+    p = params(model, v=0.1)
+    reports = []
+    used = count_ffts(lambda: reports.append(minimize(grid16, p, MinimizeConfig(init="plane"))))
+    assert reports[0].converged
+    assert used <= PLANE_BUDGET[model]
 
 
 @pytest.mark.parametrize("model", ["S", "P"])

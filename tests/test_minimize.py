@@ -261,7 +261,7 @@ class TestVectorPotentialSolve:
         cur = current(grid, p, psi.data, zero) / p.light_speed
         ref = grid.fft(spectral.zero_mean(grid, spectral.helmholtz_project(grid, cur)))
         ref[0, 0, 0, :] = 0.0
-        b = _a_rhs(grid, p, kinetic_state(grid, p, psi.data))
+        b, _ = _a_rhs(grid, p, kinetic_state(grid, p, psi.data))
         assert max_rel(b, ref) <= 1e-13
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -280,17 +280,54 @@ class TestVectorPotentialSolve:
 
     def test_stop_reason_is_logged(self, grid16, caplog):
         """Each solve logs how it ended at DEBUG level: the stop reason,
-        the operator applications and the best relative residual."""
+        the operator applications and the best relative residual.  When
+        max_iter runs out, the iterate of the last step is tested too, so
+        one step from the cold start A = 0 is kept and lowers the best."""
         p = params("S", v=0.2)
         psi, _ = random_fields(grid16, p, seed=61)
         with caplog.at_level(logging.DEBUG, logger="mpwave.minimize"):
-            _, n_cut = solve_vector_potential(grid16, p, psi.data, max_iter=1)
+            A_cut, n_cut = solve_vector_potential(grid16, p, psi.data, max_iter=1)
             _, n_full = solve_vector_potential(grid16, p, psi.data)
         messages = [r.getMessage() for r in caplog.records if r.name == "mpwave.minimize"]
         assert len(messages) == 2
         assert messages[0].startswith(f"A-solve: max_iter after {n_cut} operator applications")
         assert messages[1].startswith(f"A-solve: tol after {n_full} operator applications")
         assert all("best |r|/ref = " in m for m in messages)
+        assert float(messages[0].rsplit("= ", 1)[1]) < 1.0
+        assert np.any(A_cut.data)
+
+    @pytest.mark.parametrize("v", [(0.1, 0.0, 0.0), (0.2, 0.1, 0.0)])
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_plane_wave_forcing_is_at_the_floor(self, grid16, grid32, model, n, v, caplog):
+        """A lattice plane wave carries only a mean current, which the
+        frozen k = 0 mode takes whole: its projected forcing is rounding
+        residue, and the solve returns the exact minimizer A = 0 after no
+        operator application, whatever the warm start."""
+        grid = {16: grid16, 32: grid32}[n]
+        p = params(model, v=v)
+        psi, _ = plane_wave_state(grid, p)
+        warm = np.random.default_rng(70).standard_normal(grid.shape + (3,))
+        with caplog.at_level(logging.DEBUG, logger="mpwave.minimize"):
+            A, n_ops = solve_vector_potential(grid, p, psi.data, A0=warm)
+        [msg] = [r.getMessage() for r in caplog.records if r.name == "mpwave.minimize"]
+        assert msg.startswith("A-solve: floor after 0 operator applications, |b|/|J| = ")
+        assert n_ops == 0
+        assert not np.any(A.data)
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_random_forcing_is_above_the_floor(self, grid16, grid32, model, caplog):
+        """States with a transverse current never take the floor exit."""
+        p = params(model, v=(0.2, 0.1, 0.0))
+        with caplog.at_level(logging.DEBUG, logger="mpwave.minimize"):
+            for grid in (grid16, grid32):
+                for seed in range(3):
+                    psi, _ = random_fields(grid, p, seed=71 + seed)
+                    _, n_ops = solve_vector_potential(grid, p, psi.data, max_iter=0)
+                    assert n_ops == 1
+        messages = [r.getMessage() for r in caplog.records if r.name == "mpwave.minimize"]
+        assert len(messages) == 6
+        assert all(m.startswith("A-solve: max_iter after 1 ") for m in messages)
 
     def test_warm_start_stays_put(self, grid16):
         p = params("S", v=0.2)
@@ -365,6 +402,8 @@ class TestMinimize:
         assert rep.converged
         assert rep.iterations <= 20
         assert rel(rep.energy, lattice_energy(grid16, p)) < 1e-12
+        # every A-solve ends on the floor of its forcing: A is exactly 0
+        assert rep.a_ops == 0 and not np.any(rep.A.data)
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_trial_start_reaches_ground_state(self, grid16, model):

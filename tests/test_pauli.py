@@ -3,19 +3,23 @@
 import numpy as np
 import pytest
 
+import importlib
+
 from mpwave import PhysParams
 from mpwave import spectral
-from mpwave.energy import energy_functional
+from mpwave.energy import _field_part, energy_functional
 from mpwave.fields import inner, l2_norm_sq, random_fields
 from mpwave.pauli import (
     SIGMA,
     _pair,
+    _pair_one,
     _spin_contract,
     _spin_expand,
     covariant_gradient,
     covariant_laplacian,
     current,
     kinetic_gradient,
+    kinetic_state,
     sigma_dot,
     sigma_identity_check,
     spin_term,
@@ -95,6 +99,14 @@ class TestSigmaAlgebra:
             axis=-1,
         )
         assert np.max(np.abs(_pair("P", psi, g) - loop)) < 1e-14 * np.max(np.abs(loop))
+
+    def test_scalar_pairing_matches_the_reduction_bit_for_bit(self, grid16, rng):
+        """The model S pairing adds its two spin terms directly; that is
+        the size-2 reduction it replaces, bit for bit."""
+        psi = random_spinor(grid16, rng)
+        g = random_spinor(grid16, rng)
+        reduced = np.real(np.sum(np.conj(psi) * g, axis=-1))
+        assert _pair_one(psi, g).tobytes() == reduced.tobytes()
 
 
 class TestCovariantDerivative:
@@ -270,3 +282,44 @@ class TestCurrent:
         js = current(grid16, p_s, psi.data, A.data)
         jp = current(grid16, p_p, psi.data, A.data)
         assert np.max(np.abs(js - jp)) > 1e-8 * np.max(np.abs(js))
+
+
+def _banded_state(grid, p, psi, A):
+    """The record through the product transforms, also for A = 0."""
+    return kinetic_state(grid, p, psi, spectral.dealias(grid, A))
+
+
+def _banded_field(grid, p, A):
+    a_hat, a_low = spectral.band(grid, A)
+    return a_low, _field_part(grid, p, a_hat)
+
+
+class TestZeroField:
+    """An all-zero A takes the field-free record, which skips every
+    transform of A and of its products; the results are those of the
+    product path on a zero array."""
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_kernels_match_the_product_path(self, grid16, model, monkeypatch):
+        energy_mod = importlib.import_module("mpwave.energy")
+        minimize_mod = importlib.import_module("mpwave.minimize")
+        pauli_mod = importlib.import_module("mpwave.pauli")
+        p = PhysParams(model=model, v=(0.2, -0.1, 0.05))
+        psi, _ = random_fields(grid16, p, seed=43)
+        zero = np.zeros(grid16.shape + (3,))
+        kernels = {
+            "covariant_laplacian": lambda: covariant_laplacian(grid16, p, psi.data, zero),
+            "current": lambda: current(grid16, p, psi.data, zero),
+            "energy_functional": lambda: list(
+                energy_functional(grid16, p, psi.data, zero).as_dict().values()
+            ),
+        }
+        free = {name: f() for name, f in kernels.items()}
+        monkeypatch.setattr(pauli_mod, "_state", _banded_state)
+        monkeypatch.setattr(energy_mod, "_field_band", _banded_field)
+        for name, f in kernels.items():
+            assert np.array_equal(free[name], f()), name
+
+        G_free = minimize_mod._gradient(grid16, p, kinetic_state(grid16, p, psi.data))
+        G_zero = minimize_mod._gradient(grid16, p, kinetic_state(grid16, p, psi.data, zero))
+        assert np.array_equal(G_free, G_zero)

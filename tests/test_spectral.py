@@ -186,6 +186,16 @@ class TestDealias:
         out = spectral.dealias(grid16, f)
         assert out.dtype.kind == "f"
 
+    def test_real_output_owns_its_data(self, grid16, rng):
+        """The band limit of a real field is an array of its own, not a
+        ``.real`` view that would keep the complex transform alive, and
+        holds the same values as that view."""
+        f = rng.standard_normal(grid16.shape + (3,))
+        out = spectral.dealias(grid16, f)
+        assert out.base is None and out.flags.c_contiguous
+        view = grid16.ifft(grid16.fft(f) * grid16.dealias_mask[..., None]).real
+        assert np.array_equal(out, view)
+
     def test_product_no_aliasing(self, grid16):
         # kept-band modes can never alias back into the kept band: the sum
         # of two cut modes wraps to |mode| > cut, which the mask removes
