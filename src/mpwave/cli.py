@@ -271,6 +271,7 @@ def _report_lines(cfg: RunConfig, rep) -> list:
         f"current_defect = {_fmt(rep.current_defect)}",
         f"message = {rep.message}",
         f"a_ops = {rep.a_ops}",
+        f"a_solves = {rep.a_solves}",
         f"backtracks = {rep.backtracks}",
     ]
     if rep.breakdown is not None:

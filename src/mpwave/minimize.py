@@ -17,7 +17,12 @@ div A = 0 by alternating two moves:
 
 * A: the energy is an inhomogeneous positive-definite quadratic in A at
   fixed psi, so the subproblem is solved essentially exactly by
-  preconditioned conjugate gradients in Fourier space.
+  preconditioned conjugate gradients in Fourier space.  The
+  preconditioner is the inverse of the operator's diagonal at a uniform
+  density: the wave symbol / 4 pi shifted by the diamagnetic mean field
+  (Q^2 / m c^2) rho_bar, the counterpart for A of the psi shift.  A is
+  solved where the run reads it: at the start, before each stationarity
+  check and at the polish.
 
 On a periodic box the average of the gauge current need not vanish while
 the wave operator k^2 - (v.k)^2/c^2 kills the k = 0 mode, so the zeroth
@@ -108,6 +113,8 @@ def _tangent(
 def omega_from_theta(grid: Grid, p: PhysParams, A, theta: float) -> float:
     """Phase frequency omega = E_EM[A, (v.grad)A] / hbar - theta."""
     A_a = as_array(A)
+    if not np.any(A_a):
+        return -theta
     adot = spectral.directional_derivative(grid, A_a, p.v_arr)
     return field_energy(grid, p, A_a, adot) / p.hbar - theta
 
@@ -185,7 +192,10 @@ def _residual(
     # (4 pi / c) P J_hat from the record; its k = 0 mode is the mean drive
     coef = -4.0 * np.pi * p.charge / (p.mass * p.light_speed)
     rhs_hat = spectral.project_hat(grid, coef * pauli._pair_hat(grid, p, st))
-    lhs_hat = grid.fft(A_a) * energy_mod._wave_symbol(grid, p)[..., None]
+    if np.any(A_a):
+        lhs_hat = grid.fft(A_a) * energy_mod._wave_symbol(grid, p)[..., None]
+    else:
+        lhs_hat = np.zeros_like(rhs_hat)
     mask = (grid.k2 > 0)[..., None]
     norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
     a_raw = norm((lhs_hat - rhs_hat) * mask)
@@ -270,11 +280,23 @@ def _a_rhs(grid: Grid, p: PhysParams, st: pauli.KineticState) -> tuple[np.ndarra
     return b, j_norm
 
 
-def _a_precond(grid: Grid, p: PhysParams) -> np.ndarray:
-    """Inverse-symbol diagonal preconditioner (spectral multiplier)."""
+def _a_precond(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> np.ndarray:
+    """Diagonal preconditioner of the A-operator at fixed psi (spectral
+    multiplier), k = 0 frozen:
+
+        1 / (wave symbol / 4 pi + (Q^2 / m c^2) rho_bar),
+
+    rho_bar the mean of |T psi|^2 over the box.  At a uniform density the
+    diamagnetic sandwich is (Q^2 / m c^2) rho_bar times the identity, for
+    both models, so this is the exact inverse of the operator's diagonal;
+    the shift is the A counterpart of the kinetic shift of the psi
+    preconditioner (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017)).
+    """
     sym = energy_mod._wave_symbol(grid, p)
+    rho_bar = float(np.sum(psi_low.real ** 2 + psi_low.imag ** 2)) / grid.n ** 3
+    diag = sym / (4.0 * np.pi) + p.charge ** 2 / (p.mass * p.light_speed ** 2) * rho_bar
     inv = np.zeros_like(sym)
-    np.divide(4.0 * np.pi, sym, out=inv, where=sym > 0)
+    np.divide(1.0, diag, out=inv, where=sym > 0)
     return inv[..., None]
 
 
@@ -301,7 +323,8 @@ def solve_vector_potential(
     """
     st = pauli.kinetic_state(grid, p, psi)
     b, j_norm = _a_rhs(grid, p, st)
-    op = _a_operator(grid, p, st.psi_low)
+    psi_low = st.psi_low
+    op = _a_operator(grid, p, psi_low)
     del st  # psi_hat and K psi_hat are not needed past the forcing
 
     # everything lives in spectral space; the inner product matches the
@@ -314,7 +337,7 @@ def solve_vector_potential(
                      b_norm / j_norm if j_norm > 0 else 0.0)
         return VectorField(grid, np.zeros(grid.shape + (3,))), 0
 
-    inv = _a_precond(grid, p)
+    inv = _a_precond(grid, p, psi_low)
     if A0 is None:
         x = np.zeros(grid.shape + (3,), dtype=complex)
     else:
@@ -418,7 +441,11 @@ def _initial_state(
     if A0 is not None:
         A = A0
     psi = normalize_to_lambda(SpinorField(grid, as_array(psi)), p.lam)
-    a_data = spectral.zero_mean(grid, spectral.helmholtz_project(grid, as_array(A)))
+    a_data = as_array(A)
+    if np.any(a_data):
+        a_data = spectral.zero_mean(grid, spectral.helmholtz_project(grid, a_data))
+    else:
+        a_data = np.zeros(a_data.shape)
     return psi, VectorField(grid, a_data)
 
 
@@ -427,7 +454,12 @@ def _initial_state(
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Knobs of the alternating descent."""
+    """Knobs of the alternating descent.
+
+    The A-subproblem has no cadence knob: it is solved at the start,
+    before each stationarity check (every ``check_every`` iterations, to
+    ``a_tol``) and at the polish.
+    """
 
     max_iter: int = 4000
     residual_tol: float = 1e-5
@@ -437,7 +469,6 @@ class MinimizeConfig:
     backtrack: float = 0.5
     armijo: float = 1e-4
     max_backtracks: int = 40
-    a_every: int = 2
     a_tol: float = 1e-9
     a_max_iter: int = 400
     check_every: int = 5
@@ -465,6 +496,7 @@ class MinimizeReport:
     current_defect: float
     message: str
     a_ops: int
+    a_solves: int
     backtracks: int
     breakdown: EnergyBreakdown
     psi: SpinorField
@@ -511,9 +543,12 @@ def minimize(
     from the differences of psi, Gt and d over the previous step; the
     previous s is kept when either sum is not positive.  A trial is
     accepted under the Armijo test E(trial) <= E - armijo s Re <Gt, d>;
-    otherwise s shrinks by the factor ``backtrack``.  Every ``a_every``
-    iterations the quadratic subproblem in A is solved again from a warm
-    start.  The search ends as a failed one, without a trial energy, once
+    otherwise s shrinks by the factor ``backtrack``.  The quadratic
+    subproblem in A is solved from a warm start where the run reads A:
+    at the start, on each iteration that runs the stationarity check
+    (every ``check_every`` iterations), before that check, and at the
+    polish, so every convergence decision reads an A solved at the same
+    psi.  The search ends as a failed one, without a trial energy, once
     the predicted decrease s Re <Gt, d> is below the rounding of E; the
     stationarity residual then decides whether that is convergence.
     """
@@ -525,20 +560,25 @@ def minimize(
         _field_symbol(grid, p)
     else:
         speed_gate(p)
-    psi_f, A_f = _initial_state(grid, p, config, psi0, A0)
-    psi = psi_f.data
-    A = A_f.data
+    # no field object is kept: the loop's rebinding of psi and A frees
+    # the start
+    psi, A = (f.data for f in _initial_state(grid, p, config, psi0, A0))
 
     def renorm(psi: np.ndarray) -> np.ndarray:
         return psi * np.sqrt(p.lam / (l2_norm_sq(grid, psi)))
 
-    a_ops = 0
-    if config.a_every > 0:
+    a_ops = a_solves = 0
+
+    def solve_a(psi: np.ndarray, A: np.ndarray, tol: float) -> np.ndarray:
+        nonlocal a_ops, a_solves
         A_f, n_ops = solve_vector_potential(
-            grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter
+            grid, p, psi, A0=A, tol=tol, max_iter=config.a_max_iter
         )
-        A = A_f.data
         a_ops += n_ops
+        a_solves += 1
+        return A_f.data
+
+    A = solve_a(psi, A, config.a_tol)
     # an all-zero A, as the solve returns at a forcing on its rounding
     # floor, is the field-free record: no transform of A or of a product
     a_low, field_term = _field_band(grid, p, A)
@@ -561,7 +601,6 @@ def minimize(
     msg = "max_iter reached"
     converged = False
     it = 0
-    res = None
     prev_psi = prev_Gt = prev_d = None
 
     for it in range(1, config.max_iter + 1):
@@ -615,13 +654,10 @@ def minimize(
         psi = trial
         E = e_trial + field_term
 
-        if config.a_every > 0 and it % config.a_every == 0:
+        if it % config.check_every == 0:
+            # the check below reads A, so it is solved at this psi first
             st = a_low = None
-            A_f, n_ops = solve_vector_potential(
-                grid, p, psi, A0=A, tol=config.a_tol, max_iter=config.a_max_iter
-            )
-            A = A_f.data
-            a_ops += n_ops
+            A = solve_a(psi, A, config.a_tol)
             a_low, field_term = _field_band(grid, p, A)
             st = pauli.kinetic_state(grid, p, psi, a_low)
             E = _psi_energy(grid, p, st) + field_term
@@ -655,17 +691,10 @@ def minimize(
 
     # the loop's arrays go before the polish solve, which sets peak memory
     st = a_low = G = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
-    if config.a_every > 0:
-        # polish the quadratic subproblem before reporting
-        A_f, n_ops = solve_vector_potential(
-            grid, p, psi, A0=A, tol=1e-12, max_iter=config.a_max_iter
-        )
-        A = A_f.data
-        a_ops += n_ops
-        res = el_residual(grid, p, psi, A)
-        converged = res.max_rel < config.residual_tol
-    if res is None:
-        res = el_residual(grid, p, psi, A)
+    # polish the quadratic subproblem before reporting
+    A = solve_a(psi, A, 1e-12)
+    res = el_residual(grid, p, psi, A)
+    converged = res.max_rel < config.residual_tol
     breakdown = energy_functional(grid, p, psi, A)
     omega = omega_from_theta(grid, p, A, res.theta)
     stride = max(1, len(trace) // 1000)
@@ -680,6 +709,7 @@ def minimize(
         current_defect=res.current_defect,
         message=msg,
         a_ops=a_ops,
+        a_solves=a_solves,
         backtracks=backtracks,
         breakdown=breakdown,
         psi=SpinorField(grid, psi),

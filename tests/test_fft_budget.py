@@ -48,17 +48,20 @@ BUDGET = {
 ZERO_FIELD_BUDGET = {
     # psi: forward 2 + band limit 2
     "energy_functional": (4, 4),
-    # psi 4, G 2 inverse, the current pairing 9 / 5, A_hat 3
-    "el_residual": (18, 14),
+    # psi 4, G 2 inverse, the current pairing 9 / 5; no A_hat
+    "el_residual": (15, 11),
 }
 
-#: scalar transforms of a whole trial-start solve at n = 16, v = 0.1
-SOLVE_BUDGET = {"S": 3000, "P": 3100}
+#: scalar transforms of a whole trial-start solve at n = 16, v = 0.1: A is
+#: solved at the start, before each stationarity check and at the polish
+#: (1675 / 1729 measured, with about 10 % headroom)
+SOLVE_BUDGET = {"S": 1850, "P": 1900}
 
 #: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: both
 #: A-solves end on the rounding floor of their forcing, so no A-operator
-#: matvec is made and every state is read from the field-free record
-PLANE_BUDGET = {"S": 92, "P": 76}
+#: matvec is made, every state is read from the field-free record and the
+#: all-zero A itself is never transformed
+PLANE_BUDGET = {"S": 68, "P": 52}
 
 
 @pytest.fixture()

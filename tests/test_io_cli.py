@@ -284,8 +284,8 @@ class TestCli:
         assert float(rows[-1].split(",")[1]) == float(report["energy"])
 
     def test_report_counts_solver_work(self, solve_dir):
-        """report.txt carries the A-operator applications and the rejected
-        trial energies of the solve it describes."""
+        """report.txt carries the A-solves, the A-operator applications and
+        the rejected trial energies of the solve it describes."""
         _, _, out = solve_dir
         report = dict(
             line.split(" = ", 1)
@@ -293,6 +293,8 @@ class TestCli:
         )
         rep = minimize(Grid(16, 40.0), params(v=0.1), MinimizeConfig(init="plane"))
         assert int(report["a_ops"]) == rep.a_ops
+        # a plane start solves A at the start and at the polish only
+        assert int(report["a_solves"]) == rep.a_solves == 2
         assert int(report["backtracks"]) == rep.backtracks == 0
 
     def test_solve_stdout(self, solve_dir, capsys):
@@ -367,12 +369,14 @@ class TestCli:
         assert rc == 2 and "unknown config key" in err
 
     def test_exit_2_removed_a_solver_key(self, tmp_path, capsys):
-        """The A-solve has one method; its former selector is unknown."""
+        """The A-solve has one method and no cadence knob: it runs where
+        the solver reads A.  The former selector and cadence are unknown."""
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("minimize.a_solver = gradient\n")
-        rc, _, err = _main(["solve", "--config", str(cfg), "--grid", "16",
-                            "--out", str(tmp_path / "out")], capsys)
-        assert rc == 2 and "unknown config key" in err
+        for line in ("minimize.a_solver = gradient\n", "minimize.a_every = 2\n"):
+            cfg.write_text(line)
+            rc, _, err = _main(["solve", "--config", str(cfg), "--grid", "16",
+                                "--out", str(tmp_path / "out")], capsys)
+            assert rc == 2 and "unknown config key" in err, line
 
     @pytest.mark.parametrize("key", ["step0", "step_min", "step_max"])
     def test_exit_2_removed_step_key(self, tmp_path, capsys, key):

@@ -2,6 +2,7 @@
 
 import importlib
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mpwave.pauli import current, kinetic_state
 from mpwave.minimize import (
     MinimizeConfig,
     _a_operator,
+    _a_precond,
     _a_rhs,
     _direction,
     _field_symbol,
@@ -34,6 +36,8 @@ from mpwave.minimize import (
 )
 
 from conftest import params, rel
+
+minimize_mod = importlib.import_module("mpwave.minimize")
 
 
 def lattice_energy(grid, p):
@@ -85,6 +89,24 @@ def real_space_residual(grid, p, psi, A):
 
 def max_rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def modulated_plane_wave(grid, p, depth=0.3):
+    """The lattice plane wave with its amplitude modulated across the
+    carrier: a spread density that carries a transverse current."""
+    psi, _ = plane_wave_state(grid, p)
+    _, y, _ = grid.coords()
+    data = psi.data * (1.0 + depth * np.cos(2.0 * np.pi * y / grid.box_l))[..., None]
+    return data * np.sqrt(p.lam / l2_norm_sq(grid, data))
+
+
+def unshifted_precond(grid, p, psi_low):
+    """The inverse wave symbol 4 pi / symbol with k = 0 frozen: the A
+    preconditioner without the diamagnetic mean field."""
+    sym = _wave_symbol(grid, p)
+    inv = np.zeros_like(sym)
+    np.divide(4.0 * np.pi, sym, out=inv, where=sym > 0)
+    return inv[..., None]
 
 
 class TestGradients:
@@ -329,6 +351,58 @@ class TestVectorPotentialSolve:
         assert len(messages) == 6
         assert all(m.startswith("A-solve: max_iter after 1 ") for m in messages)
 
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_preconditioner_inverts_a_uniform_density(self, grid16, model):
+        """For a constant spinor the diamagnetic sandwich is (Q^2 / m c^2)
+        rho_bar on the dealias band, for both models, so the shifted
+        preconditioner is the exact inverse of the operator there."""
+        p = params(model, v=0.2)
+        psi = np.empty(grid16.shape + (2,), dtype=complex)
+        psi[..., 0], psi[..., 1] = 0.3 + 0.1j, 0.2 - 0.4j
+        raw = np.random.default_rng(72).standard_normal(grid16.shape + (3,))
+        a_hat = spectral.project_hat(grid16, grid16.fft(raw)) * grid16.dealias_mask[..., None]
+        a_hat[0, 0, 0, :] = 0.0
+        out = _a_precond(grid16, p, psi) * _a_operator(grid16, p, psi)(a_hat)
+        assert max_rel(out, a_hat) <= 1e-13
+        # the shift is what makes it exact: the bare inverse symbol is off
+        bare = unshifted_precond(grid16, p, psi) * _a_operator(grid16, p, psi)(a_hat)
+        assert max_rel(bare, a_hat) > 1e-3
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_shifted_preconditioner_keeps_the_answer(self, grid16, model):
+        """The shift changes the path of the solve, not its end: from a
+        random warm start, random states and a spread plane-wave state
+        give the A of a tol = 1e-13 reference solve.  The warm start has
+        the size of the solution, as in the solver's loop; the stop rule is
+        relative to the larger of |b| and |r0|."""
+        p = params(model, v=0.2)
+        noise = np.random.default_rng(73).standard_normal(grid16.shape + (3,))
+        states = [random_fields(grid16, p, seed=74 + k)[0].data for k in range(2)]
+        states.append(modulated_plane_wave(grid16, p))
+        for psi in states:
+            ref, _ = solve_vector_potential(grid16, p, psi, tol=1e-13)
+            warm = np.max(np.abs(ref.data)) * noise
+            A, n_ops = solve_vector_potential(grid16, p, psi, A0=warm)
+            assert n_ops > 1
+            assert max_rel(A.data, ref.data) <= 1e-10
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_shift_saves_operator_applications(self, grid16, model, monkeypatch):
+        """On a spread density whose diamagnetic mean field is about the
+        lowest wave symbol / 4 pi (lambda = 100 on L = 40), the shifted
+        preconditioner reaches the same A in fewer operator applications
+        than the bare inverse symbol."""
+        p = params(model, v=0.1, lam=100.0)
+        psi = modulated_plane_wave(grid16, p)
+        ref, _ = solve_vector_potential(grid16, p, psi, tol=1e-13)
+        noise = np.random.default_rng(75).standard_normal(grid16.shape + (3,))
+        warm = np.max(np.abs(ref.data)) * noise
+        A, n_shifted = solve_vector_potential(grid16, p, psi, A0=warm)
+        monkeypatch.setattr(minimize_mod, "_a_precond", unshifted_precond)
+        _, n_bare = solve_vector_potential(grid16, p, psi, A0=warm)
+        assert n_shifted < n_bare
+        assert max_rel(A.data, ref.data) <= 1e-10
+
     def test_warm_start_stays_put(self, grid16):
         p = params("S", v=0.2)
         psi, _ = random_fields(grid16, p, seed=61)
@@ -402,8 +476,9 @@ class TestMinimize:
         assert rep.converged
         assert rep.iterations <= 20
         assert rel(rep.energy, lattice_energy(grid16, p)) < 1e-12
-        # every A-solve ends on the floor of its forcing: A is exactly 0
-        assert rep.a_ops == 0 and not np.any(rep.A.data)
+        # both A-solves, start and polish, end on the floor of their
+        # forcing: A is exactly 0
+        assert rep.a_ops == 0 and rep.a_solves == 2 and not np.any(rep.A.data)
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_trial_start_reaches_ground_state(self, grid16, model):
@@ -441,6 +516,32 @@ class TestMinimize:
         assert rep.message == "stationary: no descent direction left"
         assert len(evaluated) == 1  # the start's own energy, no trial
         assert rel(rep.energy, lattice_energy(grid16, p)) < 1e-12
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_every_check_reads_an_exact_field(self, grid16, model, monkeypatch):
+        """Each stationarity check of the loop follows an A-solve at the
+        same psi, so its a_rel is at the A-solve's tolerance, never that of
+        an A solved iterations earlier; the run solves A once per check,
+        plus the start and the polish."""
+        checks = []
+        residual = minimize_mod._residual
+
+        def spy(*args):
+            res = residual(*args)
+            caller = sys._getframe(1)
+            # the check after an accepted step, not the failed line search
+            if caller.f_code.co_name == "minimize" and caller.f_locals["accepted"]:
+                checks.append((caller.f_locals["it"], res.a_rel))
+            return res
+
+        monkeypatch.setattr(minimize_mod, "_residual", spy)
+        config = MinimizeConfig(init="trial")
+        rep = minimize(grid16, params(model, v=0.1), config)
+        assert rep.converged, rep.message
+        assert len(checks) >= 3
+        assert all(it % config.check_every == 0 for it, _ in checks), checks
+        assert all(a_rel <= 1e-8 for _, a_rel in checks), checks
+        assert rep.a_solves == 2 + len(checks)
 
     def test_given_init_requires_both_fields(self, grid16):
         p = params("S", v=0.1)
