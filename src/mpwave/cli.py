@@ -394,8 +394,8 @@ def _check_lines(grid, p, psi, A) -> tuple:
     # Lichnerowicz identity, spin-coupled Laplacian = scalar one + spin
     # term, on the part of the state band limited to half the dealias
     # cutoff where it is exact
-    modes = np.rint(np.stack(grid.k) / (2.0 * np.pi / grid.box_l))
-    mask = np.all(np.abs(modes) <= grid.mode_cut // 2, axis=0)[..., None]
+    modes = np.rint(grid.k / (2.0 * np.pi / grid.box_l))
+    mask = np.all(np.abs(modes) <= grid.mode_cut // 2, axis=0)
     psi_low = grid.ifft(grid.fft(psi.data) * mask)
     a_low = grid.ifft(grid.fft(A.data) * mask).real
     lap = pauli.covariant_laplacian(grid, p.with_(model="P"), psi_low, a_low)
@@ -413,11 +413,11 @@ def _check_lines(grid, p, psi, A) -> tuple:
     u_hat[low] = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
     u = np.real(grid.ifft(u_hat))
     u *= 0.05 / max(np.max(np.abs(u)), 1e-300)
-    phase = np.exp(1j * p.charge / (p.hbar * p.light_speed) * u)[..., None]
+    phase = np.exp(1j * p.charge / (p.hbar * p.light_speed) * u)
     lhs = pauli.covariant_gradient(
         grid, p, phase * psi_low, a_low + spectral.gradient(grid, u).real
     )
-    rhs = phase[..., None] * pauli.covariant_gradient(grid, p, psi_low, a_low)
+    rhs = phase * pauli.covariant_gradient(grid, p, psi_low, a_low)
     gnum = float(np.max(np.abs(lhs - rhs)))
     gden = max(float(np.max(np.abs(rhs))), 1e-300)
     record("gauge-covariance", gnum / gden < 1e-6, f"relative defect {gnum / gden:.3e}")

@@ -133,9 +133,9 @@ def _trial_raw(grid: Grid, p: PhysParams, spec: TrialSpec):
     r0 = spec.base_radius
     with np.errstate(invalid="ignore", divide="ignore"):
         radial = np.where(r > 0, _bump_prime(r / r0) / (r * r0), 0.0)
-    a_data = np.zeros(grid.shape + (3,), dtype=float)
-    a_data[..., 0] = radial * ys
-    a_data[..., 1] = -radial * xs
+    a_data = np.zeros((3,) + grid.shape, dtype=float)
+    a_data[0] = radial * ys
+    a_data[1] = -radial * xs
     scale = spec.amplitude * p.light_speed / p.charge
     a_data *= scale
 
@@ -164,8 +164,8 @@ def trial_fields(grid: Grid, p: PhysParams, spec: TrialSpec) -> tuple[SpinorFiel
     x, y, z = grid.coords()
     v = p.v_arr
     carrier = np.exp(1j * (p.mass / p.hbar) * (v[0] * x + v[1] * y + v[2] * z))
-    data = np.zeros(grid.shape + (2,), dtype=complex)
-    data[..., 0] = env * carrier
+    data = np.zeros((2,) + grid.shape, dtype=complex)
+    data[0] = env * carrier
     psi = normalize_to_lambda(SpinorField(grid, data), p.lam)
     a_data = spectral.zero_mean(grid, spectral.helmholtz_project(grid, a_data))
     return psi, VectorField(grid, a_data)
@@ -201,12 +201,12 @@ def trial_energy_terms(grid: Grid, p: PhysParams, spec: TrialSpec) -> TrialEnerg
 
     grad_env = spectral.gradient(grid, env)
     kin = p.hbar ** 2 / (2.0 * p.mass) * float(np.sum(np.abs(grad_env) ** 2)) * grid.cell
-    a_sq = np.sum(a_data ** 2, axis=-1)
+    a_sq = np.sum(a_data ** 2, axis=0)
     dia = p.charge ** 2 / (2.0 * p.mass * p.light_speed ** 2) * float(
         np.sum(a_sq * dens)
     ) * grid.cell
     coup = -(p.charge / p.light_speed) * float(
-        np.sum(np.tensordot(a_data, v, axes=(-1, 0)) * dens)
+        np.sum(np.tensordot(a_data, v, axes=(0, 0)) * dens)
     ) * grid.cell
     lam_meas = float(np.sum(dens)) * grid.cell
     rest = -0.5 * p.mass * float(v @ v) * lam_meas
@@ -215,7 +215,7 @@ def trial_energy_terms(grid: Grid, p: PhysParams, spec: TrialSpec) -> TrialEnerg
 
     spin = 0.0
     if p.model == "P":
-        b3 = spectral.curl(grid, a_data)[..., 2]
+        b3 = spectral.curl(grid, a_data)[2]
         spin = -(p.hbar * p.charge / (2.0 * p.mass * p.light_speed)) * float(
             np.sum(b3 * dens)
         ) * grid.cell
@@ -279,9 +279,9 @@ def base_quadratures(grid: Grid, p: PhysParams, spec: TrialSpec | None = None) -
     vhat = p.v_arr / speed if speed > 0 else np.array([1.0, 0.0, 0.0])
     g1v2 = _v_deriv_sq(grid, a0, vhat) / R
 
-    m2 = float(np.sum(np.sum(a0 ** 2, axis=-1) * dens)) * grid.cell
-    overlap = float(np.sum(np.tensordot(a0, vhat, axes=(-1, 0)) * dens)) * grid.cell
-    spin = R * float(np.sum(spectral.curl(grid, a0)[..., 2] * dens)) * grid.cell
+    m2 = float(np.sum(np.sum(a0 ** 2, axis=0) * dens)) * grid.cell
+    overlap = float(np.sum(np.tensordot(a0, vhat, axes=(0, 0)) * dens)) * grid.cell
+    spin = R * float(np.sum(spectral.curl(grid, a0)[2] * dens)) * grid.cell
     return BaseQuadratures(n2=n2, g2=g2, g1v2=g1v2, m2=m2, overlap=overlap, spin=spin)
 
 
@@ -512,7 +512,7 @@ def _pick_gauge_level(grid: Grid, A: np.ndarray, spl: SplitSpec, dist: np.ndarra
     if spl.gauge_level is not None:
         return spl.gauge_level
     candidates = list(range(2, spl.doublings - 1)) or list(range(1, spl.doublings))
-    a_mag6 = np.sum(A ** 2, axis=-1) ** 3
+    a_mag6 = np.sum(A ** 2, axis=0) ** 3
     best, best_val = candidates[0], np.inf
     for m in candidates:
         lo, hi = 2 ** (m - 1) * spl.radius, 2 ** m * spl.radius
@@ -553,14 +553,14 @@ def split_fields(grid: Grid, p: PhysParams, psi, A, spl: SplitSpec) -> SplitPiec
 
     pieces = []
     for chi_a, chi_p in ((chi_a_in, chi_psi_in), (chi_a_out, chi_psi_out)):
-        cut = chi_a[..., None] * A_a
+        cut = chi_a * A_a
         # strip Nyquist planes so the Poisson gauge fix below cancels the
         # divergence exactly (odd multipliers are lossy on those planes)
-        cut = np.real(grid.ifft(grid.fft(cut) * grid.nyquist_mask[..., None]))
+        cut = np.real(grid.ifft(grid.fft(cut) * grid.nyquist_mask, overwrite=True))
         u = spectral.poisson_solve(grid, spectral.divergence(grid, cut))
         a_piece = cut + spectral.gradient(grid, u).real
         phase = np.exp(1j * p.charge / (p.hbar * p.light_speed) * u)
-        psi_piece = phase[..., None] * chi_p[..., None] * psi_a
+        psi_piece = phase * chi_p * psi_a
         pieces.append((psi_piece, a_piece, u))
 
     (psi_i, a_i, u_i), (psi_o, a_o, u_o) = pieces
@@ -623,7 +623,7 @@ def coulomb_double_integral(grid: Grid, psi) -> float:
     Laplacian: 4 pi <rho, u> with -lap u = rho - mean(rho).
     """
     psi_a = as_array(psi)
-    dens = np.sum(np.abs(psi_a) ** 2, axis=-1)
+    dens = np.sum(np.abs(psi_a) ** 2, axis=0)
     u = spectral.poisson_solve(grid, dens)
     return 4.0 * np.pi * float(np.real(np.sum(dens * u)) * grid.cell)
 

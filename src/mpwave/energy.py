@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pauli, spectral
 from .errors import DomainGateError
-from .fields import PhysParams, as_array, l2_norm_sq
+from .fields import PhysParams, as_array, component_array, l2_norm_sq
 from .grid import Grid
 
 #: Best constant in the Sobolev inequality |f|_{L^6} <= K_S |grad f|_{L^2}
@@ -94,7 +94,7 @@ def _parseval(grid: Grid, fh: np.ndarray, weight: np.ndarray | None = None) -> f
     when one is given (the norm of the field that symbol maps f to)."""
     sq = fh.real ** 2 + fh.imag ** 2
     if weight is not None:
-        sq *= spectral._expand(weight, sq)
+        sq *= weight
     return float(np.sum(sq)) * grid.cell / grid.n ** 3
 
 
@@ -153,8 +153,8 @@ def field_energy(grid: Grid, p: PhysParams, A, Adot) -> float:
 
 def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     """Evaluate the variational energy and its shifted decomposition."""
-    psi = as_array(psi)
-    A = as_array(A)
+    psi = component_array(grid, psi, 2, "psi")
+    A = component_array(grid, A, 3, "A")
     v = p.v_arr
 
     a_low, field = _field_band(grid, p, A)
@@ -164,15 +164,15 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     boost = (p.charge / p.light_speed) * (p.mass * p.light_speed / p.charge * v)
     kpsi_hat = st.kpsi_hat
     kinetic = _kinetic(grid, p, kpsi_hat)
-    kpsi_hat += pauli._spin_contract(p.model, boost[:, None] * st.psi_hat[..., None, :])
+    kpsi_hat += pauli._spin_contract(p.model, boost.reshape(3, 1, 1, 1, 1) * st.psi_hat)
     kinetic_sh = _kinetic(grid, p, kpsi_hat)
     drift = _drift(grid, p, st.psi_hat)
 
     coupling = 0.0
     if a_low is not None:
-        dens_low = np.sum(np.abs(st.psi_low) ** 2, axis=-1)
+        dens_low = np.sum(np.abs(st.psi_low) ** 2, axis=0)
         coupling = -(p.charge / p.light_speed) * float(
-            grid.integrate(dens_low * np.tensordot(a_low, v, axes=(-1, 0)))
+            grid.integrate(dens_low * np.tensordot(a_low, v, axes=(0, 0)))
         )
 
     lam_meas = l2_norm_sq(grid, psi)
@@ -311,7 +311,7 @@ class AprioriBounds:
 def psi_l6_norm(grid: Grid, psi) -> float:
     """L^6 norm of the pointwise spinor magnitude."""
     psi = as_array(psi)
-    dens = np.sum(np.abs(psi) ** 2, axis=-1)
+    dens = np.sum(np.abs(psi) ** 2, axis=0)
     return float(grid.integrate(dens ** 3)) ** (1.0 / 6.0)
 
 

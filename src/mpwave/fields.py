@@ -1,9 +1,13 @@
 """Field containers and physical parameters.
 
-Shapes are fixed project-wide: a spinor field is complex ``(n,n,n,2)``,
-a vector field is real ``(n,n,n,3)``, a scalar field is complex
-``(n,n,n)``.  The trailing axis is the component axis; grid axes come
-first so FFTs run over axes (0,1,2) everywhere.
+Shapes are fixed project-wide: a spinor field is complex ``(2,n,n,n)``,
+a vector field is real ``(3,n,n,n)``, a scalar field is complex
+``(n,n,n)``.  The leading axis is the component axis; grid axes come
+last, so FFTs run over the trailing three axes everywhere, each
+component is one contiguous block and one transform call covers every
+component.  ``component_array`` refuses any other shape, including the
+component-last ``(n,n,n,c)`` order that state-file payloads keep (see
+:mod:`mpwave.io`).
 
 All reductions (norms, inner products, integrals) go through ``np.sum``,
 whose pairwise summation order is fixed for a given array shape — this
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import InputError
 from .grid import Grid
 
 MODELS = ("S", "P")
@@ -86,16 +91,16 @@ class SpinorField:
     """Two-component wave function ψ: box → ℂ²."""
 
     grid: Grid
-    data: np.ndarray  # complex (n,n,n,2)
+    data: np.ndarray  # complex (2,n,n,n)
 
     def __post_init__(self) -> None:
         d = np.ascontiguousarray(np.asarray(self.data, dtype=np.complex128))
-        _check(self.grid, d, self.grid.shape + (2,), ("c",), "SpinorField")
+        _check(self.grid, d, (2,) + self.grid.shape, ("c",), "SpinorField")
         object.__setattr__(self, "data", d)
 
     def density(self) -> np.ndarray:
         """Pointwise |ψ|² = |ψ₁|² + |ψ₂|² (real (n,n,n))."""
-        return np.sum(np.abs(self.data) ** 2, axis=-1)
+        return np.sum(np.abs(self.data) ** 2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -103,11 +108,11 @@ class VectorField:
     """Real 3-vector field (the magnetic potential lives here)."""
 
     grid: Grid
-    data: np.ndarray  # float (n,n,n,3)
+    data: np.ndarray  # float (3,n,n,n)
 
     def __post_init__(self) -> None:
         d = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        _check(self.grid, d, self.grid.shape + (3,), ("f",), "VectorField")
+        _check(self.grid, d, (3,) + self.grid.shape, ("f",), "VectorField")
         object.__setattr__(self, "data", d)
 
 
@@ -129,6 +134,20 @@ def as_array(obj) -> np.ndarray:
     if isinstance(data, np.ndarray):
         return data
     return np.asarray(obj)
+
+
+def component_array(grid: Grid, obj, comps: int, what: str) -> np.ndarray:
+    """``as_array(obj)``, checked to hold ``comps`` components first,
+    shape (comps, n, n, n) on ``grid``; InputError otherwise, so a
+    component-last (n, n, n, comps) array is refused rather than
+    transformed over the wrong axes."""
+    arr = as_array(obj)
+    if arr.shape != (comps,) + grid.shape:
+        raise InputError(
+            f"{what} has shape {arr.shape}; expected the component-first "
+            f"shape {(comps,) + grid.shape}"
+        )
+    return arr
 
 
 def inner(grid: Grid, f, g) -> complex:
@@ -164,10 +183,7 @@ def translate(f: AnyField, shift) -> AnyField:
         raise ValueError("shift must be a 3-vector")
     kx, ky, kz = grid.k
     phase = np.exp(-1j * (kx * s[0] + ky * s[1] + kz * s[2]))
-    d = f.data
-    if d.ndim == 4:
-        phase = phase[..., None]
-    out = grid.ifft(grid.fft(d) * phase)
+    out = grid.ifft(grid.fft(f.data) * phase, overwrite=True)
     if isinstance(f, VectorField):
         return VectorField(grid, out.real)
     if isinstance(f, SpinorField):
@@ -204,7 +220,7 @@ def random_fields(
     env = np.exp(-0.5 * (kk * corr_len) ** 2)
     if max_mode is not None:
         dk = 2.0 * np.pi / grid.box_l
-        m = np.rint(np.stack(grid.k) / dk).astype(int)
+        m = np.rint(grid.k / dk).astype(int)
         keep = (
             (np.abs(m[0]) <= max_mode)
             & (np.abs(m[1]) <= max_mode)
@@ -212,17 +228,18 @@ def random_fields(
         )
         env = env * keep
 
-    def draw_complex(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    def draw_complex(comps):
+        # drawn component-last and moved, so a seed gives the same value
+        # at each (ix, iy, iz, c) in either layout
+        shape = grid.shape + (comps,)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.multiply(np.moveaxis(z, -1, 0), env, order="C")
 
-    psi_hat = draw_complex(grid.shape + (2,)) * env[..., None]
-    psi = SpinorField(grid, grid.ifft(psi_hat))
+    psi = SpinorField(grid, grid.ifft(draw_complex(2), overwrite=True))
     psi = normalize_to_lambda(psi, p.lam)
 
-    a_hat = draw_complex(grid.shape + (3,)) * env[..., None]
-    a = grid.ifft(a_hat).real
-    a = spectral.helmholtz_project(grid, a)
-    a -= np.mean(a, axis=(0, 1, 2))
+    a = grid.ifft(draw_complex(3), overwrite=True).real
+    a = spectral.zero_mean(grid, spectral.helmholtz_project(grid, a))
     nrm = np.sqrt(np.sum(a**2) * grid.cell)
     if nrm > 0:
         a *= a_amp / nrm
@@ -235,6 +252,7 @@ __all__ = [
     "ScalarField",
     "SpinorField",
     "VectorField",
+    "component_array",
     "inner",
     "l2_norm_sq",
     "normalize_to_lambda",

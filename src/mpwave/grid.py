@@ -4,6 +4,9 @@ Conventions fixed project-wide:
 
 * physical arrays are C-ordered ``(ix, iy, iz)`` (z fastest), node
   coordinates ``x_i = i*h`` with ``h = box_l/n``;
+* a field with components stores them first: ``(c, n, n, n)``, so each
+  component is one contiguous block, an (n, n, n) table broadcasts over
+  the component axes, and one transform call covers a whole stack;
 * forward transforms are unnormalized, inverse transforms divide by n³
   (numpy's default "backward" norm), so Parseval reads
   ``h³ Σ|f|² = h³/n³ Σ|f̂|²``;
@@ -22,7 +25,8 @@ import scipy.fft as _sfft
 
 
 def _workers() -> int:
-    """FFT worker count; MPW_THREADS bounds kernel parallelism."""
+    """FFT worker count from MPW_THREADS: its integer value, at least 1;
+    1 when it is unset or not an integer."""
     raw = os.environ.get("MPW_THREADS", "")
     try:
         return max(1, int(raw))
@@ -35,7 +39,9 @@ class Grid:
     """Uniform n×n×n periodic grid on a cube of side ``box_l``.
 
     n must be even (real Nyquist pairing) and at least 8 so the dealias
-    band is nonempty.  All derived spectral tables are precomputed once.
+    band is nonempty.  All derived spectral tables are precomputed once,
+    and so is ``workers``, the FFT worker count: MPW_THREADS is read when
+    the grid is built, not on each transform.
     """
 
     n: int
@@ -44,6 +50,7 @@ class Grid:
     # derived, filled in __post_init__
     spacing: float = field(init=False, repr=False)
     cell: float = field(init=False, repr=False)
+    workers: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n % 2 != 0 or self.n < 8:
@@ -53,11 +60,13 @@ class Grid:
         h = self.box_l / self.n
         object.__setattr__(self, "spacing", h)
         object.__setattr__(self, "cell", h**3)
+        object.__setattr__(self, "workers", _workers())
 
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
-        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
+        kvec = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
         object.__setattr__(self, "_k1", k1)
-        object.__setattr__(self, "_kvec", (kx, ky, kz))
+        object.__setattr__(self, "_kvec", kvec)
+        kx, ky, kz = kvec
         k2 = kx**2 + ky**2 + kz**2
         object.__setattr__(self, "_k2", k2)
         inv_k2 = np.zeros_like(k2)
@@ -100,8 +109,8 @@ class Grid:
     # -- spectral tables ---------------------------------------------------
 
     @property
-    def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Angular wavenumber component arrays (kx, ky, kz)."""
+    def k(self) -> np.ndarray:
+        """Angular wavenumbers as one (3, n, n, n) stack (kx, ky, kz)."""
         return self._kvec
 
     @property
@@ -124,12 +133,16 @@ class Grid:
 
     # -- transforms --------------------------------------------------------
 
-    def fft(self, f: np.ndarray) -> np.ndarray:
-        """Forward FFT over the three grid axes (component axes untouched)."""
-        return _sfft.fftn(f, axes=(0, 1, 2), workers=_workers())
+    def fft(self, f: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Forward FFT over the three trailing (grid) axes, one call for a
+        whole stack of components.  With ``overwrite`` a complex ``f`` may
+        be reused as the output buffer, so callers pass it only for a
+        temporary they no longer read."""
+        return _sfft.fftn(f, axes=(-3, -2, -1), workers=self.workers, overwrite_x=overwrite)
 
-    def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return _sfft.ifftn(fh, axes=(0, 1, 2), workers=_workers())
+    def ifft(self, fh: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Inverse of ``fft``, with the same axes and ``overwrite`` rule."""
+        return _sfft.ifftn(fh, axes=(-3, -2, -1), workers=self.workers, overwrite_x=overwrite)
 
     # -- quadrature --------------------------------------------------------
 

@@ -12,6 +12,10 @@ physical parameters that produced it, in a fixed little-endian layout:
     c128 x n^3*2  psi, C order, spinor index fastest
     f64  x n^3*3  A, C order, component index fastest
 
+The payload keeps the component-last order (ix, iy, iz, c) of the file
+format, while fields are held component-first, (c, n, n, n): writes and
+reads move the component axis, so files stay byte-identical.
+
 Writes go through a temporary file in the target directory followed by
 an atomic rename, so readers never observe a half-written state.
 """
@@ -24,7 +28,7 @@ import tempfile
 import numpy as np
 
 from .errors import InputError
-from .fields import PhysParams, SpinorField, VectorField, as_array
+from .fields import PhysParams, SpinorField, VectorField, component_array
 from .grid import Grid
 
 MAGIC = b"MPWF"
@@ -34,12 +38,8 @@ _HEADER = struct.Struct("<4sIIdB8d")
 
 def write_state(path: str, grid: Grid, p: PhysParams, psi, A) -> None:
     """Serialize a state atomically to ``path``."""
-    psi_a = np.ascontiguousarray(as_array(psi), dtype="<c16")
-    a_a = np.ascontiguousarray(as_array(A), dtype="<f8")
-    if psi_a.shape != grid.shape + (2,):
-        raise InputError(f"psi has shape {psi_a.shape}, expected {grid.shape + (2,)}")
-    if a_a.shape != grid.shape + (3,):
-        raise InputError(f"A has shape {a_a.shape}, expected {grid.shape + (3,)}")
+    psi_a = np.moveaxis(component_array(grid, psi, 2, "psi"), 0, -1)
+    a_a = np.moveaxis(component_array(grid, A, 3, "A"), 0, -1)
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -58,8 +58,9 @@ def write_state(path: str, grid: Grid, p: PhysParams, psi, A) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(psi_a.tobytes())
-            fh.write(a_a.tobytes())
+            # one component-last copy at a time, written without a bytes copy
+            fh.write(np.ascontiguousarray(psi_a, dtype="<c16"))
+            fh.write(np.ascontiguousarray(a_a, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -111,7 +112,9 @@ def read_state(path: str) -> tuple[Grid, PhysParams, SpinorField, VectorField]:
         a = np.frombuffer(a_raw, dtype="<f8").reshape(grid.shape + (3,))
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(a))):
             raise InputError(f"{path}: non-finite values in the payload")
-    return grid, p, SpinorField(grid, psi.copy()), VectorField(grid, a.copy())
+    # the containers copy the moved views into contiguous arrays
+    psi, a = np.moveaxis(psi, -1, 0), np.moveaxis(a, -1, 0)
+    return grid, p, SpinorField(grid, psi), VectorField(grid, a)
 
 
 __all__ = ["MAGIC", "VERSION", "read_state", "write_state"]

@@ -17,7 +17,10 @@ div A = 0 by alternating two moves:
 
 * A: the energy is an inhomogeneous positive-definite quadratic in A at
   fixed psi, so the subproblem is solved essentially exactly by
-  preconditioned conjugate gradients in Fourier space.  The
+  preconditioned conjugate gradients in Fourier space, on the transform
+  of the (3, n, n, n) stack A; each stage of the operator (the band
+  limit of A, its products with T psi, the pairing) is one transform
+  call on a whole stack.  The
   preconditioner is the inverse of the operator's diagonal at a uniform
   density: the wave symbol / 4 pi shifted by the diamagnetic mean field
   (Q^2 / m c^2) rho_bar, the counterpart for A of the psi shift.  A is
@@ -53,7 +56,17 @@ from .energy import (
     speed_gate,
 )
 from .errors import InputError, SolverError
-from .fields import PhysParams, SpinorField, VectorField, as_array, inner, l2_norm_sq, normalize_to_lambda, random_fields
+from .fields import (
+    PhysParams,
+    SpinorField,
+    VectorField,
+    as_array,
+    component_array,
+    inner,
+    l2_norm_sq,
+    normalize_to_lambda,
+    random_fields,
+)
 from .grid import Grid
 
 logger = logging.getLogger(__name__)
@@ -74,10 +87,11 @@ def grad_psi(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
 
 def _gradient(grid: Grid, p: PhysParams, st: pauli.KineticState) -> np.ndarray:
     """``grad_psi`` of the state whose record is ``st``."""
-    out_hat = pauli._laplacian_hat(grid, p, st) / (2.0 * p.mass)
+    out_hat = pauli._laplacian_hat(grid, p, st)
+    out_hat /= 2.0 * p.mass
     if np.any(p.v_arr):
-        out_hat -= p.hbar * _vk(grid, p.v_arr)[..., None] * st.psi_hat
-    return grid.ifft(out_hat)
+        out_hat -= p.hbar * _vk(grid, p.v_arr) * st.psi_hat
+    return grid.ifft(out_hat, overwrite=True)
 
 
 def _psi_energy(grid: Grid, p: PhysParams, st: pauli.KineticState) -> float:
@@ -131,8 +145,8 @@ def grad_A(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     psi = as_array(psi)
     A = as_array(A)
     cur = pauli.current(grid, p, psi, A)
-    lin_hat = grid.fft(A) * energy_mod._wave_symbol(grid, p)[..., None]
-    out = -cur / p.light_speed + np.real(grid.ifft(lin_hat)) / (4.0 * np.pi)
+    lin_hat = grid.fft(A) * energy_mod._wave_symbol(grid, p)
+    out = -cur / p.light_speed + np.real(grid.ifft(lin_hat, overwrite=True)) / (4.0 * np.pi)
     return spectral.helmholtz_project(grid, out)
 
 
@@ -193,10 +207,10 @@ def _residual(
     coef = -4.0 * np.pi * p.charge / (p.mass * p.light_speed)
     rhs_hat = spectral.project_hat(grid, coef * pauli._pair_hat(grid, p, st))
     if np.any(A_a):
-        lhs_hat = grid.fft(A_a) * energy_mod._wave_symbol(grid, p)[..., None]
+        lhs_hat = grid.fft(A_a) * energy_mod._wave_symbol(grid, p)
     else:
         lhs_hat = np.zeros_like(rhs_hat)
-    mask = (grid.k2 > 0)[..., None]
+    mask = grid.k2 > 0
     norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
     a_raw = norm((lhs_hat - rhs_hat) * mask)
     # scale against the full source (k = 0 included) so delocalised states
@@ -209,7 +223,7 @@ def _residual(
     a_scale = max(norm(lhs_hat * mask) + norm(rhs_hat), a_floor)
     a_rel = a_raw / a_scale if a_scale > 0 else 0.0
 
-    defect = float(np.linalg.norm(rhs_hat[0, 0, 0].real)) / grid.n ** 3
+    defect = float(np.linalg.norm(rhs_hat[:, 0, 0, 0].real)) / grid.n ** 3
     return ELResidual(
         psi_raw=float(psi_raw),
         psi_scale=float(psi_scale),
@@ -250,19 +264,24 @@ def _a_operator(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> Callable[[np.
     def op(a_hat: np.ndarray) -> np.ndarray:
         # the A-derivative of pauli.current, built from the same
         # contraction and pairing with the same dealias placement, so the
-        # solve is stationary for the same equation el_residual checks
-        out = sym[..., None] * a_hat
-        prods = np.empty(grid.shape + (3, 2), dtype=complex)
-        for b in range(3):
-            low = np.real(grid.ifft(a_hat[..., b] * mask))
-            prods[..., b, :] = grid.ifft(grid.fft(low[..., None] * psi_low) * mask[..., None])
-        g = pauli._spin_contract(p.model, prods)
+        # solve is stationary for the same equation el_residual checks;
+        # each stage transforms its whole stack in one call, and each
+        # temporary goes as soon as the next stage holds its result
+        low = grid.ifft(a_hat * mask, overwrite=True).real
+        prods = grid.fft(low[:, None] * psi_low, overwrite=True)
+        del low
+        np.multiply(prods, mask, out=prods)
+        g = pauli._spin_contract(p.model, grid.ifft(prods, overwrite=True))
         del prods  # model P contracts into a new array; the stack can go
         pair = pauli._pair(p.model, psi_low, g)
-        for a in range(3):
-            out[..., a] += coef * (grid.fft(pair[..., a]) * mask)
+        del g
+        out = grid.fft(pair)
+        del pair
+        np.multiply(out, mask, out=out)
+        np.multiply(coef, out, out=out)
+        out += sym * a_hat
         spectral.project_hat(grid, out)
-        out[0, 0, 0, :] = 0.0
+        out[:, 0, 0, 0] = 0.0
         return out
 
     return op
@@ -276,7 +295,7 @@ def _a_rhs(grid: Grid, p: PhysParams, st: pauli.KineticState) -> tuple[np.ndarra
     j_hat = coef * pauli._pair_hat(grid, p, st)
     j_norm = np.sqrt(energy_mod._parseval(grid, j_hat))
     b = spectral.project_hat(grid, j_hat)
-    b[0, 0, 0, :] = 0.0
+    b[:, 0, 0, 0] = 0.0
     return b, j_norm
 
 
@@ -297,7 +316,7 @@ def _a_precond(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> np.ndarray:
     diag = sym / (4.0 * np.pi) + p.charge ** 2 / (p.mass * p.light_speed ** 2) * rho_bar
     inv = np.zeros_like(sym)
     np.divide(1.0, diag, out=inv, where=sym > 0)
-    return inv[..., None]
+    return inv
 
 
 def solve_vector_potential(
@@ -321,7 +340,7 @@ def solve_vector_potential(
     solve returns the exact minimizer A = 0 after no operator application
     and logs the reason "floor" with |b| / |J|.
     """
-    st = pauli.kinetic_state(grid, p, psi)
+    st = pauli.kinetic_state(grid, p, component_array(grid, psi, 2, "psi"))
     b, j_norm = _a_rhs(grid, p, st)
     psi_low = st.psi_low
     op = _a_operator(grid, p, psi_low)
@@ -335,14 +354,14 @@ def solve_vector_potential(
     if b_norm <= np.finfo(float).eps * np.log2(grid.n ** 3) * j_norm:
         logger.debug("A-solve: floor after 0 operator applications, |b|/|J| = %.3e",
                      b_norm / j_norm if j_norm > 0 else 0.0)
-        return VectorField(grid, np.zeros(grid.shape + (3,))), 0
+        return VectorField(grid, np.zeros((3,) + grid.shape)), 0
 
     inv = _a_precond(grid, p, psi_low)
     if A0 is None:
-        x = np.zeros(grid.shape + (3,), dtype=complex)
+        x = np.zeros((3,) + grid.shape, dtype=complex)
     else:
-        x = spectral.project_hat(grid, grid.fft(as_array(A0)))
-        x[0, 0, 0, :] = 0.0
+        x = spectral.project_hat(grid, grid.fft(component_array(grid, A0, 3, "A0")))
+        x[:, 0, 0, 0] = 0.0
     r = b - op(x)
     n_ops = 1
     # a warm start can sit far from the solution, so the target is
@@ -391,7 +410,7 @@ def solve_vector_potential(
             best_x[...] = x
     logger.debug("A-solve: %s after %d operator applications, best |r|/ref = %.3e",
                  reason, n_ops, best / ref)
-    out = np.real(grid.ifft(best_x))
+    out = np.real(grid.ifft(best_x, overwrite=True))
     if not np.all(np.isfinite(out)):
         raise SolverError("vector-potential subproblem diverged")
     return VectorField(grid, out), n_ops
@@ -411,10 +430,10 @@ def plane_wave_state(grid: Grid, p: PhysParams) -> tuple[SpinorField, VectorFiel
     kstar = carrier_gate(grid, p, lattice=True) * dk
     x, y, z = grid.coords()
     phase = np.exp(1j * (kstar[0] * x + kstar[1] * y + kstar[2] * z))
-    data = np.zeros(grid.shape + (2,), dtype=complex)
-    data[..., 0] = phase
+    data = np.zeros((2,) + grid.shape, dtype=complex)
+    data[0] = phase
     psi = normalize_to_lambda(SpinorField(grid, data), p.lam)
-    return psi, VectorField(grid, np.zeros(grid.shape + (3,)))
+    return psi, VectorField(grid, np.zeros((3,) + grid.shape))
 
 
 def _initial_state(
@@ -520,7 +539,9 @@ def _direction(
     tangent space of the mass sphere.  For a tangent Gt, Re <Gt, d> =
     Re <Gt, P Gt> > 0, so d is a descent direction."""
     symbol = 1.0 / (alpha + p.hbar ** 2 * grid.k2 / (2.0 * p.mass))
-    pg = grid.ifft(grid.fft(Gt) * symbol[..., None])
+    pg_hat = grid.fft(Gt)
+    pg_hat *= symbol
+    pg = grid.ifft(pg_hat, overwrite=True)
     return pg - (inner(grid, psi, pg).real / lam_meas) * psi
 
 

@@ -1,6 +1,8 @@
 """Covariant derivatives, Pauli algebra, and gauge currents.
 
-Spinors are arrays of shape (n, n, n, 2) with the spin index last.  The
+Spinors are arrays of shape (2, n, n, n) with the spin index first, and
+a stack of one spinor per direction a = x, y, z, such as D psi, is
+(3, 2, n, n, n): each kernel transforms a whole stack in one call.  The
 magnetic covariant derivative acting on a spinor is
 
     D_a psi = i*hbar d_a psi + (Q/c) A_a psi,        a = 1, 2, 3,
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .fields import PhysParams, as_array
+from .fields import PhysParams, as_array, component_array
 from .grid import Grid
 
 #: Pauli matrices, shape (3, 2, 2).
@@ -53,40 +55,28 @@ _arr = as_array
 def sigma_dot(vec: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Contract a 3-vector of scalar fields with the Pauli matrices.
 
-    ``vec`` has shape (..., 3) or (3,), ``psi`` has shape (..., 2); the
-    result is sum_a vec_a (sigma^a psi).
+    ``vec`` has shape (3, ...) or (3,), ``psi`` has shape (2, ...); the
+    result is sum_a vec_a (sigma^a psi), shape (2, ...).
     """
-    return _spin_contract("P", np.asarray(vec)[..., :, None] * np.asarray(psi)[..., None, :])
-
-
-def sigma_identity_check(f: np.ndarray, g: np.ndarray) -> float:
-    """Max-norm defect of (sigma.f)(sigma.g) = (f.g) I + i sigma.(f x g).
-
-    ``f`` and ``g`` are complex 3-vectors (or arrays broadcastable against
-    SIGMA contraction).  Returns the largest absolute entry of the
-    difference of the two 2x2 matrix expressions.
-    """
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    mf = np.tensordot(f, SIGMA, axes=(-1, 0))
-    mg = np.tensordot(g, SIGMA, axes=(-1, 0))
-    lhs = mf @ mg
-    dot = np.sum(f * g, axis=-1)
-    crs = np.cross(f, g)
-    rhs = dot[..., None, None] * np.eye(2) + 1.0j * np.tensordot(crs, SIGMA, axes=(-1, 0))
-    return float(np.max(np.abs(lhs - rhs)))
+    vec = np.asarray(vec)
+    psi = np.asarray(psi)
+    vec = vec.reshape((3, 1) + vec.shape[1:] + (1,) * (psi.ndim - vec.ndim))
+    return _spin_contract("P", vec * psi)
 
 
 def _covariant_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarray:
-    """Transforms of the three D_a psi, stacked as (n, n, n, 3, 2):
-    -hbar k_a psi_hat + (Q/c) mask FFT(a_low_a psi_low), a_low None for A = 0."""
-    mask = grid.dealias_mask[..., None]
-    coef = p.charge / p.light_speed
-    out = np.empty(psi_hat.shape[:3] + (3, 2), dtype=complex)
+    """Transforms of the three D_a psi, stacked as (3, 2, n, n, n):
+    -hbar k_a psi_hat + (Q/c) mask FFT(a_low_a psi_low), a_low None for
+    A = 0.  The three products take one transform, in place, and the
+    derivative terms are added to it one direction at a time, so no
+    second stack is held."""
+    if a_low is None:
+        return (-p.hbar * grid.k)[:, None] * psi_hat
+    out = grid.fft(a_low[:, None] * psi_low, overwrite=True)
+    np.multiply(grid.dealias_mask, out, out=out)
+    np.multiply(p.charge / p.light_speed, out, out=out)
     for a in range(3):
-        out[..., a, :] = (-p.hbar * grid.k[a][..., None]) * psi_hat
-        if a_low is not None:
-            out[..., a, :] += coef * (mask * grid.fft(a_low[..., a, None] * psi_low))
+        out[a] += (-p.hbar * grid.k[a]) * psi_hat
     return out
 
 
@@ -96,8 +86,8 @@ def kinetic_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarra
 
     Takes psi_hat = FFT(psi), psi_low = T psi and a_low = T A (None for
     A = 0), and spends one forward transform per direction on the products
-    a_low_a psi_low.  The kinetic energy of either model is |K psi|^2 / 2m;
-    callers take it from this transform by Parseval.
+    a_low_a psi_low, in one call.  The kinetic energy of either model is
+    |K psi|^2 / 2m; callers take it from this transform by Parseval.
     """
     return _spin_contract(p.model, _covariant_hat(grid, p, psi_hat, psi_low, a_low))
 
@@ -123,94 +113,87 @@ def kinetic_state(grid: Grid, p: PhysParams, psi, a_low=None) -> KineticState:
 
 def _state(grid: Grid, p: PhysParams, psi, A) -> KineticState:
     """``kinetic_state`` of (psi, A) for a real field A; an all-zero A
-    gives the field-free record, with no transform of A."""
-    A = _arr(A)
+    gives the field-free record, with no transform of A.  Both are checked
+    to be component-first fields on ``grid``."""
+    psi = component_array(grid, psi, 2, "psi")
+    A = component_array(grid, A, 3, "A")
     return kinetic_state(grid, p, psi, spectral.dealias(grid, A) if np.any(A) else None)
 
 
 def covariant_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
-    """All three components D_a psi, stacked as (n, n, n, 3, 2)."""
+    """All three components D_a psi, stacked as (3, 2, n, n, n)."""
     psi_hat, psi_low = spectral.band(grid, _arr(psi))
-    return grid.ifft(_covariant_hat(grid, p, psi_hat, psi_low, spectral.dealias(grid, _arr(A))))
+    hat = _covariant_hat(grid, p, psi_hat, psi_low, spectral.dealias(grid, _arr(A)))
+    return grid.ifft(hat, overwrite=True)
 
 
 def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
     """Kinetic contraction of the model.
 
-    ``c`` stacks one spinor per direction, shape (..., 3, 2).  Model "P"
-    contracts it with the Pauli matrices to sum_b sigma^b c_b, a (..., 2)
+    ``c`` stacks one spinor per direction, shape (3, 2, ...).  Model "P"
+    contracts it with the Pauli matrices to sum_b sigma^b c_b, a (2, ...)
     spinor, summed in the order x, y, z; model "S" keeps it as it is.
     The contraction is a constant matrix, so it commutes with the FFT.
     """
     if model == "S":
         return c
-    out = np.empty(c.shape[:-2] + (2,), dtype=complex)
-    out[..., 0] = c[..., 0, 1] - 1j * c[..., 1, 1] + c[..., 2, 0]
-    out[..., 1] = c[..., 0, 0] + 1j * c[..., 1, 0] - c[..., 2, 1]
+    out = np.empty(c.shape[1:], dtype=complex)
+    out[0] = c[0, 1] - 1j * c[1, 1] + c[2, 0]
+    out[1] = c[0, 0] + 1j * c[1, 0] - c[2, 1]
     return out
 
 
 def _spin_expand(model: str, h: np.ndarray) -> np.ndarray:
     """Adjoint of ``_spin_contract``: the stack sigma^a h over a = x, y, z
-    for model "P", shape (..., 3, 2); model "S" keeps ``h``."""
+    for model "P", shape (3, 2, ...); model "S" keeps ``h``."""
     if model == "S":
         return h
-    out = np.empty(h.shape[:-1] + (3, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1] = h[..., 1], h[..., 0]
-    out[..., 1, 0], out[..., 1, 1] = -1j * h[..., 1], 1j * h[..., 0]
-    out[..., 2, 0], out[..., 2, 1] = h[..., 0], -h[..., 1]
+    out = np.empty((3,) + h.shape, dtype=complex)
+    out[0, 0], out[0, 1] = h[1], h[0]
+    out[1, 0], out[1, 1] = -1j * h[1], 1j * h[0]
+    out[2, 0], out[2, 1] = h[0], -h[1]
     return out
-
-
-def _pair_one(psi_low: np.ndarray, g_a: np.ndarray) -> np.ndarray:
-    """Pointwise Re <psi_low, g_a>, the model "S" pairing of one direction;
-    the two spin terms are added directly, not by a size-2 reduction."""
-    t = np.conj(psi_low) * g_a
-    return t[..., 0].real + t[..., 1].real
 
 
 def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise Re <psi_low, g_a> (model "S") or Re <psi_low, sigma^a g>
-    (model "P") for a = x, y, z, stacked as (..., 3), for ``g`` as
-    returned by ``_spin_contract``."""
-    out = np.empty(psi_low.shape[:-1] + (3,))
+    (model "P") for a = x, y, z, stacked as (3, n, n, n), for ``g`` as
+    returned by ``_spin_contract``.  Model "S" writes its products over the
+    stack ``g``, so no second stack is held, and adds the two spin terms
+    directly, not by a size-2 reduction."""
     if model == "S":
-        for a in range(3):
-            out[..., a] = _pair_one(psi_low, g[..., a, :])
-        return out
-    c01 = np.conj(psi_low[..., 0]) * g[..., 1]
-    c10 = np.conj(psi_low[..., 1]) * g[..., 0]
-    out[..., 0] = c01.real + c10.real
-    out[..., 1] = c01.imag - c10.imag
+        t = np.multiply(np.conj(psi_low), g, out=g)
+        return t[:, 0].real + t[:, 1].real
+    out = np.empty((3,) + psi_low.shape[1:])
+    c01 = np.conj(psi_low[0]) * g[1]
+    c10 = np.conj(psi_low[1]) * g[0]
+    out[0] = c01.real + c10.real
+    out[1] = c01.imag - c10.imag
     del c01, c10
-    out[..., 2] = (np.conj(psi_low[..., 0]) * g[..., 0]).real - (
-        np.conj(psi_low[..., 1]) * g[..., 1]
-    ).real
+    out[2] = (np.conj(psi_low[0]) * g[0]).real - (np.conj(psi_low[1]) * g[1]).real
     return out
-
-
-def kinetic_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
-    """Kinetic operator K of the model: sigma . D psi for "P", D psi for "S".
-
-    The inverse transform of ``kinetic_hat``.
-    """
-    return grid.ifft(_state(grid, p, psi, A).kpsi_hat)
 
 
 def _laplacian_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
     """Transform of K^dagger K psi = sum_a D_a h_a, read from the record
     ``st``: h_hat is ``_spin_expand`` of K psi_hat, a constant matrix, so
-    h needs no forward FFT of its own, and with A = 0 no transform at all."""
+    h needs no forward FFT of its own, and with A = 0 no transform at all.
+    The products a_low_a h_a take one inverse and one forward transform;
+    the sum runs direction by direction, the derivative term first."""
     h_hat = _spin_expand(p.model, st.kpsi_hat)
-    mask = grid.dealias_mask[..., None]
-    coef = p.charge / p.light_speed
-    acc_hat = np.zeros(h_hat.shape[:3] + (2,), dtype=complex)
+    prod = None
+    if st.a_low is not None:
+        mask = grid.dealias_mask
+        low = grid.ifft(h_hat * mask, overwrite=True)
+        np.multiply(st.a_low[:, None], low, out=low)
+        prod = grid.fft(low, overwrite=True)
+        np.multiply(mask, prod, out=prod)
+        np.multiply(p.charge / p.light_speed, prod, out=prod)
+    acc_hat = np.zeros(h_hat.shape[1:], dtype=complex)
     for a in range(3):
-        comp_hat = h_hat[..., a, :]
-        acc_hat += (-p.hbar * grid.k[a][..., None]) * comp_hat
-        if st.a_low is not None:
-            comp_low = grid.ifft(comp_hat * mask)
-            acc_hat += coef * (mask * grid.fft(st.a_low[..., a, None] * comp_low))
+        acc_hat += (-p.hbar * grid.k[a]) * h_hat[a]
+        if prod is not None:
+            acc_hat += prod[a]
     return acc_hat
 
 
@@ -219,7 +202,7 @@ def covariant_laplacian(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     sigma^a K psi (model "P").  Each D_a is exactly self-adjoint, so
     <phi, covariant_laplacian psi> = <K phi, K psi> to rounding on any
     grid fields."""
-    return grid.ifft(_laplacian_hat(grid, p, _state(grid, p, psi, A)))
+    return grid.ifft(_laplacian_hat(grid, p, _state(grid, p, psi, A)), overwrite=True)
 
 
 def spin_term(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
@@ -234,17 +217,15 @@ def spin_term(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
 def _pair_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
     """Transform of T of the pairing ``_pair`` of T psi with T K psi, read
     from the record: the current is J = -(Q/m) times its inverse."""
-    mask = grid.dealias_mask[..., None]
-    if p.model == "S":  # one direction at a time, so T K psi is never held whole
-        low = (grid.ifft(st.kpsi_hat[..., a, :] * mask) for a in range(3))
-        pair = np.stack([_pair_one(st.psi_low, g_a) for g_a in low], axis=-1)
-    else:
-        pair = _pair(p.model, st.psi_low, grid.ifft(st.kpsi_hat * mask))
-    return mask * grid.fft(pair)
+    mask = grid.dealias_mask
+    pair = _pair(p.model, st.psi_low, grid.ifft(st.kpsi_hat * mask, overwrite=True))
+    out = grid.fft(pair)
+    np.multiply(mask, out, out=out)
+    return out
 
 
 def current(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
-    """Gauge current density J as a real (n, n, n, 3) array.
+    """Gauge current density J as a real (3, n, n, n) array.
 
     J_a = -(Q/m) Re <psi, D_a psi>_C2             (model "S")
     J_a = -(Q/m) Re <psi, sigma^a (sigma.D psi)>  (model "P")
@@ -254,18 +235,16 @@ def current(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     kinetic energy evaluated by ``energy_functional``.
     """
     pair_hat = _pair_hat(grid, p, _state(grid, p, psi, A))
-    return -(p.charge / p.mass) * grid.ifft(pair_hat).real
+    return -(p.charge / p.mass) * grid.ifft(pair_hat, overwrite=True).real
 
 
 __all__ = [
     "SIGMA",
     "sigma_dot",
-    "sigma_identity_check",
     "kinetic_hat",
     "KineticState",
     "kinetic_state",
     "covariant_gradient",
-    "kinetic_gradient",
     "covariant_laplacian",
     "spin_term",
     "current",

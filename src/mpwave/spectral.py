@@ -1,9 +1,10 @@
 """FFT-based differential operators on the periodic box.
 
-All functions take raw ndarrays whose leading three axes are the grid
-axes; trailing component axes (spinor or vector) pass through untouched.
-Real inputs give real outputs (the imaginary round-off from the FFT
-round trip is dropped).
+All functions take raw ndarrays whose trailing three axes are the grid
+axes; leading component axes (spinor or vector) pass through untouched,
+and an (n, n, n) symbol broadcasts over them.  Vector fields are
+(3, n, n, n) stacks.  Real inputs give real outputs (the imaginary
+round-off from the FFT round trip is dropped).
 
 The only nonlinear product is the 2/3-rule product T(T(a)·T(f)) of
 :func:`dealiased_mul`.  T is an orthogonal projector in the grid inner
@@ -26,45 +27,29 @@ def _match_real(out: np.ndarray, like: np.ndarray) -> np.ndarray:
     return out.real.copy() if like.dtype.kind != "c" else out
 
 
-def _expand(sym: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """Broadcast a (n,n,n) spectral symbol over trailing component axes."""
-    return sym.reshape(sym.shape + (1,) * (arr.ndim - 3))
-
-
-def partial_deriv(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
-    """∂f/∂x_axis, spectrally exact."""
-    ik = 1j * grid.k[axis]
-    out = grid.ifft(_expand(ik, f) * grid.fft(f))
-    return _match_real(out, f)
-
-
 def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Scalar (n,n,n) → (n,n,n,3) gradient."""
-    fh = grid.fft(f)
-    out = np.stack([grid.ifft(1j * grid.k[a] * fh) for a in range(3)], axis=-1)
+    """Scalar (n,n,n) → (3,n,n,n) gradient."""
+    out = grid.ifft(1j * grid.k * grid.fft(f), overwrite=True)
     return _match_real(out, f)
 
 
 def divergence(grid: Grid, F: np.ndarray) -> np.ndarray:
-    """Vector (n,n,n,3) → (n,n,n) divergence."""
+    """Vector (3,n,n,n) → (n,n,n) divergence."""
     Fh = grid.fft(F)
-    out = grid.ifft(sum(1j * grid.k[a] * Fh[..., a] for a in range(3)))
+    out = grid.ifft(sum(1j * grid.k[a] * Fh[a] for a in range(3)))
     return _match_real(out, F)
 
 
 def curl(grid: Grid, F: np.ndarray) -> np.ndarray:
-    """Vector (n,n,n,3) → (n,n,n,3) curl, (∇×F)_i = ε_ijk ∂_j F_k."""
+    """Vector (3,n,n,n) → (3,n,n,n) curl, (∇×F)_i = ε_ijk ∂_j F_k."""
     Fh = grid.fft(F)
     kx, ky, kz = grid.k
-    cx = grid.ifft(1j * (ky * Fh[..., 2] - kz * Fh[..., 1]))
-    cy = grid.ifft(1j * (kz * Fh[..., 0] - kx * Fh[..., 2]))
-    cz = grid.ifft(1j * (kx * Fh[..., 1] - ky * Fh[..., 0]))
-    return _match_real(np.stack([cx, cy, cz], axis=-1), F)
-
-
-def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    out = grid.ifft(_expand(-grid.k2, f) * grid.fft(f))
-    return _match_real(out, f)
+    out = np.stack([
+        1j * (ky * Fh[2] - kz * Fh[1]),
+        1j * (kz * Fh[0] - kx * Fh[2]),
+        1j * (kx * Fh[1] - ky * Fh[0]),
+    ])
+    return _match_real(grid.ifft(out, overwrite=True), F)
 
 
 def directional_derivative(grid: Grid, f: np.ndarray, v) -> np.ndarray:
@@ -72,8 +57,7 @@ def directional_derivative(grid: Grid, f: np.ndarray, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     kx, ky, kz = grid.k
     sym = 1j * (v[0] * kx + v[1] * ky + v[2] * kz)
-    out = grid.ifft(_expand(sym, f) * grid.fft(f))
-    return _match_real(out, f)
+    return _match_real(grid.ifft(sym * grid.fft(f), overwrite=True), f)
 
 
 def project_hat(grid: Grid, Fh: np.ndarray) -> np.ndarray:
@@ -84,19 +68,18 @@ def project_hat(grid: Grid, Fh: np.ndarray) -> np.ndarray:
     conjugate-symmetric there, so a real field cannot stay both real and
     solenoidal with that content.  Returns ``Fh``.
     """
-    Fh *= grid.nyquist_mask[..., None]
+    Fh *= grid.nyquist_mask
     kx, ky, kz = grid.k
-    kdot = kx * Fh[..., 0] + ky * Fh[..., 1] + kz * Fh[..., 2]
+    kdot = kx * Fh[0] + ky * Fh[1] + kz * Fh[2]
     kdot *= grid.inv_k2
-    for a, ka in enumerate(grid.k):
-        Fh[..., a] -= ka * kdot
+    Fh -= grid.k * kdot
     return Fh
 
 
 def helmholtz_project(grid: Grid, F: np.ndarray) -> np.ndarray:
     """Leray projection onto divergence-free fields: ``project_hat`` of
     the transform of F, transformed back."""
-    return _match_real(grid.ifft(project_hat(grid, grid.fft(F))), F)
+    return _match_real(grid.ifft(project_hat(grid, grid.fft(F)), overwrite=True), F)
 
 
 def poisson_solve(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -105,15 +88,14 @@ def poisson_solve(grid: Grid, f: np.ndarray) -> np.ndarray:
     û = f̂/|k|² for k ≠ 0, û(0) = 0.  This is the periodic stand-in for
     the Newtonian potential (1/4π)∫ f(y)/|x−y| dy.
     """
-    fh = grid.fft(f)
-    out = grid.ifft(_expand(grid.inv_k2, f) * fh)
+    out = grid.ifft(grid.inv_k2 * grid.fft(f), overwrite=True)
     return _match_real(out, f)
 
 
 def band(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The transform f̂ and the band limit T f, from one forward FFT."""
     fh = grid.fft(f)
-    return fh, _match_real(grid.ifft(_expand(grid.dealias_mask, f) * fh), f)
+    return fh, _match_real(grid.ifft(grid.dealias_mask * fh, overwrite=True), f)
 
 
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -124,25 +106,20 @@ def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
 def dealiased_mul(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """2/3-rule product T(T(a)·T(f)); ``a`` is a real scalar field.
 
-    Broadcasts over trailing component axes of ``f``.
+    Broadcasts over leading component axes of ``f``.
     """
-    ta = dealias(grid, a)
-    tf = dealias(grid, f)
-    prod = _expand(ta, tf) * tf if tf.ndim > 3 else ta * tf
-    return dealias(grid, prod)
+    return dealias(grid, dealias(grid, a) * dealias(grid, f))
 
 
 def zero_mean(grid: Grid, F: np.ndarray) -> np.ndarray:
     """Remove the k=0 (mean) component of each field component."""
-    return F - np.mean(F, axis=(0, 1, 2))
+    return F - np.mean(F, axis=(-3, -2, -1), keepdims=True)
 
 
 __all__ = [
-    "partial_deriv",
     "gradient",
     "divergence",
     "curl",
-    "laplacian",
     "directional_derivative",
     "project_hat",
     "helmholtz_project",

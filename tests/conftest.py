@@ -51,6 +51,6 @@ def two_bump_state(grid, p, s=1.2, centers=((10.0, 20.0, 20.0), (30.0, 20.0, 20.
     env = gaussian_bump(grid, centers[0], s) + gaussian_bump(grid, centers[1], s)
     x, _, _ = grid.coords()
     dk = 2.0 * np.pi / grid.box_l
-    data = np.zeros(grid.shape + (2,), dtype=complex)
-    data[..., 0] = env * np.exp(1j * dk * x)
+    data = np.zeros((2,) + grid.shape, dtype=complex)
+    data[0] = env * np.exp(1j * dk * x)
     return normalize_to_lambda(SpinorField(grid, data), p.lam)

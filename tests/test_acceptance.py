@@ -278,7 +278,7 @@ def test_07_coulomb_bound_and_brute_force(grid, ground_states):
     g16 = Grid(16, 40.0)
     p = params("S", v=0.1)
     psi, _ = random_fields(g16, p, seed=3)
-    dens = np.sum(np.abs(psi.data) ** 2, axis=-1)
+    dens = np.sum(np.abs(psi.data) ** 2, axis=0)
     n, L = g16.n, g16.box_l
     k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
     x1 = np.arange(n) * (L / n)

@@ -61,10 +61,10 @@ class TestTrialFields:
         spec = TrialSpec.fitted(grid32, amplitude=0.8)
         psi, A = trial_fields(grid32, p, spec)
         assert l2_norm_sq(grid32, psi.data) == pytest.approx(p.lam)
-        assert np.max(np.abs(psi.data[..., 1])) == 0.0
+        assert np.max(np.abs(psi.data[1])) == 0.0
         div = spectral.divergence(grid32, A.data)
         assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(A.data))
-        assert np.max(np.abs(np.mean(A.data, axis=(0, 1, 2)))) < 1e-14
+        assert np.max(np.abs(np.mean(A.data, axis=(1, 2, 3)))) < 1e-14
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_energy_law_matches_grid_energy(self, model):
@@ -181,15 +181,15 @@ class TestConcentration:
 
     def test_centering_finds_bump(self, grid32):
         p = params("S", v=0.1)
-        data = np.zeros(grid32.shape + (2,), dtype=complex)
-        data[..., 0] = gaussian_bump(grid32, (10.0, 20.0, 20.0), 1.5)
+        data = np.zeros((2,) + grid32.shape, dtype=complex)
+        data[0] = gaussian_bump(grid32, (10.0, 20.0, 20.0), 1.5)
         psi = normalize_to_lambda(SpinorField(grid32, data), p.lam)
         assert np.allclose(centering(psi, 5.0), [10.0, 20.0, 20.0])
 
     def test_centering_wraps_over_boundary(self, grid32):
         p = params("S", v=0.1)
-        data = np.zeros(grid32.shape + (2,), dtype=complex)
-        data[..., 0] = gaussian_bump(grid32, (38.75, 1.25, 0.0), 1.5)
+        data = np.zeros((2,) + grid32.shape, dtype=complex)
+        data[0] = gaussian_bump(grid32, (38.75, 1.25, 0.0), 1.5)
         psi = normalize_to_lambda(SpinorField(grid32, data), p.lam)
         assert np.allclose(centering(psi, 5.0), [38.75, 1.25, 0.0])
 
@@ -206,7 +206,7 @@ class TestSplitting:
     def test_box_gate(self, grid32):
         p = params("S", v=0.1)
         psi = two_bump_state(grid32, p)
-        A = np.zeros(grid32.shape + (3,))
+        A = np.zeros((3,) + grid32.shape)
         with pytest.raises(DomainGateError):
             split_fields(grid32, p, psi.data, A, SplitSpec(center=(10, 20, 20), radius=6.0, doublings=3))
 
@@ -241,14 +241,14 @@ class TestSplitting:
 
 class TestCoulomb:
     def test_uniform_density_has_no_self_interaction(self, grid16):
-        data = np.full(grid16.shape + (2,), 0.5 + 0.0j)
+        data = np.full((2,) + grid16.shape, 0.5 + 0.0j)
         assert abs(coulomb_double_integral(grid16, data)) < 1e-12
 
     def test_matches_direct_double_sum(self, grid16, rng):
         """The spectral evaluation equals the O(n^6) real-space double sum
         against the explicitly summed periodic kernel."""
-        data = rng.standard_normal(grid16.shape + (2,)) + 1j * rng.standard_normal(
-            grid16.shape + (2,)
+        data = rng.standard_normal((2,) + grid16.shape) + 1j * rng.standard_normal(
+            (2,) + grid16.shape
         )
         I_pkg = coulomb_double_integral(grid16, data)
 
@@ -266,7 +266,7 @@ class TestCoulomb:
                     G += np.cos(k1[i] * X + k1[j] * Y + k1[l] * Z) / k2
         G *= 4.0 * np.pi / L ** 3
 
-        dens = np.sum(np.abs(data) ** 2, axis=-1)
+        dens = np.sum(np.abs(data) ** 2, axis=0)
         cell = (L / n) ** 3
         I_direct = 0.0
         for i in range(n):
@@ -285,8 +285,8 @@ class TestCoulomb:
         2 pi M^2 s^2 / L^3."""
         g = Grid(48, 40.0)
         s, L = 3.0, g.box_l
-        data = np.zeros(g.shape + (2,), dtype=complex)
-        data[..., 0] = np.sqrt(gaussian_bump(g, (20.0, 20.0, 20.0), s / np.sqrt(2.0)))
+        data = np.zeros((2,) + g.shape, dtype=complex)
+        data[0] = np.sqrt(gaussian_bump(g, (20.0, 20.0, 20.0), s / np.sqrt(2.0)))
         I_pkg = coulomb_double_integral(g, data)
         M = np.pi ** 1.5 * s ** 3
         xi = -2.8372974794806  # point-lattice constant of the cubic torus

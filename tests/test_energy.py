@@ -56,36 +56,36 @@ def real_space_energy(grid, p, psi, A):
     """Reference: the nine terms of ``energy_functional`` with every
     derivative transformed back and every norm taken on the grid, as the
     package evaluated them before it read norms from transforms."""
-    mask = grid.dealias_mask[..., None]
+    mask = grid.dealias_mask
     v = p.v_arr
     a_low = np.real(grid.ifft(grid.fft(A) * mask))
     psi_hat = grid.fft(psi)
     psi_low = grid.ifft(psi_hat * mask)
-    dpsi = np.empty(grid.shape + (3, 2), dtype=complex)
+    dpsi = np.empty((3, 2) + grid.shape, dtype=complex)
     for a in range(3):
-        deriv = grid.ifft(1j * grid.k[a][..., None] * psi_hat)
-        prod = grid.ifft(grid.fft(a_low[..., a, None] * psi_low) * mask)
-        dpsi[..., a, :] = 1j * p.hbar * deriv + p.charge / p.light_speed * prod
+        deriv = grid.ifft(1j * grid.k[a] * psi_hat)
+        prod = grid.ifft(grid.fft(a_low[a] * psi_low) * mask)
+        dpsi[a] = 1j * p.hbar * deriv + p.charge / p.light_speed * prod
 
     def kinetic_op(c):
-        return c if p.model == "S" else np.einsum("bij,...bj->...i", SIGMA, c)
+        return c if p.model == "S" else np.einsum("bij,bj...->i...", SIGMA, c)
 
     boost = p.mass * v
     kinetic = l2_norm_sq(grid, kinetic_op(dpsi)) / (2.0 * p.mass)
     kinetic_sh = l2_norm_sq(
-        grid, kinetic_op(dpsi + boost[:, None] * psi[..., None, :])
+        grid, kinetic_op(dpsi + boost[:, None, None, None, None] * psi)
     ) / (2.0 * p.mass)
     a_hat = grid.fft(A)
     grad_sq = sum(
-        l2_norm_sq(grid, grid.ifft(1j * grid.k[a][..., None] * a_hat)) for a in range(3)
+        l2_norm_sq(grid, grid.ifft(1j * grid.k[a] * a_hat)) for a in range(3)
     )
     conv_sq = l2_norm_sq(grid, spectral.directional_derivative(grid, A, v))
     field = (grad_sq - conv_sq / p.light_speed ** 2) / (8.0 * np.pi)
     vd = spectral.directional_derivative(grid, psi, v)
     drift = float(np.real(np.sum(np.conj(psi) * 1j * p.hbar * vd)) * grid.cell)
-    dens_low = np.sum(np.abs(psi_low) ** 2, axis=-1)
+    dens_low = np.sum(np.abs(psi_low) ** 2, axis=0)
     coupling = -(p.charge / p.light_speed) * float(
-        grid.integrate(dens_low * np.tensordot(a_low, v, axes=(-1, 0)))
+        grid.integrate(dens_low * np.tensordot(a_low, v, axes=(0, 0)))
     )
     lam = l2_norm_sq(grid, psi)
     rest = -0.5 * p.mass * float(v @ v) * lam
@@ -115,7 +115,7 @@ class TestParsevalNorms:
         plane_psi, plane_A = plane_wave_state(grid, p)
         # a raw real A keeps its Nyquist planes, where the convective
         # derivative of a real field drops the odd multiplier
-        rough = np.random.default_rng(n).standard_normal(grid.shape + (3,))
+        rough = np.random.default_rng(n).standard_normal((3,) + grid.shape)
         states = ((psi.data, A.data), (psi.data, rough), (plane_psi.data, plane_A.data))
         for psi, A in states:
             got = energy_functional(grid, p, psi, A).as_dict()
@@ -133,9 +133,9 @@ class TestClosedForms:
         dk = 2.0 * np.pi / grid16.box_l
         x, _, _ = grid16.coords()
         vol = grid16.box_l ** 3
-        psi = np.zeros(grid16.shape + (2,), dtype=complex)
-        psi[..., 0] = np.sqrt(p.lam / vol) * np.exp(2j * dk * x)
-        A = np.zeros(grid16.shape + (3,))
+        psi = np.zeros((2,) + grid16.shape, dtype=complex)
+        psi[0] = np.sqrt(p.lam / vol) * np.exp(2j * dk * x)
+        A = np.zeros((3,) + grid16.shape)
         k = 2.0 * dk
         br = energy_functional(grid16, p, psi, A)
         expect = p.lam * (p.hbar ** 2 * k ** 2 / (2.0 * p.mass) - p.hbar * 0.1 * p.light_speed * k)
@@ -148,16 +148,16 @@ class TestClosedForms:
     def test_constant_state_zero_energy(self, grid16):
         p = params("S", v=0.1)
         vol = grid16.box_l ** 3
-        psi = np.zeros(grid16.shape + (2,), dtype=complex)
-        psi[..., 0] = np.sqrt(p.lam / vol)
-        A = np.zeros(grid16.shape + (3,))
+        psi = np.zeros((2,) + grid16.shape, dtype=complex)
+        psi[0] = np.sqrt(p.lam / vol)
+        A = np.zeros((3,) + grid16.shape)
         br = energy_functional(grid16, p, psi, A)
         assert abs(br.total) < 1e-15
 
     def test_field_energy(self, grid16, rng):
         p = PhysParams(light_speed=2.0)
-        A = rng.standard_normal(grid16.shape + (3,))
-        Adot = rng.standard_normal(grid16.shape + (3,))
+        A = rng.standard_normal((3,) + grid16.shape)
+        Adot = rng.standard_normal((3,) + grid16.shape)
         e = field_energy(grid16, p, A, Adot)
         direct = (
             l2_norm_sq(grid16, spectral.curl(grid16, A))
@@ -222,8 +222,8 @@ class TestThresholds:
 class TestAprioriBounds:
     def test_l6_norm_uniform(self, grid16):
         vol = grid16.box_l ** 3
-        psi = np.zeros(grid16.shape + (2,), dtype=complex)
-        psi[..., 0] = np.sqrt(2.0 / vol)
+        psi = np.zeros((2,) + grid16.shape, dtype=complex)
+        psi[0] = np.sqrt(2.0 / vol)
         assert rel(psi_l6_norm(grid16, psi), (8.0 / vol ** 2) ** (1 / 6)) < 1e-13
 
     @pytest.mark.parametrize("model", ["S", "P"])

@@ -76,11 +76,65 @@ class TestStateFile:
         grid = Grid(16, 40.0)
         p = params()
         psi, A = random_fields(grid, p, seed=3)
-        bad_psi = psi.data[..., :1]
+        bad_psi = psi.data[:1]
         with pytest.raises(InputError):
             write_state(str(tmp_path / "x.mpwf"), grid, p, bad_psi, A)
         with pytest.raises(InputError):
-            write_state(str(tmp_path / "x.mpwf"), grid, p, psi, A.data[..., :2])
+            write_state(str(tmp_path / "x.mpwf"), grid, p, psi, A.data[:2])
+
+    def test_write_rejects_component_last_arrays(self, tmp_path):
+        grid = Grid(16, 40.0)
+        p = params()
+        psi, A = random_fields(grid, p, seed=3)
+        path = str(tmp_path / "x.mpwf")
+        with pytest.raises(InputError, match="component-first"):
+            write_state(path, grid, p, np.moveaxis(psi.data, 0, -1), A)
+        with pytest.raises(InputError, match="component-first"):
+            write_state(path, grid, p, psi, np.moveaxis(A.data, 0, -1))
+
+    def test_payload_follows_the_documented_order(self, tmp_path):
+        """Each entry encodes its own (ix, iy, iz, c) index as its position
+        in a C-order walk with the component fastest, so the payload must
+        read 0, 1, 2, ... in both blocks."""
+        n = 8
+        grid = Grid(n, 10.0)
+        p = params()
+        ix, iy, iz = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+        site = (ix * n + iy) * n + iz
+        psi = np.stack([site * 2 + c for c in range(2)]) * (1.0 - 1.0j)
+        A = np.stack([site * 3 + c for c in range(3)]).astype(float)
+        path = str(tmp_path / "s.mpwf")
+        write_state(path, grid, p, psi, A)
+        blob = open(path, "rb").read()
+        header = struct.calcsize("<4sIIdB8d")
+        count = n ** 3 * 2
+        psi_raw = np.frombuffer(blob, dtype="<c16", count=count, offset=header)
+        a_raw = np.frombuffer(blob, dtype="<f8", offset=header + 16 * count)
+        assert np.array_equal(psi_raw, np.arange(count) * (1.0 - 1.0j))
+        assert np.array_equal(a_raw, np.arange(n ** 3 * 3, dtype=float))
+
+    def test_reads_a_file_assembled_from_the_spec(self, tmp_path):
+        """A file written byte by byte from the format spec reads back with
+        psi[c, ix, iy, iz] and A[c, ix, iy, iz] at the entries it names."""
+        n = 8
+        hdr = struct.pack("<4sIIdB8d", b"MPWF", 1, n, 10.0, 1,
+                          1.0, 1.0, 1.0, 1.0, 1.0, 0.1, 0.0, 0.0)
+        code = lambda ix, iy, iz, c: 1000 * ix + 100 * iy + 10 * iz + c
+        sites = [(ix, iy, iz) for ix in range(n) for iy in range(n) for iz in range(n)]
+        psi_bytes = b"".join(
+            struct.pack("<dd", code(*s, c), -code(*s, c)) for s in sites for c in range(2)
+        )
+        a_bytes = b"".join(struct.pack("<d", code(*s, c)) for s in sites for c in range(3))
+        path = tmp_path / "s.mpwf"
+        path.write_bytes(hdr + psi_bytes + a_bytes)
+        grid, p, psi, A = read_state(str(path))
+        assert grid.n == n and p.model == "P"
+        assert psi.data.shape == (2, n, n, n) and A.data.shape == (3, n, n, n)
+        for ix, iy, iz in ((0, 0, 0), (1, 2, 3), (7, 0, 5), (7, 7, 7)):
+            for c in range(2):
+                assert psi.data[c, ix, iy, iz] == code(ix, iy, iz, c) * (1.0 - 1.0j)
+            for c in range(3):
+                assert A.data[c, ix, iy, iz] == code(ix, iy, iz, c)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "s.mpwf")
@@ -137,9 +191,9 @@ class TestStateFile:
         for field in ("psi", "A"):
             bad_psi, bad_a = psi.data.copy(), A.data.copy()
             if field == "psi":
-                bad_psi[1, 2, 3, 0] = np.nan
+                bad_psi[0, 1, 2, 3] = np.nan
             else:
-                bad_a[3, 2, 1, 2] = np.inf
+                bad_a[2, 3, 2, 1] = np.inf
             path = str(tmp_path / f"{field}.mpwf")
             write_state(path, grid, p, bad_psi, bad_a)
             with pytest.raises(InputError, match="non-finite"):

@@ -65,8 +65,8 @@ def real_space_residual(grid, p, psi, A):
     )
     pcur = spectral.helmholtz_project(grid, current(grid, p, psi, A))
     rhs_hat = grid.fft(pcur) * (4.0 * np.pi / p.light_speed)
-    lhs_hat = grid.fft(A) * _wave_symbol(grid, p)[..., None]
-    mask = (grid.k2 > 0)[..., None]
+    lhs_hat = grid.fft(A) * _wave_symbol(grid, p)
+    mask = grid.k2 > 0
     norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
     a_raw = norm((lhs_hat - rhs_hat) * mask)
     a_floor = (
@@ -82,7 +82,7 @@ def real_space_residual(grid, p, psi, A):
         "a_scale": a_scale,
         "a_rel": a_raw / a_scale,
         "current_defect": 4.0 * np.pi / p.light_speed
-        * float(np.linalg.norm(np.mean(pcur, axis=(0, 1, 2)))),
+        * float(np.linalg.norm(np.mean(pcur, axis=(1, 2, 3)))),
         "theta": theta,
     }
 
@@ -96,7 +96,7 @@ def modulated_plane_wave(grid, p, depth=0.3):
     carrier: a spread density that carries a transverse current."""
     psi, _ = plane_wave_state(grid, p)
     _, y, _ = grid.coords()
-    data = psi.data * (1.0 + depth * np.cos(2.0 * np.pi * y / grid.box_l))[..., None]
+    data = psi.data * (1.0 + depth * np.cos(2.0 * np.pi * y / grid.box_l))
     return data * np.sqrt(p.lam / l2_norm_sq(grid, data))
 
 
@@ -106,7 +106,42 @@ def unshifted_precond(grid, p, psi_low):
     sym = _wave_symbol(grid, p)
     inv = np.zeros_like(sym)
     np.divide(4.0 * np.pi, sym, out=inv, where=sym > 0)
-    return inv[..., None]
+    return inv
+
+
+class TestLayout:
+    @pytest.mark.parametrize("kernel", [energy_functional, el_residual])
+    def test_component_last_arrays_are_refused(self, grid16, kernel):
+        """An (n, n, n, c) array is refused, not transformed over the
+        wrong axes."""
+        p = params("S", v=0.1)
+        psi, A = random_fields(grid16, p, seed=3)
+        last = lambda f: np.ascontiguousarray(np.moveaxis(f.data, 0, -1))
+        for args in ((last(psi), A.data), (psi.data, last(A))):
+            with pytest.raises(InputError, match="component-first"):
+                kernel(grid16, p, *args)
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_kernels_leave_inputs_and_record_unchanged(self, grid16, model):
+        """Stacks are transformed in place only where they are temporaries:
+        no kernel writes into its inputs or into the record it reads."""
+        p = params(model, v=0.1)
+        psi, A = random_fields(grid16, p, seed=3)
+        psi, A = psi.data, A.data
+        saved = psi.copy(), A.copy()
+        energy_functional(grid16, p, psi, A)
+        grad_psi(grid16, p, psi, A)
+        el_residual(grid16, p, psi, A)
+        current(grid16, p, psi, A)
+        solve_vector_potential(grid16, p, psi, A0=A)
+        assert np.array_equal(psi, saved[0]) and np.array_equal(A, saved[1])
+        st = kinetic_state(grid16, p, psi, spectral.dealias(grid16, A))
+        record = [st.psi_hat.copy(), st.psi_low.copy(), st.kpsi_hat.copy(), st.a_low.copy()]
+        _gradient(grid16, p, st)
+        importlib.import_module("mpwave.pauli")._pair_hat(grid16, p, st)
+        _a_operator(grid16, p, st.psi_low)(grid16.fft(A))
+        for got, want in zip((st.psi_hat, st.psi_low, st.kpsi_hat, st.a_low), record):
+            assert np.array_equal(got, want)
 
 
 class TestGradients:
@@ -121,8 +156,8 @@ class TestGradients:
     def test_grad_psi_first_model(self, grid16, rng):
         p = params("S", v=0.2)
         psi, A = random_fields(grid16, p, seed=51)
-        delta = rng.standard_normal(grid16.shape + (2,)) + 1j * rng.standard_normal(
-            grid16.shape + (2,)
+        delta = rng.standard_normal((2,) + grid16.shape) + 1j * rng.standard_normal(
+            (2,) + grid16.shape
         )
         G = grad_psi(grid16, p, psi.data, A.data)
         slope = 2.0 * float(np.real(inner(grid16, G, delta)))
@@ -133,8 +168,8 @@ class TestGradients:
         # grad_psi applies K^dagger K, so it is exact on band-limited and
         # on broadband states alike
         p = params("P", v=0.2)
-        delta = rng.standard_normal(grid16.shape + (2,)) + 1j * rng.standard_normal(
-            grid16.shape + (2,)
+        delta = rng.standard_normal((2,) + grid16.shape) + 1j * rng.standard_normal(
+            (2,) + grid16.shape
         )
         for mm in (grid16.mode_cut // 2, None):
             psi, A = random_fields(grid16, p, seed=52, max_mode=mm)
@@ -147,10 +182,10 @@ class TestGradients:
     def test_grad_A(self, grid16, rng, model):
         p = params(model, v=0.2)
         psi, A = random_fields(grid16, p, seed=53)
-        raw = rng.standard_normal(grid16.shape + (3,))
+        raw = rng.standard_normal((3,) + grid16.shape)
         delta = spectral.zero_mean(grid16, spectral.helmholtz_project(grid16, raw))
         G = grad_A(grid16, p, psi.data, A.data)
-        slope = float(grid16.integrate(np.sum(G * delta, axis=-1)))
+        slope = float(grid16.integrate(np.sum(G * delta, axis=0)))
         eps = 1e-3
         e_plus = energy_functional(grid16, p, psi.data, A.data + eps * delta).total
         e_minus = energy_functional(grid16, p, psi.data, A.data - eps * delta).total
@@ -220,7 +255,7 @@ class TestGradients:
         """With A = 0 the multiplier reduces to -E / (hbar lambda)."""
         p = params("S", v=0.1, hbar=0.9, mass=1.2)
         psi, _ = random_fields(grid16, p, seed=55)
-        A = np.zeros(grid16.shape + (3,))
+        A = np.zeros((3,) + grid16.shape)
         theta = lagrange_theta(grid16, p, psi.data, A)
         total = energy_functional(grid16, p, psi.data, A).total
         assert rel(theta, -total / (p.hbar * p.lam)) < 1e-12
@@ -252,7 +287,7 @@ class TestVectorPotentialSolve:
         assert res.a_rel < 1e-8
         div = spectral.divergence(grid16, A.data)
         assert np.max(np.abs(div)) < 1e-9 * max(np.max(np.abs(A.data)), 1e-30)
-        assert np.max(np.abs(np.mean(A.data, axis=(0, 1, 2)))) < 1e-14
+        assert np.max(np.abs(np.mean(A.data, axis=(1, 2, 3)))) < 1e-14
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_operator_is_a_derivative_of_current(self, grid16, model):
@@ -263,12 +298,12 @@ class TestVectorPotentialSolve:
         psi, A = random_fields(grid16, p, seed=65)
         a_hat = grid16.fft(A.data)
         op = _a_operator(grid16, p, spectral.dealias(grid16, psi.data))
-        lhs = op(a_hat) - _field_symbol(grid16, p)[..., None] * a_hat
+        lhs = op(a_hat) - _field_symbol(grid16, p) * a_hat
         dj = current(grid16, p, psi.data, A.data) - current(
             grid16, p, psi.data, np.zeros_like(A.data)
         )
         rhs = -grid16.fft(spectral.helmholtz_project(grid16, dj)) / p.light_speed
-        rhs[0, 0, 0, :] = 0.0
+        rhs[:, 0, 0, 0] = 0.0
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * np.max(np.abs(rhs))
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -279,10 +314,10 @@ class TestVectorPotentialSolve:
         grid = {16: grid16, 32: grid32}[n]
         p = params(model, v=0.2)
         psi, _ = random_fields(grid, p, seed=67)
-        zero = np.zeros(grid.shape + (3,))
+        zero = np.zeros((3,) + grid.shape)
         cur = current(grid, p, psi.data, zero) / p.light_speed
         ref = grid.fft(spectral.zero_mean(grid, spectral.helmholtz_project(grid, cur)))
-        ref[0, 0, 0, :] = 0.0
+        ref[:, 0, 0, 0] = 0.0
         b, _ = _a_rhs(grid, p, kinetic_state(grid, p, psi.data))
         assert max_rel(b, ref) <= 1e-13
 
@@ -294,7 +329,7 @@ class TestVectorPotentialSolve:
         grid = {16: grid16, 32: grid32}[n]
         p = params(model, v=0.2)
         psi, _ = random_fields(grid, p, seed=68)
-        raw = np.random.default_rng(68).standard_normal(grid.shape + (3,))
+        raw = np.random.default_rng(68).standard_normal((3,) + grid.shape)
         A, n_ops = solve_vector_potential(grid, p, psi.data, A0=raw, max_iter=0)
         ref = spectral.zero_mean(grid, spectral.helmholtz_project(grid, raw))
         assert n_ops == 1
@@ -329,7 +364,7 @@ class TestVectorPotentialSolve:
         grid = {16: grid16, 32: grid32}[n]
         p = params(model, v=v)
         psi, _ = plane_wave_state(grid, p)
-        warm = np.random.default_rng(70).standard_normal(grid.shape + (3,))
+        warm = np.random.default_rng(70).standard_normal((3,) + grid.shape)
         with caplog.at_level(logging.DEBUG, logger="mpwave.minimize"):
             A, n_ops = solve_vector_potential(grid, p, psi.data, A0=warm)
         [msg] = [r.getMessage() for r in caplog.records if r.name == "mpwave.minimize"]
@@ -357,11 +392,11 @@ class TestVectorPotentialSolve:
         rho_bar on the dealias band, for both models, so the shifted
         preconditioner is the exact inverse of the operator there."""
         p = params(model, v=0.2)
-        psi = np.empty(grid16.shape + (2,), dtype=complex)
-        psi[..., 0], psi[..., 1] = 0.3 + 0.1j, 0.2 - 0.4j
-        raw = np.random.default_rng(72).standard_normal(grid16.shape + (3,))
-        a_hat = spectral.project_hat(grid16, grid16.fft(raw)) * grid16.dealias_mask[..., None]
-        a_hat[0, 0, 0, :] = 0.0
+        psi = np.empty((2,) + grid16.shape, dtype=complex)
+        psi[0], psi[1] = 0.3 + 0.1j, 0.2 - 0.4j
+        raw = np.random.default_rng(72).standard_normal((3,) + grid16.shape)
+        a_hat = spectral.project_hat(grid16, grid16.fft(raw)) * grid16.dealias_mask
+        a_hat[:, 0, 0, 0] = 0.0
         out = _a_precond(grid16, p, psi) * _a_operator(grid16, p, psi)(a_hat)
         assert max_rel(out, a_hat) <= 1e-13
         # the shift is what makes it exact: the bare inverse symbol is off
@@ -376,7 +411,7 @@ class TestVectorPotentialSolve:
         the size of the solution, as in the solver's loop; the stop rule is
         relative to the larger of |b| and |r0|."""
         p = params(model, v=0.2)
-        noise = np.random.default_rng(73).standard_normal(grid16.shape + (3,))
+        noise = np.random.default_rng(73).standard_normal((3,) + grid16.shape)
         states = [random_fields(grid16, p, seed=74 + k)[0].data for k in range(2)]
         states.append(modulated_plane_wave(grid16, p))
         for psi in states:
@@ -395,7 +430,7 @@ class TestVectorPotentialSolve:
         p = params(model, v=0.1, lam=100.0)
         psi = modulated_plane_wave(grid16, p)
         ref, _ = solve_vector_potential(grid16, p, psi, tol=1e-13)
-        noise = np.random.default_rng(75).standard_normal(grid16.shape + (3,))
+        noise = np.random.default_rng(75).standard_normal((3,) + grid16.shape)
         warm = np.max(np.abs(ref.data)) * noise
         A, n_shifted = solve_vector_potential(grid16, p, psi, A0=warm)
         monkeypatch.setattr(minimize_mod, "_a_precond", unshifted_precond)
@@ -431,13 +466,13 @@ class TestPlaneWaveState:
     def test_snaps_to_lattice(self, grid16):
         dk = 2.0 * np.pi / grid16.box_l
         psi, _ = plane_wave_state(grid16, params("S", v=0.12))
-        ph = grid16.fft(psi.data[..., 0])
+        ph = grid16.fft(psi.data[0])
         idx = np.unravel_index(np.argmax(np.abs(ph)), ph.shape)
         k_at = np.array([grid16.k[a][idx] for a in range(3)])
         assert np.allclose(k_at, [dk, 0.0, 0.0])
         # below half a lattice spacing the carrier drops to zero
         psi0, _ = plane_wave_state(grid16, params("S", v=0.05))
-        assert np.max(np.abs(psi0.data - psi0.data[0, 0, 0])) < 1e-12
+        assert np.max(np.abs(psi0.data - psi0.data[:, :1, :1, :1])) < 1e-12
 
     def test_out_of_band_carrier_is_refused(self):
         """On L = 400 at n = 16 the dealias band ends at 5 * 2 pi / 400
@@ -461,7 +496,7 @@ class TestPlaneWaveState:
         p = params("S", v=0.82)
         dk = 2.0 * np.pi / grid16.box_l
         psi, _ = plane_wave_state(grid16, p)
-        ph = grid16.fft(psi.data[..., 0])
+        ph = grid16.fft(psi.data[0])
         idx = np.unravel_index(np.argmax(np.abs(ph)), ph.shape)
         assert np.allclose([grid16.k[a][idx] for a in range(3)], [5 * dk, 0.0, 0.0])
         with pytest.raises(DomainGateError, match="dealias band"):
@@ -574,8 +609,8 @@ class TestPreconditionedDescent:
         """A constant psi has no kinetic energy; the shift falls back to
         that of the longest wave the box holds."""
         p = params("S", v=0.0, hbar=0.9, mass=1.2)
-        psi = np.full(grid16.shape + (2,), 0.1 + 0.0j)
-        st = kinetic_state(grid16, p, psi, np.zeros(grid16.shape + (3,)))
+        psi = np.full((2,) + grid16.shape, 0.1 + 0.0j)
+        st = kinetic_state(grid16, p, psi, np.zeros((3,) + grid16.shape))
         k_min = 2.0 * np.pi / grid16.box_l
         floor = p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass)
         assert _shift(grid16, p, st, l2_norm_sq(grid16, psi)) == floor

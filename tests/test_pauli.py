@@ -12,20 +12,38 @@ from mpwave.fields import inner, l2_norm_sq, random_fields
 from mpwave.pauli import (
     SIGMA,
     _pair,
-    _pair_one,
     _spin_contract,
     _spin_expand,
+    _state,
     covariant_gradient,
     covariant_laplacian,
     current,
-    kinetic_gradient,
     kinetic_state,
     sigma_dot,
-    sigma_identity_check,
     spin_term,
 )
 
 from conftest import rel
+
+
+def kinetic_gradient(grid, p, psi, A):
+    """K psi of the model, sigma . D psi for "P" and D psi for "S": the
+    inverse transform of the record's K psi_hat."""
+    return grid.ifft(_state(grid, p, psi, A).kpsi_hat)
+
+
+def sigma_identity_check(f, g):
+    """Max-norm defect of (sigma.f)(sigma.g) = (f.g) I + i sigma.(f x g)
+    for complex 3-vectors ``f`` and ``g`` stacked along the last axis."""
+    f = np.asarray(f, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    mf = np.tensordot(f, SIGMA, axes=(-1, 0))
+    mg = np.tensordot(g, SIGMA, axes=(-1, 0))
+    lhs = mf @ mg
+    dot = np.sum(f * g, axis=-1)
+    crs = np.cross(f, g)
+    rhs = dot[..., None, None] * np.eye(2) + 1.0j * np.tensordot(crs, SIGMA, axes=(-1, 0))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def plane_wave(grid, mvec, spinor=(1.0, 0.0), lam=1.0):
@@ -36,12 +54,12 @@ def plane_wave(grid, mvec, spinor=(1.0, 0.0), lam=1.0):
     chi = np.asarray(spinor, dtype=complex)
     chi = chi / np.linalg.norm(chi)
     vol = grid.box_l ** 3
-    return np.sqrt(lam / vol) * phase[..., None] * chi, dk * np.asarray(mvec, float)
+    return np.sqrt(lam / vol) * phase * chi[:, None, None, None], dk * np.asarray(mvec, float)
 
 
 def random_spinor(grid, rng):
-    return rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(
-        grid.shape + (2,)
+    return rng.standard_normal((2,) + grid.shape) + 1j * rng.standard_normal(
+        (2,) + grid.shape
     )
 
 
@@ -58,32 +76,32 @@ class TestSigmaAlgebra:
         assert sigma_identity_check(f, g) < 1e-13
 
     def test_real_contraction_preserves_magnitude(self, grid16, rng):
-        a = rng.standard_normal(grid16.shape + (3,))
+        a = rng.standard_normal((3,) + grid16.shape)
         psi = random_spinor(grid16, rng)
         out = sigma_dot(a, psi)
-        lhs = np.sum(np.abs(out) ** 2, axis=-1)
-        rhs = np.sum(a ** 2, axis=-1) * np.sum(np.abs(psi) ** 2, axis=-1)
+        lhs = np.sum(np.abs(out) ** 2, axis=0)
+        rhs = np.sum(a ** 2, axis=0) * np.sum(np.abs(psi) ** 2, axis=0)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(rhs)
 
     def test_constant_vector_path(self, grid16, rng):
         psi = random_spinor(grid16, rng)
         vec = np.array([0.3, -1.2, 0.7])
-        broad = np.broadcast_to(vec, grid16.shape + (3,))
+        broad = np.broadcast_to(vec[:, None, None, None], (3,) + grid16.shape)
         assert np.max(np.abs(sigma_dot(vec, psi) - sigma_dot(broad, psi))) < 1e-14
 
 
     def test_component_contraction_matches_matrix_loop(self, grid16, rng):
         """The component forms of the spin contraction and its adjoint
         equal the per-matrix products exactly, and are adjoint."""
-        c = rng.standard_normal(grid16.shape + (3, 2)) + 1j * rng.standard_normal(
-            grid16.shape + (3, 2)
+        c = rng.standard_normal((3, 2) + grid16.shape) + 1j * rng.standard_normal(
+            (3, 2) + grid16.shape
         )
         h = random_spinor(grid16, rng)
         loop = np.zeros_like(h)
         for b in range(3):
-            loop += np.einsum("ij,...j->...i", SIGMA[b], c[..., b, :])
+            loop += np.einsum("ij,j...->i...", SIGMA[b], c[b])
         assert np.array_equal(_spin_contract("P", c), loop)
-        stack = np.stack([np.einsum("ij,...j->...i", SIGMA[a], h) for a in range(3)], axis=-2)
+        stack = np.stack([np.einsum("ij,j...->i...", SIGMA[a], h) for a in range(3)])
         assert np.array_equal(_spin_expand("P", h), stack)
         lhs = inner(grid16, h, _spin_contract("P", c))
         rhs = inner(grid16, _spin_expand("P", h), c)
@@ -95,8 +113,7 @@ class TestSigmaAlgebra:
         psi = random_spinor(grid16, rng)
         g = random_spinor(grid16, rng)
         loop = np.stack(
-            [np.real(np.einsum("...i,ij,...j->...", np.conj(psi), SIGMA[a], g)) for a in range(3)],
-            axis=-1,
+            [np.real(np.einsum("i...,ij,j...->...", np.conj(psi), SIGMA[a], g)) for a in range(3)]
         )
         assert np.max(np.abs(_pair("P", psi, g) - loop)) < 1e-14 * np.max(np.abs(loop))
 
@@ -104,9 +121,11 @@ class TestSigmaAlgebra:
         """The model S pairing adds its two spin terms directly; that is
         the size-2 reduction it replaces, bit for bit."""
         psi = random_spinor(grid16, rng)
-        g = random_spinor(grid16, rng)
-        reduced = np.real(np.sum(np.conj(psi) * g, axis=-1))
-        assert _pair_one(psi, g).tobytes() == reduced.tobytes()
+        g = rng.standard_normal((3, 2) + grid16.shape) + 1j * rng.standard_normal(
+            (3, 2) + grid16.shape
+        )
+        reduced = np.real(np.sum(np.conj(psi) * g, axis=1))
+        assert _pair("S", psi, g).tobytes() == reduced.tobytes()
 
 
 class TestCovariantDerivative:
@@ -115,19 +134,19 @@ class TestCovariantDerivative:
         p = PhysParams()
         phi = random_spinor(grid16, rng)
         psi = random_spinor(grid16, rng)
-        A = rng.standard_normal(grid16.shape + (3,))
+        A = rng.standard_normal((3,) + grid16.shape)
         dphi = covariant_gradient(grid16, p, phi, A)
         dpsi = covariant_gradient(grid16, p, psi, A)
         for a in range(3):
-            lhs = inner(grid16, phi, dpsi[..., a, :])
-            rhs = inner(grid16, dphi[..., a, :], psi)
+            lhs = inner(grid16, phi, dpsi[a])
+            rhs = inner(grid16, dphi[a], psi)
             assert rel(lhs, rhs) < 1e-12
 
     def test_quadratic_form_identity(self, grid16, rng):
         """<phi, K^dagger K psi> = <K phi, K psi> on rough fields, both models."""
         phi = random_spinor(grid16, rng)
         psi = random_spinor(grid16, rng)
-        A = rng.standard_normal(grid16.shape + (3,))
+        A = rng.standard_normal((3,) + grid16.shape)
         for model in ("S", "P"):
             p = PhysParams(model=model)
             lhs = inner(grid16, phi, covariant_laplacian(grid16, p, psi, A))
@@ -140,7 +159,7 @@ class TestCovariantDerivative:
 
     def test_laplacian_positive_on_state(self, grid16, rng):
         psi = random_spinor(grid16, rng)
-        A = rng.standard_normal(grid16.shape + (3,))
+        A = rng.standard_normal((3,) + grid16.shape)
         for model in ("S", "P"):
             val = inner(grid16, psi, covariant_laplacian(grid16, PhysParams(model=model), psi, A))
             assert abs(val.imag) < 1e-12 * abs(val.real), model
@@ -157,7 +176,7 @@ class TestCovariantDerivative:
             psi = spectral.dealias(grid16, psi.data)
             s = p.mass * p.light_speed / p.charge * p.v_arr
             via_field = l2_norm_sq(
-                grid16, kinetic_gradient(grid16, p, psi, A.data + s)
+                grid16, kinetic_gradient(grid16, p, psi, A.data + s[:, None, None, None])
             ) / (2.0 * p.mass)
             br = energy_functional(grid16, p, psi, A.data)
             assert rel(br.kinetic_shifted, via_field) < 1e-13, model
@@ -174,7 +193,7 @@ class TestCovariantDerivative:
 
         def defect(max_mode):
             psi, A = random_fields(grid16, p, seed=11, max_mode=max_mode)
-            psi2 = phase[..., None] * psi.data
+            psi2 = phase * psi.data
             k1 = l2_norm_sq(grid16, covariant_gradient(grid16, p, psi.data, A.data))
             k2 = l2_norm_sq(
                 grid16, covariant_gradient(grid16, p, psi2, A.data + grad_u)
@@ -231,11 +250,11 @@ class TestCurrent:
     def test_plane_wave_free(self, grid16, model):
         p = PhysParams(model=model, lam=1.3)
         psi, k = plane_wave(grid16, (1, -2, 0), lam=p.lam)
-        A = np.zeros(grid16.shape + (3,))
+        A = np.zeros((3,) + grid16.shape)
         J = current(grid16, p, psi, A)
         expect = (p.charge * p.hbar / p.mass) * k * (p.lam / grid16.box_l ** 3)
         for a in range(3):
-            assert np.max(np.abs(J[..., a] - expect[a])) < 1e-12 * max(
+            assert np.max(np.abs(J[a] - expect[a])) < 1e-12 * max(
                 np.max(np.abs(expect)), 1e-15
             )
 
@@ -245,12 +264,12 @@ class TestCurrent:
         p = PhysParams(model=model, lam=0.7, charge=-1.0)
         psi, k = plane_wave(grid16, (0, 1, 1), spinor=(0.6, 0.8j), lam=p.lam)
         A0 = np.array([0.5, -0.2, 0.1])
-        A = np.broadcast_to(A0, grid16.shape + (3,)).copy()
+        A = np.broadcast_to(A0[:, None, None, None], (3,) + grid16.shape).copy()
         J = current(grid16, p, psi, A)
         dens = p.lam / grid16.box_l ** 3
         expect = (p.charge / p.mass) * (p.hbar * k - p.charge / p.light_speed * A0) * dens
         for a in range(3):
-            assert np.max(np.abs(J[..., a] - expect[a])) < 1e-12
+            assert np.max(np.abs(J[a] - expect[a])) < 1e-12
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_current_is_kinetic_a_derivative(self, grid16, rng, model):
@@ -261,7 +280,7 @@ class TestCurrent:
         """
         p = PhysParams(model=model)
         psi, A = random_fields(grid16, p, seed=31)
-        dA = rng.standard_normal(grid16.shape + (3,))
+        dA = rng.standard_normal((3,) + grid16.shape)
 
         def kin(field):
             g = kinetic_gradient(grid16, p, psi.data, field)
@@ -270,7 +289,7 @@ class TestCurrent:
         eps = 1e-4
         fd = (kin(A.data + eps * dA) - kin(A.data - eps * dA)) / (2.0 * eps)
         J = current(grid16, p, psi.data, A.data)
-        pairing = -float(grid16.integrate(np.sum(J * dA, axis=-1))) / p.light_speed
+        pairing = -float(grid16.integrate(np.sum(J * dA, axis=0))) / p.light_speed
         assert rel(fd, pairing) < 1e-9
 
     def test_models_differ_on_structured_state(self, grid16):
@@ -306,7 +325,7 @@ class TestZeroField:
         pauli_mod = importlib.import_module("mpwave.pauli")
         p = PhysParams(model=model, v=(0.2, -0.1, 0.05))
         psi, _ = random_fields(grid16, p, seed=43)
-        zero = np.zeros(grid16.shape + (3,))
+        zero = np.zeros((3,) + grid16.shape)
         kernels = {
             "covariant_laplacian": lambda: covariant_laplacian(grid16, p, psi.data, zero),
             "current": lambda: current(grid16, p, psi.data, zero),
