@@ -140,7 +140,9 @@ _KEYS = {
     "trial_points": ("trial_points", int),
 }
 
-_MIN_TYPES = {f.name: f.type for f in dataclasses.fields(MinimizeConfig)}
+# MinimizeConfig's seed and force come from the keys seed and force_supercritical only
+_MIN_TYPES = {f.name: f.type for f in dataclasses.fields(MinimizeConfig)
+              if f.name not in ("seed", "force")}
 _MIN_PARSERS = {"int": int, "float": float, "str": str.strip, "bool": _parse_bool}
 
 
@@ -219,10 +221,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "speeds", None):
         overrides["speeds"] = _parse_floats(args.speeds)
     cfg = dataclasses.replace(cfg, **overrides)
-    if cfg.seed != RunConfig.seed or "seed" in overrides:
-        cfg = dataclasses.replace(cfg, minimize=dataclasses.replace(cfg.minimize, seed=cfg.seed))
-    if cfg.force_supercritical and not cfg.minimize.force:
-        cfg = dataclasses.replace(cfg, minimize=dataclasses.replace(cfg.minimize, force=True))
+    cfg = dataclasses.replace(cfg, minimize=dataclasses.replace(
+        cfg.minimize, seed=cfg.seed, force=cfg.force_supercritical
+    ))
     cfg.validate()
     return cfg
 

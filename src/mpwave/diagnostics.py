@@ -23,8 +23,8 @@ import numpy as np
 from . import spectral
 from .energy import (
     _field_part,
-    _grad_tensor_sq,
-    _v_deriv_sq,
+    _parseval,
+    _vk_real,
     carrier_gate,
     energy_functional,
     speed_gate,
@@ -273,15 +273,17 @@ def base_quadratures(grid: Grid, p: PhysParams, spec: TrialSpec | None = None) -
     grad_env = spectral.gradient(grid, env)
     n2 = R ** 2 * float(np.sum(np.abs(grad_env) ** 2)) * grid.cell
 
-    g2 = _grad_tensor_sq(grid, a0) / R
+    a0_hat = grid.fft(a0)
+    g2 = _parseval(grid, a0_hat, grid.k2) / R
 
     speed = p.speed
     vhat = p.v_arr / speed if speed > 0 else np.array([1.0, 0.0, 0.0])
-    g1v2 = _v_deriv_sq(grid, a0, vhat) / R
+    g1v2 = _parseval(grid, a0_hat, _vk_real(grid, vhat) ** 2) / R
 
     m2 = float(np.sum(np.sum(a0 ** 2, axis=0) * dens)) * grid.cell
     overlap = float(np.sum(np.tensordot(a0, vhat, axes=(0, 0)) * dens)) * grid.cell
-    spin = R * float(np.sum(spectral.curl(grid, a0)[2] * dens)) * grid.cell
+    curl_z = grid.ifft(1j * (grid.k[0] * a0_hat[1] - grid.k[1] * a0_hat[0]), overwrite=True)
+    spin = R * float(np.sum(curl_z.real * dens)) * grid.cell
     return BaseQuadratures(n2=n2, g2=g2, g1v2=g1v2, m2=m2, overlap=overlap, spin=spin)
 
 

@@ -98,16 +98,17 @@ def _parseval(grid: Grid, fh: np.ndarray, weight: np.ndarray | None = None) -> f
     return float(np.sum(sq)) * grid.cell / grid.n ** 3
 
 
-def _grad_tensor_sq(grid: Grid, A: np.ndarray) -> float:
-    """|grad (x) A|^2 = sum_{a,b} |d_a A_b|^2 over the box."""
-    return _parseval(grid, grid.fft(A), grid.k2)
-
-
-def _v_deriv_sq(grid: Grid, A: np.ndarray, v: np.ndarray) -> float:
-    """|(v.grad) A|^2 over the box (not normalized by |v|)."""
-    if not np.any(v):
-        return 0.0
-    return _parseval(grid, grid.fft(A), _vk_real(grid, v) ** 2)
+def _em_energy(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
+    """``field_energy`` of A and (v.grad) A from the transform ``a_hat`` of
+    A by Parseval, with the derivatives of a real field (``_vk_real``)."""
+    kx, ky, kz = (_vk_real(grid, e) for e in np.eye(3))
+    curl_sq = (
+        _parseval(grid, ky * a_hat[2] - kz * a_hat[1])
+        + _parseval(grid, kz * a_hat[0] - kx * a_hat[2])
+        + _parseval(grid, kx * a_hat[1] - ky * a_hat[0])
+    )
+    conv_sq = _parseval(grid, a_hat, _vk_real(grid, p.v_arr) ** 2) / p.light_speed ** 2
+    return (curl_sq + conv_sq) / (8.0 * np.pi)
 
 
 def _field_part(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
@@ -202,12 +203,8 @@ def travelling_energy(grid: Grid, p: PhysParams, psi, A) -> float:
     Note the plus sign on the convective term and the mass-constraint
     factor on the field part, in contrast with the variational energy.
     """
-    psi = as_array(psi)
-    A = as_array(A)
     kinetic = _kinetic(grid, p, pauli._state(grid, p, psi, A).kpsi_hat)
-    curl_sq = l2_norm_sq(grid, spectral.curl(grid, A))
-    conv_sq = _v_deriv_sq(grid, A, p.v_arr) / p.light_speed ** 2
-    return kinetic + p.lam * (curl_sq + conv_sq) / (8.0 * np.pi)
+    return kinetic + p.lam * _em_energy(grid, p, grid.fft(as_array(A)))
 
 
 def theta_thresholds(p: PhysParams) -> tuple[float, float]:
@@ -339,7 +336,7 @@ def apriori_bounds(
     gap = (hi - p.speed) * (p.speed - lo)
     c2mv2 = c * c - v2
 
-    grad_a = np.sqrt(_grad_tensor_sq(grid, as_array(A)))
+    grad_a = np.sqrt(_parseval(grid, grid.fft(as_array(A)), grid.k2))
     psi6 = psi_l6_norm(grid, psi)
     excess = total + 0.5 * p.mass * v2 * lam
 

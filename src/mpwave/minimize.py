@@ -18,14 +18,14 @@ div A = 0 by alternating two moves:
 * A: the energy is an inhomogeneous positive-definite quadratic in A at
   fixed psi, so the subproblem is solved essentially exactly by
   preconditioned conjugate gradients in Fourier space, on the transform
-  of the (3, n, n, n) stack A; each stage of the operator (the band
-  limit of A, its products with T psi, the pairing) is one transform
-  call on a whole stack.  The
-  preconditioner is the inverse of the operator's diagonal at a uniform
-  density: the wave symbol / 4 pi shifted by the diamagnetic mean field
-  (Q^2 / m c^2) rho_bar, the counterpart for A of the psi shift.  A is
-  solved where the run reads it: at the start, before each stationarity
-  check and at the polish.
+  of the (3, n, n, n) stack A.  The operator's diamagnetic term is -1/c
+  times the current of the field part of A, through the current
+  transform the forcing reads; each stage is one transform call on a
+  whole stack.  The preconditioner is the inverse of the operator's
+  diagonal at a uniform density: the wave symbol / 4 pi shifted by the
+  diamagnetic mean field (Q^2 / m c^2) rho_bar, the counterpart for A of
+  the psi shift.  A is solved where the run reads it: at the start,
+  before each stationarity check and at the polish.
 
 On a periodic box the average of the gauge current need not vanish while
 the wave operator k^2 - (v.k)^2/c^2 kills the k = 0 mode, so the zeroth
@@ -52,7 +52,6 @@ from .energy import (
     _vk,
     carrier_gate,
     energy_functional,
-    field_energy,
     speed_gate,
 )
 from .errors import InputError, SolverError
@@ -129,8 +128,7 @@ def omega_from_theta(grid: Grid, p: PhysParams, A, theta: float) -> float:
     A_a = as_array(A)
     if not np.any(A_a):
         return -theta
-    adot = spectral.directional_derivative(grid, A_a, p.v_arr)
-    return field_energy(grid, p, A_a, adot) / p.hbar - theta
+    return energy_mod._em_energy(grid, p, grid.fft(A_a)) / p.hbar - theta
 
 
 def grad_A(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
@@ -138,16 +136,23 @@ def grad_A(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
 
     grad_A = P[ -(1/c) J_j - (1/4 pi) lap A + (1/4 pi c^2) (v.grad)^2 A ].
 
-    The k = 0 component carries (-1/c) times the mean current; on the
-    torus it cannot be relaxed by any admissible A and is excluded from
-    the stationarity residual.
+    Summed on transforms with the residual check's ``_source_hat``.  The
+    k = 0 component carries (-1/c) times the mean current; on the torus it
+    cannot be relaxed by any admissible A and is excluded from the residual.
     """
-    psi = as_array(psi)
     A = as_array(A)
-    cur = pauli.current(grid, p, psi, A)
-    lin_hat = grid.fft(A) * energy_mod._wave_symbol(grid, p)
-    out = -cur / p.light_speed + np.real(grid.ifft(lin_hat, overwrite=True)) / (4.0 * np.pi)
-    return spectral.helmholtz_project(grid, out)
+    out = grid.fft(A)
+    out *= energy_mod._wave_symbol(grid, p) / (4.0 * np.pi)
+    out -= _source_hat(grid, p, pauli._state(grid, p, psi, A))
+    spectral.project_hat(grid, out)
+    return grid.ifft(out, overwrite=True).real.copy()
+
+
+def _source_hat(grid: Grid, p: PhysParams, st: pauli.KineticState) -> np.ndarray:
+    """Transform of J / c of the record ``st``: the A-side's one source."""
+    j_hat = pauli._current_hat(grid, p, st.psi_low, st.kpsi_hat * grid.dealias_mask)
+    j_hat /= p.light_speed
+    return j_hat
 
 
 @dataclass(frozen=True)
@@ -204,8 +209,7 @@ def _residual(
     psi_rel = psi_raw / psi_scale if psi_scale > 0 else 0.0
 
     # (4 pi / c) P J_hat from the record; its k = 0 mode is the mean drive
-    coef = -4.0 * np.pi * p.charge / (p.mass * p.light_speed)
-    rhs_hat = spectral.project_hat(grid, coef * pauli._pair_hat(grid, p, st))
+    rhs_hat = spectral.project_hat(grid, 4.0 * np.pi * _source_hat(grid, p, st))
     if np.any(A_a):
         lhs_hat = grid.fft(A_a) * energy_mod._wave_symbol(grid, p)
     else:
@@ -253,32 +257,19 @@ def _field_symbol(grid: Grid, p: PhysParams) -> np.ndarray:
 def _a_operator(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Spectral-space matvec of the (SPD) quadratic form in A at fixed psi.
 
-    Maps the transform of a solenoidal zero-mean field to the transform
-    of the energy Hessian applied to it: wave symbol / 4 pi plus the
-    dealiased diamagnetic sandwich, re-projected, with k = 0 frozen.
+    Maps the transform of a solenoidal zero-mean field a to the transform
+    of the energy Hessian applied to it: wave symbol / 4 pi plus -1/c times
+    the current of the field part of a, re-projected, with k = 0 frozen.
     """
     sym = _field_symbol(grid, p)
-    coef = p.charge ** 2 / (p.mass * p.light_speed ** 2)
-    mask = grid.dealias_mask
 
     def op(a_hat: np.ndarray) -> np.ndarray:
-        # the A-derivative of pauli.current, built from the same
-        # contraction and pairing with the same dealias placement, so the
-        # solve is stationary for the same equation el_residual checks;
-        # each stage transforms its whole stack in one call, and each
-        # temporary goes as soon as the next stage holds its result
-        low = grid.ifft(a_hat * mask, overwrite=True).real
-        prods = grid.fft(low[:, None] * psi_low, overwrite=True)
-        del low
-        np.multiply(prods, mask, out=prods)
-        g = pauli._spin_contract(p.model, grid.ifft(prods, overwrite=True))
-        del prods  # model P contracts into a new array; the stack can go
-        pair = pauli._pair(p.model, psi_low, g)
-        del g
-        out = grid.fft(pair)
-        del pair
-        np.multiply(out, mask, out=out)
-        np.multiply(coef, out, out=out)
+        # the field part, contracted on its transform as kinetic_hat does, is
+        # passed on unnamed, so each stack goes once the next holds its result
+        out = pauli._current_hat(grid, p, psi_low, pauli._spin_contract(p.model, pauli._field_hat(
+            grid, p, psi_low, grid.ifft(a_hat * grid.dealias_mask, overwrite=True).real
+        )))
+        np.multiply(-1.0 / p.light_speed, out, out=out)
         out += sym * a_hat
         spectral.project_hat(grid, out)
         out[:, 0, 0, 0] = 0.0
@@ -291,8 +282,7 @@ def _a_rhs(grid: Grid, p: PhysParams, st: pauli.KineticState) -> tuple[np.ndarra
     """Transform of the paramagnetic forcing (1/c) P J0, the current at
     A = 0 read from the field-free record ``st``, with k = 0 frozen, and
     the grid norm of the unprojected (1/c) J0, k = 0 included."""
-    coef = -p.charge / (p.mass * p.light_speed)
-    j_hat = coef * pauli._pair_hat(grid, p, st)
+    j_hat = _source_hat(grid, p, st)
     j_norm = np.sqrt(energy_mod._parseval(grid, j_hat))
     b = spectral.project_hat(grid, j_hat)
     b[:, 0, 0, 0] = 0.0

@@ -49,9 +49,6 @@ SIGMA = np.array(
 )
 
 
-_arr = as_array
-
-
 def sigma_dot(vec: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Contract a 3-vector of scalar fields with the Pauli matrices.
 
@@ -64,17 +61,22 @@ def sigma_dot(vec: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return _spin_contract("P", vec * psi)
 
 
-def _covariant_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarray:
-    """Transforms of the three D_a psi, stacked as (3, 2, n, n, n):
-    -hbar k_a psi_hat + (Q/c) mask FFT(a_low_a psi_low), a_low None for
-    A = 0.  The three products take one transform, in place, and the
-    derivative terms are added to it one direction at a time, so no
-    second stack is held."""
-    if a_low is None:
-        return (-p.hbar * grid.k)[:, None] * psi_hat
+def _field_hat(grid: Grid, p: PhysParams, psi_low, a_low) -> np.ndarray:
+    """Field part (Q/c) mask FFT(a_low_a psi_low) of the three D_a psi_hat,
+    (3, 2, n, n, n): the three products take one transform, in place."""
     out = grid.fft(a_low[:, None] * psi_low, overwrite=True)
     np.multiply(grid.dealias_mask, out, out=out)
     np.multiply(p.charge / p.light_speed, out, out=out)
+    return out
+
+
+def _covariant_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarray:
+    """Transforms of the three D_a psi, (3, 2, n, n, n): -hbar k_a psi_hat
+    plus ``_field_hat``, a_low None for A = 0; the derivative terms are
+    added one direction at a time, so no second stack is held."""
+    if a_low is None:
+        return (-p.hbar * grid.k)[:, None] * psi_hat
+    out = _field_hat(grid, p, psi_low, a_low)
     for a in range(3):
         out[a] += (-p.hbar * grid.k[a]) * psi_hat
     return out
@@ -107,7 +109,7 @@ def kinetic_state(grid: Grid, p: PhysParams, psi, a_low=None) -> KineticState:
     """The ``KineticState`` of psi against ``a_low`` = T A, or A = 0 when
     it is None: 4 scalar transforms for psi, and 6 for K psi with a field.
     Callers that evaluate many psi against one A band it once."""
-    psi_hat, psi_low = spectral.band(grid, _arr(psi))
+    psi_hat, psi_low = spectral.band(grid, as_array(psi))
     return KineticState(psi_hat, psi_low, kinetic_hat(grid, p, psi_hat, psi_low, a_low), a_low)
 
 
@@ -122,9 +124,9 @@ def _state(grid: Grid, p: PhysParams, psi, A) -> KineticState:
 
 def covariant_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     """All three components D_a psi, stacked as (3, 2, n, n, n)."""
-    psi_hat, psi_low = spectral.band(grid, _arr(psi))
-    hat = _covariant_hat(grid, p, psi_hat, psi_low, spectral.dealias(grid, _arr(A)))
-    return grid.ifft(hat, overwrite=True)
+    psi_hat, psi_low = spectral.band(grid, component_array(grid, psi, 2, "psi"))
+    a_low = spectral.dealias(grid, component_array(grid, A, 3, "A"))
+    return grid.ifft(_covariant_hat(grid, p, psi_hat, psi_low, a_low), overwrite=True)
 
 
 def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
@@ -209,18 +211,23 @@ def spin_term(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     """-(hbar Q / c) T(sigma . B T psi), B = curl T(A): covariant_laplacian
     of model "P" minus that of model "S" on fields band limited to half
     the dealias cutoff (Lichnerowicz); a check, not a kernel."""
-    b_field = spectral.curl(grid, spectral.dealias(grid, _arr(A)))
-    spin = sigma_dot(b_field, spectral.dealias(grid, _arr(psi)))
+    b_field = spectral.curl(grid, spectral.dealias(grid, component_array(grid, A, 3, "A")))
+    spin = sigma_dot(b_field, spectral.dealias(grid, component_array(grid, psi, 2, "psi")))
     return -p.hbar * p.charge / p.light_speed * spectral.dealias(grid, spin)
 
 
-def _pair_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
-    """Transform of T of the pairing ``_pair`` of T psi with T K psi, read
-    from the record: the current is J = -(Q/m) times its inverse."""
-    mask = grid.dealias_mask
-    pair = _pair(p.model, st.psi_low, grid.ifft(st.kpsi_hat * mask, overwrite=True))
+def _current_hat(grid: Grid, p: PhysParams, psi_low, kh) -> np.ndarray:
+    """Transform of the current J = -(Q/m) T _pair(T psi, T K psi) from
+    psi_low = T psi and kh = mask K psi_hat, a temporary it transforms in
+    place: callers pass it unnamed, so (CPython 3.11 on, where a call takes
+    over its arguments) it goes before the pair's transform."""
+    g = grid.ifft(kh, overwrite=True)
+    del kh
+    pair = _pair(p.model, psi_low, g)
+    del g
     out = grid.fft(pair)
-    np.multiply(mask, out, out=out)
+    np.multiply(grid.dealias_mask, out, out=out)
+    np.multiply(-p.charge / p.mass, out, out=out)
     return out
 
 
@@ -232,10 +239,12 @@ def current(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
 
     Both use dealiased pairings (every factor filtered, the product
     refiltered) so that ``current`` is exactly the A-derivative of the
-    kinetic energy evaluated by ``energy_functional``.
+    kinetic energy evaluated by ``energy_functional``.  Its transform,
+    ``_current_hat``, is the one the whole A-side of the solver reads.
     """
-    pair_hat = _pair_hat(grid, p, _state(grid, p, psi, A))
-    return -(p.charge / p.mass) * grid.ifft(pair_hat, overwrite=True).real
+    st = _state(grid, p, psi, A)
+    j_hat = _current_hat(grid, p, st.psi_low, st.kpsi_hat * grid.dealias_mask)
+    return grid.ifft(j_hat, overwrite=True).real.copy()
 
 
 __all__ = [

@@ -36,7 +36,9 @@ BUDGET = {
     "trial energy": (10, 10),
     # the KineticState 16, the pairing 9 / 5, one inverse 3
     "current": (28, 24),
-    "A-operator matvec": (18, 18),
+    # T a 3 inverse, its products with T psi 6 forward; the current of that
+    # field part, contracted on its transform: 6 / 2 inverse, the pair 3
+    "A-operator matvec": (18, 14),
     # one warm A-solve less its matvecs: psi_hat and T psi 4, the forcing
     # at A = 0 (no product transforms) 6 / 2 + 3, the warm start 3 forward,
     # the result 3 inverse

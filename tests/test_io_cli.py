@@ -442,6 +442,18 @@ class TestCli:
                             "--out", str(tmp_path / "out")], capsys)
         assert rc == 2 and "unknown config key" in err
 
+    @pytest.mark.parametrize("line", ["minimize.seed = 5", "minimize.force = true"])
+    def test_exit_2_duplicate_minimize_key(self, tmp_path, capsys, line):
+        """The seed and the speed-gate override each have one key, ``seed``
+        and ``force_supercritical``: their minimize. twins are unknown,
+        rather than a second seed the report does not show or a force the
+        speed gate ignores."""
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(f"minimize.init = random\nminimize.max_iter = 3\n{line}\n")
+        rc, _, err = _main(["solve", "--config", str(cfg), "--grid", "16",
+                            "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and "unknown config key" in err, line
+
     def test_exit_2_missing_config(self, tmp_path, capsys):
         rc, _, err = _main(["solve", "--config", str(tmp_path / "absent.cfg")],
                            capsys)

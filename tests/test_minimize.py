@@ -13,7 +13,7 @@ from mpwave.energy import _wave_symbol, energy_functional, field_energy
 from mpwave.diagnostics import TrialSpec, trial_fields
 from mpwave.errors import DomainGateError, InputError, SolverError
 from mpwave.fields import inner, l2_norm_sq, random_fields
-from mpwave.pauli import current, kinetic_state
+from mpwave.pauli import covariant_gradient, current, kinetic_state, spin_term
 from mpwave.minimize import (
     MinimizeConfig,
     _a_operator,
@@ -24,6 +24,7 @@ from mpwave.minimize import (
     _gradient,
     _psi_energy,
     _shift,
+    _source_hat,
     _tangent,
     el_residual,
     grad_A,
@@ -87,6 +88,16 @@ def real_space_residual(grid, p, psi, A):
     }
 
 
+def real_space_grad_A(grid, p, psi, A):
+    """``grad_A`` from real-space kernels: the current through
+    ``pauli.current``, the wave term transformed back, and their sum
+    projected by ``helmholtz_project``."""
+    cur = current(grid, p, psi, A)
+    lin_hat = grid.fft(A) * _wave_symbol(grid, p)
+    out = -cur / p.light_speed + np.real(grid.ifft(lin_hat)) / (4.0 * np.pi)
+    return spectral.helmholtz_project(grid, out)
+
+
 def max_rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -110,7 +121,9 @@ def unshifted_precond(grid, p, psi_low):
 
 
 class TestLayout:
-    @pytest.mark.parametrize("kernel", [energy_functional, el_residual])
+    @pytest.mark.parametrize(
+        "kernel", [energy_functional, el_residual, covariant_gradient, spin_term]
+    )
     def test_component_last_arrays_are_refused(self, grid16, kernel):
         """An (n, n, n, c) array is refused, not transformed over the
         wrong axes."""
@@ -133,12 +146,13 @@ class TestLayout:
         grad_psi(grid16, p, psi, A)
         el_residual(grid16, p, psi, A)
         current(grid16, p, psi, A)
+        grad_A(grid16, p, psi, A)
         solve_vector_potential(grid16, p, psi, A0=A)
         assert np.array_equal(psi, saved[0]) and np.array_equal(A, saved[1])
         st = kinetic_state(grid16, p, psi, spectral.dealias(grid16, A))
         record = [st.psi_hat.copy(), st.psi_low.copy(), st.kpsi_hat.copy(), st.a_low.copy()]
         _gradient(grid16, p, st)
-        importlib.import_module("mpwave.pauli")._pair_hat(grid16, p, st)
+        _source_hat(grid16, p, st)
         _a_operator(grid16, p, st.psi_low)(grid16.fft(A))
         for got, want in zip((st.psi_hat, st.psi_low, st.kpsi_hat, st.a_low), record):
             assert np.array_equal(got, want)
@@ -191,6 +205,18 @@ class TestGradients:
         e_minus = energy_functional(grid16, p, psi.data, A.data - eps * delta).total
         fd = (e_plus - e_minus) / (2.0 * eps)
         assert rel(fd, slope) < 1e-9
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_grad_A_matches_real_space_reference(self, grid16, grid32, model, n):
+        """grad_A, summed and projected on the transform of A, is the
+        real-space assembly, with a field and at A = 0."""
+        grid = {16: grid16, 32: grid32}[n]
+        p = params(model, v=0.2)
+        psi, A = random_fields(grid, p, seed=54)
+        for a in (A.data, np.zeros_like(A.data)):
+            ref = real_space_grad_A(grid, p, psi.data, a)
+            assert max_rel(grad_A(grid, p, psi.data, a), ref) <= 1e-13
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_multiplier_tangency(self, grid16, model):
