@@ -129,7 +129,6 @@ _KEYS = {
     "charge": ("charge", float),
     "lambda": ("lam", float),
     "v": ("velocity", _parse_vec3),
-    "velocity": ("velocity", _parse_vec3),
     "grid_n": ("grid_n", int),
     "box_l": ("box_l", float),
     "seed": ("seed", int),
@@ -141,9 +140,8 @@ _KEYS = {
 }
 
 # MinimizeConfig's seed and force come from the keys seed and force_supercritical only
-_MIN_TYPES = {f.name: f.type for f in dataclasses.fields(MinimizeConfig)
-              if f.name not in ("seed", "force")}
-_MIN_PARSERS = {"int": int, "float": float, "str": str.strip, "bool": _parse_bool}
+_MIN_PARSERS = {f.name: {"int": int, "str": str.strip}[f.type]
+                for f in dataclasses.fields(MinimizeConfig) if f.name not in ("seed", "force")}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
@@ -171,11 +169,10 @@ def _apply_pairs(cfg: RunConfig, pairs: dict) -> RunConfig:
     for key, value in pairs.items():
         if key.startswith("minimize."):
             name = key[len("minimize."):]
-            if name not in _MIN_TYPES:
+            if name not in _MIN_PARSERS:
                 raise InputError(f"unknown config key {key!r}")
-            parser = _MIN_PARSERS.get(_MIN_TYPES[name], str.strip)
             try:
-                min_updates[name] = parser(value)
+                min_updates[name] = _MIN_PARSERS[name](value)
             except ValueError as exc:
                 raise InputError(f"bad value for {key!r}: {exc}") from None
         elif key in _KEYS:
@@ -275,9 +272,8 @@ def _report_lines(cfg: RunConfig, rep) -> list:
         f"a_solves = {rep.a_solves}",
         f"backtracks = {rep.backtracks}",
     ]
-    if rep.breakdown is not None:
-        for key, val in rep.breakdown.as_dict().items():
-            lines.append(f"energy.{key} = {_fmt(val)}")
+    for key, val in rep.breakdown.as_dict().items():
+        lines.append(f"energy.{key} = {_fmt(val)}")
     return lines
 
 

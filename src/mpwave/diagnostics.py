@@ -333,7 +333,6 @@ def negativity_witness(
     p: PhysParams,
     spec: TrialSpec | None = None,
     num: int = 24,
-    a_max: float | None = None,
 ) -> WitnessReport:
     """Scan the trial family along a -> (a, R_a) for energies below
     -(m v^2 / 2) lambda.
@@ -361,9 +360,7 @@ def negativity_witness(
         / (R ** 1.5 * np.sqrt(w))
     )
     a_min = a_of_r(r_cap)
-    r_floor = max(4.0 * grid.spacing, 1e-3 * r_cap)
-    if a_max is None:
-        a_max = a_of_r(r_floor)
+    a_max = a_of_r(max(4.0 * grid.spacing, 1e-3 * r_cap))
 
     rows = []
     found = False

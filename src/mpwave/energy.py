@@ -121,13 +121,13 @@ def _field_part(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
     return _parseval(grid, a_hat, weight) / (8.0 * np.pi)
 
 
-def _field_band(grid: Grid, p: PhysParams, A: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """T A and the field term of the real field A, from one forward FFT of
-    A; (None, 0.0) for an all-zero A, which the field-free record stands for."""
+def _field_band(grid: Grid, p: PhysParams, A: np.ndarray) -> tuple:
+    """A_hat, T A and the field term of the real field A, from one forward
+    FFT; (None, None, 0.0) for an all-zero A, the field-free record's."""
     if not np.any(A):
-        return None, 0.0
+        return None, None, 0.0
     a_hat, a_low = spectral.band(grid, A)
-    return a_low, _field_part(grid, p, a_hat)
+    return a_hat, a_low, _field_part(grid, p, a_hat)
 
 
 def _kinetic(grid: Grid, p: PhysParams, kpsi_hat: np.ndarray) -> float:
@@ -158,7 +158,7 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     A = component_array(grid, A, 3, "A")
     v = p.v_arr
 
-    a_low, field = _field_band(grid, p, A)
+    a_low, field = _field_band(grid, p, A)[1:]
     st = pauli.kinetic_state(grid, p, psi, a_low)
     # the shifted form sees A + (mc/Q) v; a constant cannot alias, so it
     # multiplies psi directly, shifting the local record's K psi_hat in place

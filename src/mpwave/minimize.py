@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -181,22 +181,22 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
     wave equation with the k = 0 mode split off into ``current_defect``
     (reported as (4 pi / c) |mean J|).  Both read one ``KineticState``.
     """
-    psi_a = as_array(psi)
-    A_a = as_array(A)
-    st = pauli._state(grid, p, psi_a, A_a)
-    return _residual(grid, p, psi_a, A_a, _gradient(grid, p, st), st)
+    psi_a = component_array(grid, psi, 2, "psi")
+    A_a = component_array(grid, A, 3, "A")
+    a_hat, a_low = spectral.band(grid, A_a) if np.any(A_a) else (None, None)
+    st = pauli.kinetic_state(grid, p, psi_a, a_low)
+    # A_hat is not held through the gradient, where el_residual peaks
+    a_side = _a_side(grid, p, l2_norm_sq(grid, psi_a), a_hat, st)
+    del a_hat
+    return _residual(grid, p, psi_a, _gradient(grid, p, st), a_side)
 
 
-def _residual(
-    grid: Grid, p: PhysParams, psi_a: np.ndarray, A_a: np.ndarray, G: np.ndarray,
-    st: pauli.KineticState,
-) -> ELResidual:
+def _residual(grid: Grid, p: PhysParams, psi_a: np.ndarray, G: np.ndarray, a_side) -> ELResidual:
     """``el_residual`` for a caller that already holds G = grad_psi(psi, A)
-    and the KineticState ``st`` of (psi, A)."""
+    and the ``_a_side`` of (psi, A)."""
     lam_meas = l2_norm_sq(grid, psi_a)
     resid, theta = _tangent(grid, p, psi_a, G, lam_meas)
     psi_raw = np.sqrt(l2_norm_sq(grid, resid))
-    del resid  # not held through the A-side, where el_residual peaks
     # exactly flat states (constant psi, vanishing current) leave every
     # term at rounding scale; flooring the denominators by the weakest
     # signal the box can carry turns 0/0 noise into a ~0 report
@@ -207,27 +207,7 @@ def _residual(
         psi_floor,
     )
     psi_rel = psi_raw / psi_scale if psi_scale > 0 else 0.0
-
-    # (4 pi / c) P J_hat from the record; its k = 0 mode is the mean drive
-    rhs_hat = spectral.project_hat(grid, 4.0 * np.pi * _source_hat(grid, p, st))
-    if np.any(A_a):
-        lhs_hat = grid.fft(A_a) * energy_mod._wave_symbol(grid, p)
-    else:
-        lhs_hat = np.zeros_like(rhs_hat)
-    mask = grid.k2 > 0
-    norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
-    a_raw = norm((lhs_hat - rhs_hat) * mask)
-    # scale against the full source (k = 0 included) so delocalised states
-    # with a pure mean current do not degenerate to 0/0, floored by the
-    # drive a unit-mass plane wave on the largest scale would produce
-    a_floor = (
-        4.0 * np.pi * abs(p.charge) * p.hbar * k_min * lam_meas
-        / (p.mass * p.light_speed * grid.box_l ** 1.5)
-    )
-    a_scale = max(norm(lhs_hat * mask) + norm(rhs_hat), a_floor)
-    a_rel = a_raw / a_scale if a_scale > 0 else 0.0
-
-    defect = float(np.linalg.norm(rhs_hat[:, 0, 0, 0].real)) / grid.n ** 3
+    a_raw, a_scale, a_rel, defect = a_side
     return ELResidual(
         psi_raw=float(psi_raw),
         psi_scale=float(psi_scale),
@@ -238,6 +218,37 @@ def _residual(
         current_defect=defect,
         theta=float(theta),
     )
+
+
+def _a_side(grid: Grid, p: PhysParams, lam_meas: float, a_hat, st: pauli.KineticState) -> tuple:
+    """(a_raw, a_scale, a_rel, current_defect) of ``el_residual`` from the
+    record ``st``, A_hat (None for A = 0) and the measured |psi|^2."""
+    # (4 pi / c) P J_hat from the record; its k = 0 mode is the mean drive,
+    # reported as the defect and then split off
+    rhs_hat = spectral.project_hat(grid, 4.0 * np.pi * _source_hat(grid, p, st))
+    norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
+    defect = float(np.linalg.norm(rhs_hat[:, 0, 0, 0].real)) / grid.n ** 3
+    rhs_norm = norm(rhs_hat)
+    rhs_hat[:, 0, 0, 0] = 0.0
+    if a_hat is None:
+        lhs_norm, a_raw = 0.0, norm(rhs_hat)
+    else:
+        # the wave symbol vanishes at k = 0; the difference is taken in
+        # place, so the A-side holds two stacks
+        lhs_hat = a_hat * energy_mod._wave_symbol(grid, p)
+        lhs_norm = norm(lhs_hat)
+        lhs_hat -= rhs_hat
+        a_raw = norm(lhs_hat)
+    # scale against the full source (k = 0 included) so delocalised states
+    # with a pure mean current do not degenerate to 0/0, floored by the
+    # drive a unit-mass plane wave on the largest scale would produce
+    k_min = 2.0 * np.pi / grid.box_l
+    a_floor = (
+        4.0 * np.pi * abs(p.charge) * p.hbar * k_min * lam_meas
+        / (p.mass * p.light_speed * grid.box_l ** 1.5)
+    )
+    a_scale = max(lhs_norm + rhs_norm, a_floor)
+    return a_raw, a_scale, a_raw / a_scale if a_scale > 0 else 0.0, defect
 
 
 # -- A-subproblem -------------------------------------------------------------
@@ -432,23 +443,18 @@ def _initial_state(
     if config.init == "given":
         if psi0 is None or A0 is None:
             raise InputError('init="given" requires both psi0 and A0')
-    if psi0 is not None and A0 is not None:
         psi, A = psi0, A0
+    elif psi0 is not None or A0 is not None:
+        raise InputError(f'psi0 and A0 go with init="given", not init={config.init!r}')
     elif config.init == "random":
         psi, A = random_fields(grid, p, config.seed, a_amp=0.1)
     elif config.init == "plane":
         psi, A = plane_wave_state(grid, p)
-    elif config.init == "trial":
+    else:
         from .diagnostics import TrialSpec, trial_fields
 
         spec = TrialSpec.fitted(grid, amplitude=0.5)
         psi, A = trial_fields(grid, p, spec)
-    else:
-        raise InputError(f"unknown init mode {config.init!r}")
-    if psi0 is not None:
-        psi = psi0
-    if A0 is not None:
-        A = A0
     psi = normalize_to_lambda(SpinorField(grid, as_array(psi)), p.lam)
     a_data = as_array(A)
     if np.any(a_data):
@@ -463,24 +469,28 @@ def _initial_state(
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Knobs of the alternating descent.
+    """Settings of one run: ``max_iter``, the start ``init`` ("trial",
+    "random", "plane", or "given" with the psi0 and A0 of ``minimize``),
+    the ``seed`` of the random start, ``log_every`` (log every k
+    iterations, 0 for never) and ``force`` (skip the speed gate).
 
-    The A-subproblem has no cadence knob: it is solved at the start,
-    before each stationarity check (every ``check_every`` iterations, to
-    ``a_tol``) and at the polish.
+    The numerics are class constants: ``check_every`` 5, ``residual_tol``
+    1e-5, ``energy_tol`` 1e-13, ``confirm_stall`` 10, ``patience`` 100,
+    ``armijo`` 1e-4, ``backtrack`` 0.5, ``max_backtracks`` 40 and
+    ``a_tol`` 1e-9 (the polish solves A to 1e-12).
     """
 
+    residual_tol: ClassVar[float] = 1e-5
+    energy_tol: ClassVar[float] = 1e-13
+    patience: ClassVar[int] = 100
+    confirm_stall: ClassVar[int] = 10
+    backtrack: ClassVar[float] = 0.5
+    armijo: ClassVar[float] = 1e-4
+    max_backtracks: ClassVar[int] = 40
+    a_tol: ClassVar[float] = 1e-9
+    check_every: ClassVar[int] = 5
+
     max_iter: int = 4000
-    residual_tol: float = 1e-5
-    energy_tol: float = 1e-13
-    patience: int = 100
-    confirm_stall: int = 10
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 40
-    a_tol: float = 1e-9
-    a_max_iter: int = 400
-    check_every: int = 5
     init: str = "trial"
     seed: int = 0
     log_every: int = 0
@@ -562,6 +572,8 @@ def minimize(
     psi.  The search ends as a failed one, without a trial energy, once
     the predicted decrease s Re <Gt, d> is below the rounding of E; the
     stationarity residual then decides whether that is convergence.
+    ``psi0`` and ``A0`` start the run of ``init="given"``, which needs
+    both; any other ``init`` refuses them with InputError.
     """
     if config is None:
         config = MinimizeConfig()
@@ -582,9 +594,7 @@ def minimize(
 
     def solve_a(psi: np.ndarray, A: np.ndarray, tol: float) -> np.ndarray:
         nonlocal a_ops, a_solves
-        A_f, n_ops = solve_vector_potential(
-            grid, p, psi, A0=A, tol=tol, max_iter=config.a_max_iter
-        )
+        A_f, n_ops = solve_vector_potential(grid, p, psi, A0=A, tol=tol)
         a_ops += n_ops
         a_solves += 1
         return A_f.data
@@ -592,7 +602,7 @@ def minimize(
     A = solve_a(psi, A, config.a_tol)
     # an all-zero A, as the solve returns at a forcing on its rounding
     # floor, is the field-free record: no transform of A or of a product
-    a_low, field_term = _field_band(grid, p, A)
+    a_hat, a_low, field_term = _field_band(grid, p, A)
 
     # st, the KineticState of psi, is read by E, alpha, G and the residual
     # check; at most one is alive, so it goes at the top of each iteration
@@ -610,7 +620,6 @@ def minimize(
     best_E = E
     since_best = 0
     msg = "max_iter reached"
-    converged = False
     it = 0
     prev_psi = prev_Gt = prev_d = None
 
@@ -620,7 +629,6 @@ def minimize(
         gd = inner(grid, Gt, d).real
         if gd == 0.0:
             msg = "stationary: zero tangent gradient"
-            converged = True
             break
 
         # BB step in the metric of P, with Armijo guard
@@ -652,11 +660,11 @@ def minimize(
             s *= config.backtrack
         if not accepted:
             # rebuilt here rather than kept alive through the trials
-            res = _residual(grid, p, psi, A, G, pauli.kinetic_state(grid, p, psi, a_low))
-            converged = res.max_rel < config.residual_tol
+            st = pauli.kinetic_state(grid, p, psi, a_low)
+            res = _residual(grid, p, psi, G, _a_side(grid, p, lam_meas, a_hat, st))
             msg = (
                 "stationary: no descent direction left"
-                if converged
+                if res.max_rel < config.residual_tol
                 else "line search failed away from stationarity"
             )
             break
@@ -667,9 +675,9 @@ def minimize(
 
         if it % config.check_every == 0:
             # the check below reads A, so it is solved at this psi first
-            st = a_low = None
+            st = a_hat = a_low = None
             A = solve_a(psi, A, config.a_tol)
-            a_low, field_term = _field_band(grid, p, A)
+            a_hat, a_low, field_term = _field_band(grid, p, A)
             st = pauli.kinetic_state(grid, p, psi, a_low)
             E = _psi_energy(grid, p, st) + field_term
 
@@ -689,28 +697,26 @@ def minimize(
             since_best += 1
 
         if it % config.check_every == 0 or since_best >= config.patience:
-            res = _residual(grid, p, psi, A, G, st)
+            res = _residual(grid, p, psi, G, _a_side(grid, p, lam_meas, a_hat, st))
             # a small residual alone can be a slow plateau transit; accept
             # stationarity only once the energy has also stopped moving
             if res.max_rel < config.residual_tol and since_best >= config.confirm_stall:
                 msg = "stationarity residual below tolerance"
-                converged = True
                 break
             if since_best >= config.patience:
                 msg = f"stalled: no energy decrease for {config.patience} iterations"
                 break
 
     # the loop's arrays go before the polish solve, which sets peak memory
-    st = a_low = G = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
+    st = a_hat = a_low = G = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
     # polish the quadratic subproblem before reporting
     A = solve_a(psi, A, 1e-12)
     res = el_residual(grid, p, psi, A)
-    converged = res.max_rel < config.residual_tol
     breakdown = energy_functional(grid, p, psi, A)
     omega = omega_from_theta(grid, p, A, res.theta)
     stride = max(1, len(trace) // 1000)
     return MinimizeReport(
-        converged=converged,
+        converged=res.max_rel < config.residual_tol,
         iterations=it,
         energy=breakdown.total,
         theta=res.theta,

@@ -30,8 +30,8 @@ BUDGET = {
     # the solver's call, reading the KineticState of its energy evaluation
     "grad_psi from the record": (14, 14),
     # the KineticState 16, G from it 14, the current pairing: T K psi 6 / 2
-    # inverse and the pair 3 forward, A_hat 3
-    "el_residual": (42, 38),
+    # inverse and the pair 3 forward; A_hat comes from the band limit of A
+    "el_residual": (39, 35),
     # one Armijo trial energy: psi_hat, T psi and K psi_hat
     "trial energy": (10, 10),
     # the KineticState 16, the pairing 9 / 5, one inverse 3

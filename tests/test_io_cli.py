@@ -249,8 +249,7 @@ class TestConfigParsing:
             "speeds = 0.1 0.2\n"
             "trial_points = 9\n"
             "minimize.max_iter = 12\n"
-            "minimize.init = plane\n"
-            "minimize.a_tol = 1e-7\n",
+            "minimize.init = plane\n",
         )
         assert cfg.model == "P" and cfg.lam == 2.5
         assert cfg.velocity == (0.05, 0.0, 0.1)
@@ -259,7 +258,6 @@ class TestConfigParsing:
         assert cfg.speeds == (0.1, 0.2) and cfg.trial_points == 9
         assert cfg.minimize.max_iter == 12
         assert cfg.minimize.init == "plane"
-        assert cfg.minimize.a_tol == 1e-7
         # the run seed reaches the minimizer so reruns are reproducible
         assert cfg.minimize.seed == 7
         # the force flag reaches the minimizer so --force can skip the gate
@@ -297,6 +295,14 @@ class TestConfigParsing:
             self._resolve(tmp_path, "grid_n = 4\n")
         with pytest.raises(InputError, match="positive"):
             self._resolve(tmp_path, "box_l = -5\n")
+
+
+#: minimize.* keys of settings that no longer exist or are constants
+_REMOVED_MINIMIZE_KEYS = [
+    "step0", "step_min", "step_max", "residual_tol", "energy_tol", "patience",
+    "confirm_stall", "backtrack", "armijo", "max_backtracks", "a_tol", "a_max_iter",
+    "check_every",
+]
 
 
 def _main(argv, capsys):
@@ -432,12 +438,17 @@ class TestCli:
                                 "--out", str(tmp_path / "out")], capsys)
             assert rc == 2 and "unknown config key" in err, line
 
-    @pytest.mark.parametrize("key", ["step0", "step_min", "step_max"])
-    def test_exit_2_removed_step_key(self, tmp_path, capsys, key):
-        """The preconditioned descent takes no step-length knobs; the
-        former ones are unknown."""
+    @pytest.mark.parametrize(
+        "line",
+        [f"minimize.{key} = 0.05" for key in _REMOVED_MINIMIZE_KEYS] + ["velocity = 0.2,0,0"],
+        ids=_REMOVED_MINIMIZE_KEYS + ["velocity"],
+    )
+    def test_exit_2_removed_step_key(self, tmp_path, capsys, line):
+        """The preconditioned descent takes no step-length knobs, its fixed
+        numerics are constants of MinimizeConfig, and the velocity has one
+        key, ``v``: the former keys are unknown."""
         cfg = tmp_path / "old.cfg"
-        cfg.write_text(f"minimize.{key} = 0.05\n")
+        cfg.write_text(line + "\n")
         rc, _, err = _main(["solve", "--config", str(cfg), "--grid", "16",
                             "--out", str(tmp_path / "out")], capsys)
         assert rc == 2 and "unknown config key" in err

@@ -1,5 +1,6 @@
 """Gradients, the quadratic field subproblem, and the descent driver."""
 
+import dataclasses
 import importlib
 import logging
 import sys
@@ -609,9 +610,30 @@ class TestMinimize:
         with pytest.raises(InputError):
             minimize(grid16, p, MinimizeConfig(init="given"))
 
+    @pytest.mark.parametrize("given", ["psi0", "A0", "both"])
+    def test_fields_go_with_given_init_only(self, grid16, given):
+        """psi0 and A0 are the start of init="given"; another init refuses
+        them rather than overwrite its own start with them."""
+        p = params("S", v=0.1)
+        psi, A = random_fields(grid16, p, seed=5, a_amp=0.1)
+        start = {"psi0": psi, "A0": A}
+        if given != "both":
+            start = {given: start[given]}
+        with pytest.raises(InputError, match="given"):
+            minimize(grid16, p, MinimizeConfig(init="trial", max_iter=1), **start)
+
     def test_config_validation(self):
         with pytest.raises(InputError):
             MinimizeConfig(init="nope")
+
+    def test_settings_are_the_fields(self):
+        """A run is set by its iteration cap, start, seed, logging and the
+        speed-gate override; the numerics are constants of the class."""
+        names = [f.name for f in dataclasses.fields(MinimizeConfig)]
+        assert names == ["max_iter", "init", "seed", "log_every", "force"]
+        assert MinimizeConfig.residual_tol == MinimizeConfig().residual_tol == 1e-5
+        with pytest.raises(TypeError):
+            MinimizeConfig(armijo=0.3)
 
 
 class TestPreconditionedDescent:

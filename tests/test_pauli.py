@@ -310,7 +310,7 @@ def _banded_state(grid, p, psi, A):
 
 def _banded_field(grid, p, A):
     a_hat, a_low = spectral.band(grid, A)
-    return a_low, _field_part(grid, p, a_hat)
+    return a_hat, a_low, _field_part(grid, p, a_hat)
 
 
 class TestZeroField:
