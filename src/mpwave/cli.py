@@ -7,12 +7,15 @@ Four commands cover the workflow:
 * ``trial``  -- scan the explicit trial family for the negativity witness;
 * ``check``  -- run the invariant suite against a saved state file.
 
-Configuration is a flat ``key = value`` text file with ``#`` comments;
-command-line flags override file values.  All randomness flows from the
+Configuration is a flat ``key = value`` text file with ``#`` comments.
+Each command-line flag is the pair of its config key, laid over the
+file's pairs and parsed with them.  All randomness flows from the
 config seed, so identical configurations produce byte-identical
 artifacts; wall-clock timestamps appear only in the ``run.log`` sidecar.
-Exit codes: 0 success, 2 input error, 3 domain gate, 4 solver failure.
-The environment variable ``MPW_THREADS`` bounds kernel parallelism.
+The speed is gated where it is used: each solve, each sweep speed and
+the trial scan.  Exit codes: 0 success, 2 input error, 3 domain gate,
+4 solver failure.  The environment variable ``MPW_THREADS`` sets the FFT
+worker count of each grid.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics, io as state_io, pauli, spectral
-from .energy import apriori_bounds, energy_functional, speed_gate
+from .energy import apriori_bounds, energy_functional
 from .errors import DomainGateError, InputError, MpwaveError, SolverError
 from .fields import PhysParams
 from .grid import Grid
@@ -69,7 +72,9 @@ def _parse_floats(s: str) -> tuple:
 
 @dataclass
 class RunConfig:
-    """Everything one run needs, resolved from file plus flags."""
+    """Everything one run needs, resolved from file plus flags.  The run
+    seed and the speed-gate override live in ``minimize`` (``seed`` and
+    ``force``), where the solver reads them."""
 
     model: str = "S"
     hbar: float = 1.0
@@ -80,9 +85,7 @@ class RunConfig:
     velocity: tuple = (0.1, 0.0, 0.0)
     grid_n: int = 32
     box_l: float = 40.0
-    seed: int = 0
     output_dir: str = "."
-    force_supercritical: bool = False
     speeds: tuple = ()
     direction: tuple = (1.0, 0.0, 0.0)
     trial_points: int = 24
@@ -103,8 +106,11 @@ class RunConfig:
             raise InputError(str(exc)) from None
 
     def params(self) -> PhysParams:
+        """The physical parameters; the speed is gated by the library
+        call that uses it (``minimize`` per solve and per sweep speed,
+        ``negativity_witness`` for the trial scan)."""
         try:
-            p = PhysParams(
+            return PhysParams(
                 hbar=self.hbar,
                 mass=self.mass,
                 light_speed=self.light_speed,
@@ -115,12 +121,10 @@ class RunConfig:
             )
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        if not self.force_supercritical:
-            speed_gate(p)
-        return p
 
 
-# configuration keys: name -> (attribute path, parser)
+# configuration keys: name -> (attribute path, parser); a path under
+# ``minimize.`` sets that MinimizeConfig field
 _KEYS = {
     "model": ("model", str.strip),
     "hbar": ("hbar", float),
@@ -131,17 +135,30 @@ _KEYS = {
     "v": ("velocity", _parse_vec3),
     "grid_n": ("grid_n", int),
     "box_l": ("box_l", float),
-    "seed": ("seed", int),
+    "seed": ("minimize.seed", int),
     "output_dir": ("output_dir", str.strip),
-    "force_supercritical": ("force_supercritical", _parse_bool),
+    "force_supercritical": ("minimize.force", _parse_bool),
     "speeds": ("speeds", _parse_floats),
     "direction": ("direction", _parse_vec3),
     "trial_points": ("trial_points", int),
 }
+# MinimizeConfig's seed and force have the keys above only
+_KEYS.update(
+    (f"minimize.{f.name}", (f"minimize.{f.name}", {"int": int, "str": str.strip}[f.type]))
+    for f in dataclasses.fields(MinimizeConfig) if f.name not in ("seed", "force")
+)
 
-# MinimizeConfig's seed and force come from the keys seed and force_supercritical only
-_MIN_PARSERS = {f.name: {"int": int, "str": str.strip}[f.type]
-                for f in dataclasses.fields(MinimizeConfig) if f.name not in ("seed", "force")}
+# command-line flag -> the config key it sets
+_FLAG_KEYS = {
+    "v": "v",
+    "model": "model",
+    "grid": "grid_n",
+    "box": "box_l",
+    "seed": "seed",
+    "out": "output_dir",
+    "force": "force_supercritical",
+    "speeds": "speeds",
+}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
@@ -167,60 +184,40 @@ def _apply_pairs(cfg: RunConfig, pairs: dict) -> RunConfig:
     updates = {}
     min_updates = {}
     for key, value in pairs.items():
-        if key.startswith("minimize."):
-            name = key[len("minimize."):]
-            if name not in _MIN_PARSERS:
-                raise InputError(f"unknown config key {key!r}")
-            try:
-                min_updates[name] = _MIN_PARSERS[name](value)
-            except ValueError as exc:
-                raise InputError(f"bad value for {key!r}: {exc}") from None
-        elif key in _KEYS:
-            attr, parser = _KEYS[key]
-            try:
-                updates[attr] = parser(value)
-            except ValueError as exc:
-                raise InputError(f"bad value for {key!r}: {exc}") from None
-        else:
+        if key not in _KEYS:
             raise InputError(f"unknown config key {key!r}")
-    if min_updates:
+        attr, parser = _KEYS[key]
         try:
-            updates["minimize"] = dataclasses.replace(cfg.minimize, **min_updates)
+            parsed = parser(value)
         except ValueError as exc:
-            raise InputError(str(exc)) from None
+            raise InputError(f"bad value for {key!r}: {exc}") from None
+        if attr.startswith("minimize."):
+            min_updates[attr[len("minimize."):]] = parsed
+        else:
+            updates[attr] = parsed
+    if min_updates:
+        updates["minimize"] = dataclasses.replace(cfg.minimize, **min_updates)
     return dataclasses.replace(cfg, **updates)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """The file's pairs with each given flag laid over them as the pair
+    of its key, parsed in one pass."""
+    pairs = {}
     if getattr(args, "config", None):
         try:
             with open(args.config, "r") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read config {args.config}: {exc}") from None
-        cfg = _apply_pairs(cfg, parse_config_text(text, origin=args.config))
-    overrides = {}
-    if getattr(args, "v", None):
-        overrides["velocity"] = _parse_vec3(args.v)
-    if getattr(args, "model", None):
-        overrides["model"] = args.model
-    if getattr(args, "grid", None):
-        overrides["grid_n"] = args.grid
-    if getattr(args, "box", None):
-        overrides["box_l"] = args.box
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None):
-        overrides["output_dir"] = args.out
-    if getattr(args, "force", False):
-        overrides["force_supercritical"] = True
-    if getattr(args, "speeds", None):
-        overrides["speeds"] = _parse_floats(args.speeds)
-    cfg = dataclasses.replace(cfg, **overrides)
-    cfg = dataclasses.replace(cfg, minimize=dataclasses.replace(
-        cfg.minimize, seed=cfg.seed, force=cfg.force_supercritical
-    ))
+        pairs = parse_config_text(text, origin=args.config)
+    for flag, key in _FLAG_KEYS.items():
+        # argparse hands each flag over as a string, --force as a bool;
+        # an absent or empty flag leaves the file's value
+        value = getattr(args, flag, None)
+        if value:
+            pairs[key] = str(value)
+    cfg = _apply_pairs(RunConfig(), pairs)
     cfg.validate()
     return cfg
 
@@ -258,7 +255,7 @@ def _report_lines(cfg: RunConfig, rep) -> list:
         f"grid_n = {cfg.grid_n}",
         f"box_l = {_fmt(cfg.box_l)}",
         f"velocity = {_fmt(cfg.velocity[0])},{_fmt(cfg.velocity[1])},{_fmt(cfg.velocity[2])}",
-        f"seed = {cfg.seed}",
+        f"seed = {cfg.minimize.seed}",
         f"converged = {str(rep.converged).lower()}",
         f"iterations = {rep.iterations}",
         f"energy = {_fmt(rep.energy)}",
@@ -307,12 +304,10 @@ def run_solve(cfg: RunConfig) -> int:
 def run_sweep(cfg: RunConfig) -> int:
     grid = cfg.grid()
     p = cfg.params()
+    rows = ["v_mag,energy,energy_minus_rest,theta,omega,residual_psi,residual_A,converged"]
     if not cfg.speeds:
         os.makedirs(cfg.output_dir, exist_ok=True)
-        _write_lines(
-            os.path.join(cfg.output_dir, "sweep.csv"),
-            ["v_mag,energy,energy_minus_rest,theta,omega,residual_psi,residual_A,converged"],
-        )
+        _write_lines(os.path.join(cfg.output_dir, "sweep.csv"), rows)
         print("empty speed list: header-only CSV written")
         return 0
     log = _RunLog(cfg.output_dir)
@@ -320,7 +315,6 @@ def run_sweep(cfg: RunConfig) -> int:
     result = diagnostics.mass_sweep(
         grid, p, cfg.speeds, direction=cfg.direction, config=cfg.minimize
     )
-    rows = ["v_mag,energy,energy_minus_rest,theta,omega,residual_psi,residual_A,converged"]
     for pt in result.points:
         rest = 0.5 * cfg.mass * pt.speed ** 2 * cfg.lam
         rows.append(
@@ -464,9 +458,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output directory (default: current)")
     sub.add_argument("--v", help="velocity as 'vx,vy,vz'")
     sub.add_argument("--model", choices=("S", "P"), help="coupling model")
-    sub.add_argument("--grid", type=int, help="grid points per axis")
-    sub.add_argument("--box", type=float, help="box edge length")
-    sub.add_argument("--seed", type=int, help="seed for all randomness")
+    sub.add_argument("--grid", help="grid points per axis")
+    sub.add_argument("--box", help="box edge length")
+    sub.add_argument("--seed", help="seed for all randomness")
     sub.add_argument(
         "--force",
         action="store_true",
@@ -478,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpwave",
         description="travelling-wave solver for the coupled matter-field system",
-        epilog="MPW_THREADS bounds kernel parallelism; exit codes: "
+        epilog="flags are parsed as their config keys; MPW_THREADS sets the FFT "
+        "worker count; exit codes: "
         "0 ok, 2 input error, 3 domain gate, 4 solver failure",
     )
     subs = parser.add_subparsers(dest="command", required=True)
@@ -504,10 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("MPW_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     # solver progress (``minimize.log_every``) goes to stderr; stdout
     # carries only the results
     logging.basicConfig(format="%(message)s", level=logging.INFO)

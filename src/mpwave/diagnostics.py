@@ -31,7 +31,8 @@ from .energy import (
     travelling_energy,
 )
 from .errors import DomainGateError, InputError
-from .fields import PhysParams, SpinorField, VectorField, as_array, l2_norm_sq, normalize_to_lambda
+from .fields import (PhysParams, SpinorField, VectorField, as_array, component_array,
+                     l2_norm_sq, normalize_to_lambda)
 from .grid import Grid
 from .minimize import MinimizeConfig, minimize
 
@@ -406,14 +407,6 @@ def negativity_witness(
 # -- concentration --------------------------------------------------------------
 
 
-def _min_image_dist(grid: Grid) -> np.ndarray:
-    ax = grid.axis_coords()
-    dx = np.minimum(ax, grid.box_l - ax)
-    return np.sqrt(
-        dx[:, None, None] ** 2 + dx[None, :, None] ** 2 + dx[None, None, :] ** 2
-    )
-
-
 def concentration_function(psi: SpinorField, radii) -> np.ndarray:
     """C(r) = sup_y integral of |psi|^2 over the (periodic) ball B(y, r).
 
@@ -423,7 +416,7 @@ def concentration_function(psi: SpinorField, radii) -> np.ndarray:
     grid = psi.grid
     dens = psi.density()
     dens_hat = grid.fft(dens)
-    dist = _min_image_dist(grid)
+    dist = _periodic_dist(grid, (0.0, 0.0, 0.0))
     out = np.empty(len(radii), dtype=float)
     for i, r in enumerate(radii):
         ind = (dist <= r).astype(float)
@@ -436,7 +429,7 @@ def centering(psi: SpinorField, radius: float) -> np.ndarray:
     """Position maximizing the mass in a ball of the given radius."""
     grid = psi.grid
     dens = psi.density()
-    dist = _min_image_dist(grid)
+    dist = _periodic_dist(grid, (0.0, 0.0, 0.0))
     ind = (dist <= radius).astype(float)
     mass = np.real(grid.ifft(grid.fft(dens) * grid.fft(ind)))
     idx = np.unravel_index(int(np.argmax(mass)), grid.shape)
@@ -621,7 +614,7 @@ def coulomb_double_integral(grid: Grid, psi) -> float:
     realized on the torus through the zero-mean Green's function of the
     Laplacian: 4 pi <rho, u> with -lap u = rho - mean(rho).
     """
-    psi_a = as_array(psi)
+    psi_a = component_array(grid, psi, 2, "psi")
     dens = np.sum(np.abs(psi_a) ** 2, axis=0)
     u = spectral.poisson_solve(grid, dens)
     return 4.0 * np.pi * float(np.real(np.sum(dens * u)) * grid.cell)

@@ -145,8 +145,8 @@ def _drift(grid: Grid, p: PhysParams, psi_hat: np.ndarray) -> float:
 
 def field_energy(grid: Grid, p: PhysParams, A, Adot) -> float:
     """Electromagnetic energy (1/8 pi) ( |curl A|^2 + |Adot / c|^2 )."""
-    A = as_array(A)
-    Adot = as_array(Adot)
+    A = component_array(grid, A, 3, "A")
+    Adot = component_array(grid, Adot, 3, "Adot")
     curl_sq = l2_norm_sq(grid, spectral.curl(grid, A))
     dot_sq = l2_norm_sq(grid, Adot) / p.light_speed ** 2
     return (curl_sq + dot_sq) / (8.0 * np.pi)
@@ -307,7 +307,7 @@ class AprioriBounds:
 
 def psi_l6_norm(grid: Grid, psi) -> float:
     """L^6 norm of the pointwise spinor magnitude."""
-    psi = as_array(psi)
+    psi = component_array(grid, psi, 2, "psi")
     dens = np.sum(np.abs(psi) ** 2, axis=0)
     return float(grid.integrate(dens ** 3)) ** (1.0 / 6.0)
 
@@ -325,6 +325,8 @@ def apriori_bounds(
     speed_gate(p)
     if p.speed == 0.0:
         raise DomainGateError("a-priori bounds are stated for 0 < |v| only")
+    psi = component_array(grid, psi, 2, "psi")
+    A = component_array(grid, A, 3, "A")
     if total is None:
         total = energy_functional(grid, p, psi, A).total
 
@@ -336,7 +338,7 @@ def apriori_bounds(
     gap = (hi - p.speed) * (p.speed - lo)
     c2mv2 = c * c - v2
 
-    grad_a = np.sqrt(_parseval(grid, grid.fft(as_array(A)), grid.k2))
+    grad_a = np.sqrt(_parseval(grid, grid.fft(A), grid.k2))
     psi6 = psi_l6_norm(grid, psi)
     excess = total + 0.5 * p.mass * v2 * lam
 

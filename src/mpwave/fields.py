@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import spectral
 from .errors import InputError
 from .grid import Grid
 
@@ -212,8 +213,6 @@ def random_fields(
     ``max_mode`` optionally hard-truncates to integer modes |m| ≤ max_mode
     per axis (sharp band limit on top of the smooth envelope).
     """
-    from . import spectral  # local import: spectral depends on this module
-
     rng = np.random.default_rng(seed)
     kx, ky, kz = grid.k
     kk = np.sqrt(grid.k2)

@@ -64,7 +64,6 @@ class Grid:
 
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
         kvec = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
-        object.__setattr__(self, "_k1", k1)
         object.__setattr__(self, "_kvec", kvec)
         kx, ky, kz = kvec
         k2 = kx**2 + ky**2 + kz**2

@@ -125,7 +125,7 @@ def _tangent(
 
 def omega_from_theta(grid: Grid, p: PhysParams, A, theta: float) -> float:
     """Phase frequency omega = E_EM[A, (v.grad)A] / hbar - theta."""
-    A_a = as_array(A)
+    A_a = component_array(grid, A, 3, "A")
     if not np.any(A_a):
         return -theta
     return energy_mod._em_energy(grid, p, grid.fft(A_a)) / p.hbar - theta
@@ -140,7 +140,7 @@ def grad_A(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     k = 0 component carries (-1/c) times the mean current; on the torus it
     cannot be relaxed by any admissible A and is excluded from the residual.
     """
-    A = as_array(A)
+    A = component_array(grid, A, 3, "A")
     out = grid.fft(A)
     out *= energy_mod._wave_symbol(grid, p) / (4.0 * np.pi)
     out -= _source_hat(grid, p, pauli._state(grid, p, psi, A))
@@ -333,7 +333,9 @@ def solve_vector_potential(
     Returns the minimizer and the number of operator applications, and
     logs at DEBUG level on the ``mpwave.minimize`` logger the stop reason
     (floor, tol, stagnation, blow-up, max_iter, rz <= 0 or dAd <= 0), the
-    operator applications and the best |r| relative to the reference.
+    operator applications and the best |r| relative to |b|, the norm of
+    the forcing, against which ``tol`` is measured.  A warm start ``A0``
+    whose residual exceeds |b| is dropped for x = 0.
     A forcing |b| at the rounding floor eps log2(n^3) |J| of the transform
     of the current it came from (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002) is the projection's residue of a current
@@ -365,9 +367,11 @@ def solve_vector_potential(
         x[:, 0, 0, 0] = 0.0
     r = b - op(x)
     n_ops = 1
-    # a warm start can sit far from the solution, so the target is
-    # relative to whichever of |b| and |r0| is larger
-    ref = max(b_norm, np.sqrt(dot(r, r)))
+    if dot(r, r) > b_norm ** 2:
+        # a warm start farther from the solution than x = 0 is dropped,
+        # so the target is relative to |b| on every start
+        x[...] = 0.0
+        r = b.copy()
     z = inv * r
     d = z.copy()
     rz = dot(r, z)
@@ -384,7 +388,7 @@ def solve_vector_potential(
         # past the rounding floor the recurrence decouples from the true
         # residual and can amplify junk geometrically; any of these
         # signals ends the iteration, and the best iterate is returned
-        stops = (("tol", r_norm <= tol * ref), ("rz <= 0", rz <= 0),
+        stops = (("tol", r_norm <= tol * b_norm), ("rz <= 0", rz <= 0),
                  ("stagnation", since_best >= 15), ("blow-up", r_norm > 100.0 * best))
         reason = next((name for name, hit in stops if hit), None)
         if reason is not None:
@@ -410,7 +414,7 @@ def solve_vector_potential(
             best = r_norm
             best_x[...] = x
     logger.debug("A-solve: %s after %d operator applications, best |r|/ref = %.3e",
-                 reason, n_ops, best / ref)
+                 reason, n_ops, best / b_norm)
     out = np.real(grid.ifft(best_x, overwrite=True))
     if not np.all(np.isfinite(out)):
         raise SolverError("vector-potential subproblem diverged")
@@ -659,14 +663,8 @@ def minimize(
             backtracks += 1
             s *= config.backtrack
         if not accepted:
-            # rebuilt here rather than kept alive through the trials
-            st = pauli.kinetic_state(grid, p, psi, a_low)
-            res = _residual(grid, p, psi, G, _a_side(grid, p, lam_meas, a_hat, st))
-            msg = (
-                "stationary: no descent direction left"
-                if res.max_rel < config.residual_tol
-                else "line search failed away from stationarity"
-            )
+            # the message is chosen from the polished residual below
+            msg = None
             break
 
         prev_psi, prev_Gt, prev_d = psi, Gt, d
@@ -712,11 +710,15 @@ def minimize(
     # polish the quadratic subproblem before reporting
     A = solve_a(psi, A, 1e-12)
     res = el_residual(grid, p, psi, A)
+    converged = res.max_rel < config.residual_tol
+    if msg is None:
+        msg = ("stationary: no descent direction left" if converged
+               else "line search failed away from stationarity")
     breakdown = energy_functional(grid, p, psi, A)
     omega = omega_from_theta(grid, p, A, res.theta)
     stride = max(1, len(trace) // 1000)
     return MinimizeReport(
-        converged=res.max_rel < config.residual_tol,
+        converged=converged,
         iterations=it,
         energy=breakdown.total,
         theta=res.theta,

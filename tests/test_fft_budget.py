@@ -62,8 +62,9 @@ SOLVE_BUDGET = {"S": 1850, "P": 1900}
 #: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: both
 #: A-solves end on the rounding floor of their forcing, so no A-operator
 #: matvec is made, every state is read from the field-free record and the
-#: all-zero A itself is never transformed
-PLANE_BUDGET = {"S": 68, "P": 52}
+#: all-zero A itself is never transformed; the failed line search that ends
+#: it builds no residual of its own, the polish's residual decides
+PLANE_BUDGET = {"S": 55, "P": 43}
 
 
 @pytest.fixture()

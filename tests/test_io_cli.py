@@ -254,7 +254,6 @@ class TestConfigParsing:
         assert cfg.model == "P" and cfg.lam == 2.5
         assert cfg.velocity == (0.05, 0.0, 0.1)
         assert cfg.grid_n == 16 and cfg.box_l == 30.0
-        assert cfg.force_supercritical is True
         assert cfg.speeds == (0.1, 0.2) and cfg.trial_points == 9
         assert cfg.minimize.max_iter == 12
         assert cfg.minimize.init == "plane"
@@ -267,7 +266,7 @@ class TestConfigParsing:
         cfg = self._resolve(tmp_path, "v = 0.2,0,0\nseed = 3\n",
                             v="0.1,0,0", seed=9, model="P", grid=16)
         assert cfg.velocity == (0.1, 0.0, 0.0)
-        assert cfg.seed == 9 and cfg.minimize.seed == 9
+        assert cfg.minimize.seed == 9
         assert cfg.model == "P" and cfg.grid_n == 16
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -507,6 +506,18 @@ class TestCli:
         # column 2 is column 1 minus the rest energy m v^2 lam / 2
         v, e, rel = (float(rows[1].split(",")[i]) for i in range(3))
         assert rel == pytest.approx(e - 0.5 * v ** 2, rel=1e-12)
+
+    def test_sweep_gates_its_speeds_not_v(self, tmp_path, capsys):
+        """A sweep runs at its speeds, not at ``v``: at P, lambda = 4 the
+        threshold is 0.0635, below the default v = 0.1 but above the one
+        speed of the list, so the sweep runs."""
+        cfg = tmp_path / "p4.cfg"
+        cfg.write_text("model = P\nlambda = 4\nminimize.init = plane\n")
+        rc, _, err = _main(["sweep", "--config", str(cfg), "--grid", "16",
+                            "--out", str(tmp_path), "--speeds", "0.03"], capsys)
+        assert rc == 0, err
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 3 and rows[1].startswith("0.029999999999999999,")
 
     def test_sweep_empty_speed_list(self, tmp_path, capsys):
         rc, text, _ = _main(["sweep", "--out", str(tmp_path)], capsys)

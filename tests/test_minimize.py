@@ -10,8 +10,8 @@ import pytest
 
 from mpwave import Grid, PhysParams
 from mpwave import spectral
-from mpwave.energy import _wave_symbol, energy_functional, field_energy
-from mpwave.diagnostics import TrialSpec, trial_fields
+from mpwave.energy import _wave_symbol, apriori_bounds, energy_functional, field_energy, psi_l6_norm
+from mpwave.diagnostics import TrialSpec, coulomb_double_integral, trial_fields
 from mpwave.errors import DomainGateError, InputError, SolverError
 from mpwave.fields import inner, l2_norm_sq, random_fields
 from mpwave.pauli import covariant_gradient, current, kinetic_state, spin_term
@@ -123,17 +123,30 @@ def unshifted_precond(grid, p, psi_low):
 
 class TestLayout:
     @pytest.mark.parametrize(
-        "kernel", [energy_functional, el_residual, covariant_gradient, spin_term]
+        "kernel, reads",
+        [pytest.param(f, "psi A", id=f.__name__) for f in (
+            energy_functional, el_residual, covariant_gradient, spin_term, grad_A
+        )] + [
+            pytest.param(lambda g, p, psi, A: apriori_bounds(g, p, psi, A, total=0.0), "psi A",
+                         id="apriori_bounds"),
+            pytest.param(lambda g, p, psi, A: psi_l6_norm(g, psi), "psi", id="psi_l6_norm"),
+            pytest.param(lambda g, p, psi, A: coulomb_double_integral(g, psi), "psi",
+                         id="coulomb_double_integral"),
+            pytest.param(lambda g, p, psi, A: field_energy(g, p, A, A), "A", id="field_energy"),
+            pytest.param(lambda g, p, psi, A: omega_from_theta(g, p, A, 0.25), "A",
+                         id="omega_from_theta"),
+        ],
     )
-    def test_component_last_arrays_are_refused(self, grid16, kernel):
+    def test_component_last_arrays_are_refused(self, grid16, kernel, reads):
         """An (n, n, n, c) array is refused, not transformed over the
         wrong axes."""
         p = params("S", v=0.1)
         psi, A = random_fields(grid16, p, seed=3)
         last = lambda f: np.ascontiguousarray(np.moveaxis(f.data, 0, -1))
-        for args in ((last(psi), A.data), (psi.data, last(A))):
+        layouts = {"psi": (last(psi), A.data), "A": (psi.data, last(A))}
+        for name in reads.split():
             with pytest.raises(InputError, match="component-first"):
-                kernel(grid16, p, *args)
+                kernel(grid16, p, *layouts[name])
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_kernels_leave_inputs_and_record_unchanged(self, grid16, model):
@@ -352,13 +365,18 @@ class TestVectorPotentialSolve:
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_warm_start_matches_real_space_projection(self, grid16, grid32, model, n):
         """With no iteration the solve returns its warm start, projected
-        on its transform: the real-space solenoidal zero-mean projection."""
+        on its transform: the real-space solenoidal zero-mean projection.
+        A warm start farther from the solution than A = 0 is dropped."""
         grid = {16: grid16, 32: grid32}[n]
         p = params(model, v=0.2)
         psi, _ = random_fields(grid, p, seed=68)
         raw = np.random.default_rng(68).standard_normal((3,) + grid.shape)
-        A, n_ops = solve_vector_potential(grid, p, psi.data, A0=raw, max_iter=0)
-        ref = spectral.zero_mean(grid, spectral.helmholtz_project(grid, raw))
+        A_far, n_ops = solve_vector_potential(grid, p, psi.data, A0=raw, max_iter=0)
+        assert n_ops == 1 and not np.any(A_far.data)
+        sol, _ = solve_vector_potential(grid, p, psi.data)
+        warm = sol.data + 0.001 * np.max(np.abs(sol.data)) * raw
+        A, n_ops = solve_vector_potential(grid, p, psi.data, A0=warm, max_iter=0)
+        ref = spectral.zero_mean(grid, spectral.helmholtz_project(grid, warm))
         assert n_ops == 1
         assert max_rel(A.data, ref) <= 1e-13
 
@@ -434,31 +452,48 @@ class TestVectorPotentialSolve:
     def test_shifted_preconditioner_keeps_the_answer(self, grid16, model):
         """The shift changes the path of the solve, not its end: from a
         random warm start, random states and a spread plane-wave state
-        give the A of a tol = 1e-13 reference solve.  The warm start has
-        the size of the solution, as in the solver's loop; the stop rule is
-        relative to the larger of |b| and |r0|."""
+        give the A of a tol = 1e-13 reference solve.  The warm start is
+        the solution plus 1 % noise; on the plane-wave state that is
+        farther than A = 0, and the solve starts cold."""
         p = params(model, v=0.2)
         noise = np.random.default_rng(73).standard_normal((3,) + grid16.shape)
         states = [random_fields(grid16, p, seed=74 + k)[0].data for k in range(2)]
         states.append(modulated_plane_wave(grid16, p))
         for psi in states:
             ref, _ = solve_vector_potential(grid16, p, psi, tol=1e-13)
-            warm = np.max(np.abs(ref.data)) * noise
+            warm = ref.data + 0.01 * np.max(np.abs(ref.data)) * noise
             A, n_ops = solve_vector_potential(grid16, p, psi, A0=warm)
             assert n_ops > 1
             assert max_rel(A.data, ref.data) <= 1e-10
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_far_warm_start_keeps_the_tolerance(self, grid16, model):
+        """A warm start farther from the solution than x = 0 is dropped, so
+        the stop rule stays relative to |b|: from a unit-norm random start,
+        whose residual is several |b|, the solve still lands as close to the
+        tol = 1e-13 reference as a cold one (about 2e-12; measured against
+        max(|b|, |r0|) it ended about 1.6e-11 away)."""
+        p = params(model, v=0.2)
+        noise = np.random.default_rng(73).standard_normal((3,) + grid16.shape)
+        noise /= np.linalg.norm(noise)
+        for seed in range(4):
+            psi = random_fields(grid16, p, seed=seed)[0].data
+            ref, _ = solve_vector_potential(grid16, p, psi, tol=1e-13)
+            A, _ = solve_vector_potential(grid16, p, psi, A0=noise)
+            assert max_rel(A.data, ref.data) <= 5e-12, seed
 
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_shift_saves_operator_applications(self, grid16, model, monkeypatch):
         """On a spread density whose diamagnetic mean field is about the
         lowest wave symbol / 4 pi (lambda = 100 on L = 40), the shifted
         preconditioner reaches the same A in fewer operator applications
-        than the bare inverse symbol."""
+        than the bare inverse symbol from a warm start near the solution,
+        as in the solver's loop."""
         p = params(model, v=0.1, lam=100.0)
         psi = modulated_plane_wave(grid16, p)
         ref, _ = solve_vector_potential(grid16, p, psi, tol=1e-13)
         noise = np.random.default_rng(75).standard_normal((3,) + grid16.shape)
-        warm = np.max(np.abs(ref.data)) * noise
+        warm = ref.data + 0.01 * np.max(np.abs(ref.data)) * noise
         A, n_shifted = solve_vector_potential(grid16, p, psi, A0=warm)
         monkeypatch.setattr(minimize_mod, "_a_precond", unshifted_precond)
         _, n_bare = solve_vector_potential(grid16, p, psi, A0=warm)
