@@ -52,22 +52,19 @@ def _parse_bool(s: str) -> bool:
     raise InputError(f"expected a boolean, got {s!r}")
 
 
-def _parse_vec3(s: str) -> tuple:
-    parts = [q for q in s.replace(",", " ").split() if q]
-    if len(parts) != 3:
-        raise InputError(f"expected three comma-separated numbers, got {s!r}")
-    try:
-        return tuple(float(q) for q in parts)
-    except ValueError as exc:
-        raise InputError(f"bad vector {s!r}: {exc}") from None
-
-
 def _parse_floats(s: str) -> tuple:
     parts = [q for q in s.replace(",", " ").split() if q]
     try:
         return tuple(float(q) for q in parts)
     except ValueError as exc:
         raise InputError(f"bad number list {s!r}: {exc}") from None
+
+
+def _parse_vec3(s: str) -> tuple:
+    vec = _parse_floats(s)
+    if len(vec) != 3:
+        raise InputError(f"expected three comma-separated numbers, got {s!r}")
+    return vec
 
 
 @dataclass
@@ -92,12 +89,10 @@ class RunConfig:
     minimize: MinimizeConfig = field(default_factory=MinimizeConfig)
 
     def validate(self) -> None:
-        if self.model not in ("S", "P"):
-            raise InputError(f"model must be S or P, got {self.model!r}")
-        if self.grid_n % 2 != 0 or self.grid_n < 8:
-            raise InputError(f"grid_n must be even and >= 8, got {self.grid_n}")
-        if not self.box_l > 0:
-            raise InputError(f"box_l must be positive, got {self.box_l}")
+        """InputError unless the model, the physical constants and the
+        grid are valid: the checks of ``PhysParams`` and ``Grid``."""
+        self.params()
+        self.grid()
 
     def grid(self) -> Grid:
         try:

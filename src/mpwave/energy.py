@@ -65,7 +65,8 @@ class EnergyBreakdown:
 
 
 def _vk(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Fourier symbol v.k of the directional derivative -i (v.grad)."""
+    """Fourier symbol v.k of the directional derivative -i (v.grad) of
+    psi, read by the drift and the psi-gradient; A reads ``_wave_symbol``."""
     kx, ky, kz = grid.k
     return v[0] * kx + v[1] * ky + v[2] * kz
 
@@ -80,12 +81,15 @@ def _vk_real(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 
 def _wave_symbol(grid: Grid, p: PhysParams) -> np.ndarray:
-    """Fourier symbol k^2 - (v.k)^2 / c^2 of the travelling wave operator.
+    """Fourier symbol k^2 - (v.k)^2 / c^2 of the travelling wave operator
+    on real fields A, with the convective v.k of ``_vk_real``.
 
-    Positive away from k = 0 whenever |v| < c; vanishes identically at
-    the zero mode, which is why that mode is frozen throughout.
+    The A-operator, its preconditioner, the residual's A side, ``grad_A``
+    and the field energy read this one symbol.  Positive away from k = 0
+    whenever |v| < c; vanishes identically at the zero mode, which is why
+    that mode is frozen throughout.
     """
-    return grid.k2 - _vk(grid, p.v_arr) ** 2 / p.light_speed ** 2
+    return grid.k2 - _vk_real(grid, p.v_arr) ** 2 / p.light_speed ** 2
 
 
 def _parseval(grid: Grid, fh: np.ndarray, weight: np.ndarray | None = None) -> float:
@@ -113,12 +117,8 @@ def _em_energy(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
 
 def _field_part(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
     """Field term (1/8 pi) ( |grad A|^2 - |((v/c).grad) A|^2 ) of the energy,
-    from the transform ``a_hat`` of A.  The weight k^2 - (v.k)^2 / c^2 is
-    the wave symbol, except that the convective part drops the Nyquist
-    wavenumbers as the derivative of a real field does (``_vk_real``); the
-    solver's A has no Nyquist content, so there the two agree."""
-    weight = grid.k2 - _vk_real(grid, p.v_arr) ** 2 / p.light_speed ** 2
-    return _parseval(grid, a_hat, weight) / (8.0 * np.pi)
+    from the transform ``a_hat`` of A weighted by the wave symbol."""
+    return _parseval(grid, a_hat, _wave_symbol(grid, p)) / (8.0 * np.pi)
 
 
 def _field_band(grid: Grid, p: PhysParams, A: np.ndarray) -> tuple:

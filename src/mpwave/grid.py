@@ -51,6 +51,17 @@ class Grid:
     spacing: float = field(init=False, repr=False)
     cell: float = field(init=False, repr=False)
     workers: int = field(init=False, repr=False, compare=False)
+    # spectral tables, functions of (n, box_l): the angular wavenumbers k
+    # as one (3, n, n, n) stack (kx, ky, kz); k2 = |k|^2; inv_k2 = 1/|k|^2
+    # with the k = 0 entry zeroed (torus Poisson convention); the 2/3-rule
+    # dealias_mask and its cutoff mode_cut; nyquist_mask, True away from
+    # the Nyquist planes (index n/2 on any axis)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
+    k2: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_k2: np.ndarray = field(init=False, repr=False, compare=False)
+    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    nyquist_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    mode_cut: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n % 2 != 0 or self.n < 8:
@@ -64,20 +75,20 @@ class Grid:
 
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
         kvec = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
-        object.__setattr__(self, "_kvec", kvec)
+        object.__setattr__(self, "k", kvec)
         kx, ky, kz = kvec
         k2 = kx**2 + ky**2 + kz**2
-        object.__setattr__(self, "_k2", k2)
+        object.__setattr__(self, "k2", k2)
         inv_k2 = np.zeros_like(k2)
         nz = k2 > 0
         inv_k2[nz] = 1.0 / k2[nz]
-        object.__setattr__(self, "_inv_k2", inv_k2)
+        object.__setattr__(self, "inv_k2", inv_k2)
 
         m_cut = (self.n - 1) // 3
         modes = np.rint(k1 / (2.0 * np.pi / self.box_l)).astype(int)
         keep1 = np.abs(modes) <= m_cut
         mask = keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
-        object.__setattr__(self, "_dealias", mask)
+        object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "mode_cut", m_cut)
 
         # Nyquist planes: real fields cannot carry conjugate-symmetric
@@ -85,7 +96,7 @@ class Grid:
         # projections drop them
         nyq1 = np.arange(self.n) != self.n // 2
         nyq = nyq1[:, None, None] & nyq1[None, :, None] & nyq1[None, None, :]
-        object.__setattr__(self, "_nyquist", nyq)
+        object.__setattr__(self, "nyquist_mask", nyq)
 
     # -- geometry ---------------------------------------------------------
 
@@ -104,31 +115,6 @@ class Grid:
 
     def center(self) -> np.ndarray:
         return np.full(3, 0.5 * self.box_l)
-
-    # -- spectral tables ---------------------------------------------------
-
-    @property
-    def k(self) -> np.ndarray:
-        """Angular wavenumbers as one (3, n, n, n) stack (kx, ky, kz)."""
-        return self._kvec
-
-    @property
-    def k2(self) -> np.ndarray:
-        return self._k2
-
-    @property
-    def inv_k2(self) -> np.ndarray:
-        """1/|k|² with the k=0 entry zeroed (torus Poisson convention)."""
-        return self._inv_k2
-
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        return self._dealias
-
-    @property
-    def nyquist_mask(self) -> np.ndarray:
-        """True away from the Nyquist planes (index n/2 on any axis)."""
-        return self._nyquist
 
     # -- transforms --------------------------------------------------------
 

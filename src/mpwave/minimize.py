@@ -443,29 +443,25 @@ def plane_wave_state(grid: Grid, p: PhysParams) -> tuple[SpinorField, VectorFiel
 
 def _initial_state(
     grid: Grid, p: PhysParams, config: "MinimizeConfig", psi0, A0
-) -> tuple[SpinorField, VectorField]:
+) -> tuple[np.ndarray, object]:
+    """The start psi of ``config.init``, normalized to lambda, and the warm
+    start of the first A-solve: ``A0`` for "given", None (A = 0) for every
+    other start, whose A is the solution of that solve alone."""
     if config.init == "given":
         if psi0 is None or A0 is None:
             raise InputError('init="given" requires both psi0 and A0')
-        psi, A = psi0, A0
+        psi = component_array(grid, psi0, 2, "psi0")
     elif psi0 is not None or A0 is not None:
         raise InputError(f'psi0 and A0 go with init="given", not init={config.init!r}')
     elif config.init == "random":
-        psi, A = random_fields(grid, p, config.seed, a_amp=0.1)
+        psi = random_fields(grid, p, config.seed)[0]
     elif config.init == "plane":
-        psi, A = plane_wave_state(grid, p)
+        psi = plane_wave_state(grid, p)[0]
     else:
         from .diagnostics import TrialSpec, trial_fields
 
-        spec = TrialSpec.fitted(grid, amplitude=0.5)
-        psi, A = trial_fields(grid, p, spec)
-    psi = normalize_to_lambda(SpinorField(grid, as_array(psi)), p.lam)
-    a_data = as_array(A)
-    if np.any(a_data):
-        a_data = spectral.zero_mean(grid, spectral.helmholtz_project(grid, a_data))
-    else:
-        a_data = np.zeros(a_data.shape)
-    return psi, VectorField(grid, a_data)
+        psi = trial_fields(grid, p, TrialSpec.fitted(grid, amplitude=0.5))[0]
+    return normalize_to_lambda(SpinorField(grid, as_array(psi)), p.lam).data, A0
 
 
 # -- driver --------------------------------------------------------------------
@@ -473,10 +469,11 @@ def _initial_state(
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Settings of one run: ``max_iter``, the start ``init`` ("trial",
-    "random", "plane", or "given" with the psi0 and A0 of ``minimize``),
-    the ``seed`` of the random start, ``log_every`` (log every k
-    iterations, 0 for never) and ``force`` (skip the speed gate).
+    """Settings of one run: ``max_iter``, the start ``init`` of psi
+    ("trial", "random", "plane", or "given" with the psi0 and A0 of
+    ``minimize``, A0 only warm-starting the first A-solve), the ``seed``
+    of the random start, ``log_every`` (log every k iterations, 0 for
+    never) and ``force`` (skip the speed gate).
 
     The numerics are class constants: ``check_every`` 5, ``residual_tol``
     1e-5, ``energy_tol`` 1e-13, ``confirm_stall`` 10, ``patience`` 100,
@@ -575,9 +572,13 @@ def minimize(
     polish, so every convergence decision reads an A solved at the same
     psi.  The search ends as a failed one, without a trial energy, once
     the predicted decrease s Re <Gt, d> is below the rounding of E; the
-    stationarity residual then decides whether that is convergence.
+    stationarity residual then decides whether that is convergence, also
+    at a start whose tangent gradient is exactly zero.
     ``psi0`` and ``A0`` start the run of ``init="given"``, which needs
-    both; any other ``init`` refuses them with InputError.
+    both; any other ``init`` refuses them with InputError.  A is a
+    function of psi, so only psi starts the run: ``A0`` is the warm start
+    of the first A-solve, which drops it if it lies farther from the
+    solution than A = 0, and every other start begins that solve at A = 0.
     """
     if config is None:
         config = MinimizeConfig()
@@ -587,16 +588,14 @@ def minimize(
         _field_symbol(grid, p)
     else:
         speed_gate(p)
-    # no field object is kept: the loop's rebinding of psi and A frees
-    # the start
-    psi, A = (f.data for f in _initial_state(grid, p, config, psi0, A0))
+    psi, A = _initial_state(grid, p, config, psi0, A0)
 
     def renorm(psi: np.ndarray) -> np.ndarray:
         return psi * np.sqrt(p.lam / (l2_norm_sq(grid, psi)))
 
     a_ops = a_solves = 0
 
-    def solve_a(psi: np.ndarray, A: np.ndarray, tol: float) -> np.ndarray:
+    def solve_a(psi: np.ndarray, A, tol: float) -> np.ndarray:
         nonlocal a_ops, a_solves
         A_f, n_ops = solve_vector_potential(grid, p, psi, A0=A, tol=tol)
         a_ops += n_ops
@@ -631,9 +630,6 @@ def minimize(
         st = None
         d = _direction(grid, p, psi, Gt, alpha, lam_meas)
         gd = inner(grid, Gt, d).real
-        if gd == 0.0:
-            msg = "stationary: zero tangent gradient"
-            break
 
         # BB step in the metric of P, with Armijo guard
         if prev_psi is not None:

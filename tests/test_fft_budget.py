@@ -55,8 +55,9 @@ ZERO_FIELD_BUDGET = {
 }
 
 #: scalar transforms of a whole trial-start solve at n = 16, v = 0.1: A is
-#: solved at the start, before each stationarity check and at the polish
-#: (1675 / 1729 measured, with about 10 % headroom)
+#: solved at the start, from A = 0, before each stationarity check and at
+#: the polish (1617 / 1555 measured for S / P; the bound leaves room above
+#: both)
 SOLVE_BUDGET = {"S": 1850, "P": 1900}
 
 #: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: both

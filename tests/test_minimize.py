@@ -135,6 +135,8 @@ class TestLayout:
             pytest.param(lambda g, p, psi, A: field_energy(g, p, A, A), "A", id="field_energy"),
             pytest.param(lambda g, p, psi, A: omega_from_theta(g, p, A, 0.25), "A",
                          id="omega_from_theta"),
+            pytest.param(lambda g, p, psi, A: minimize(g, p, MinimizeConfig(init="given"), psi, A),
+                         "psi A", id="minimize_given"),
         ],
     )
     def test_component_last_arrays_are_refused(self, grid16, kernel, reads):
@@ -593,11 +595,13 @@ class TestMinimize:
             rep.omega, omega_from_theta(grid16, p, rep.A.data, rep.theta)
         ) < 1e-12
 
-    @pytest.mark.parametrize("model", ["S", "P"])
-    def test_stationary_start_ends_without_trials(self, grid16, model, monkeypatch):
-        """At the plane wave the tangent gradient is rounding noise, so
-        the first trial step would not move psi: the line search ends at
-        once through the stationarity check instead of backtracking."""
+    @pytest.mark.parametrize("model, v", [pytest.param(m, 0.1, id=m) for m in "SP"]
+                             + [pytest.param(m, 0.0, id=f"{m}-v0") for m in "SP"])
+    def test_stationary_start_ends_without_trials(self, grid16, model, v, monkeypatch):
+        """At the plane wave the tangent gradient is rounding noise (exactly
+        zero at v = 0, where psi is constant), so the first trial step would
+        not move psi: the line search ends at once through the stationarity
+        check instead of backtracking."""
         module = importlib.import_module("mpwave.minimize")
         evaluated = []
         energy_part = module._psi_energy
@@ -607,8 +611,12 @@ class TestMinimize:
             return energy_part(*args)
 
         monkeypatch.setattr(module, "_psi_energy", counted)
-        p = params(model, v=0.1)
-        rep = minimize(grid16, p, MinimizeConfig(init="plane"))
+        p = params(model, v=v)
+        if v == 0.0:
+            with pytest.warns(UserWarning, match="v = 0"):
+                rep = minimize(grid16, p, MinimizeConfig(init="plane"))
+        else:
+            rep = minimize(grid16, p, MinimizeConfig(init="plane"))
         assert rep.converged and rep.iterations == 1
         assert rep.message == "stationary: no descent direction left"
         assert len(evaluated) == 1  # the start's own energy, no trial
@@ -639,6 +647,23 @@ class TestMinimize:
         assert all(it % config.check_every == 0 for it, _ in checks), checks
         assert all(a_rel <= 1e-8 for _, a_rel in checks), checks
         assert rep.a_solves == 2 + len(checks)
+
+    @pytest.mark.parametrize("v", [0.1, 0.2])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_restart_keeps_the_given_field(self, grid16, model, v):
+        """A given start passes A0 to its first A-solve as the warm start:
+        restarted from a minimizer's own pair, the run stays converged at
+        the same energy and spends fewer operator applications on A than
+        from the same psi with A0 = 0."""
+        p = params(model, v=v)
+        rep = minimize(grid16, p, MinimizeConfig(init="trial"))
+        assert rep.converged, rep.message
+        cfg = MinimizeConfig(init="given")
+        warm = minimize(grid16, p, cfg, rep.psi, rep.A)
+        cold = minimize(grid16, p, cfg, rep.psi, np.zeros_like(rep.A.data))
+        assert warm.converged, warm.message
+        assert rel(warm.energy, rep.energy) < 1e-14
+        assert warm.a_ops < cold.a_ops, (warm.a_ops, cold.a_ops)
 
     def test_given_init_requires_both_fields(self, grid16):
         p = params("S", v=0.1)

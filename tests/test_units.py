@@ -121,15 +121,9 @@ def test_cold_a_solve(model, fam):
     same(A_q.data, A.data, fam["A"])
 
 
-def test_whole_minimize_from_a_given_start(model, fam):
-    """The trial pair of desk units, scaled, starts the same run: every
-    count is equal and every number scales."""
-    (g, p), (h, q) = units(model, fam)
-    psi0, A0 = trial_fields(g, p, TrialSpec.fitted(g, amplitude=0.5))
-    cfg = MinimizeConfig(init="given")
-    rb = minimize(g, p, cfg, psi0=psi0.data, A0=A0.data)
-    rs = minimize(h, q, cfg, psi0=psi0.data * fam["psi"], A0=A0.data * fam["A"])
-    assert rb.converged and rb.iterations > 1
+def same_run(rs, rb, fam):
+    """The run ``rs`` in the units of ``fam`` is the desk-unit run ``rb``:
+    every count is equal and every number scales."""
     for key in ("converged", "iterations", "message", "a_ops", "a_solves", "backtracks"):
         assert getattr(rs, key) == getattr(rb, key), key
     for key in ("energy", "energy_trace"):
@@ -143,3 +137,24 @@ def test_whole_minimize_from_a_given_start(model, fam):
         same(getattr(rs.breakdown, key), val, 1 if key == "mass_constraint" else fam["E"])
     same(rs.psi.data, rb.psi.data, fam["psi"])
     same(rs.A.data, rb.A.data, fam["A"])
+
+
+def test_whole_minimize_from_a_given_start(model, fam):
+    """The trial pair of desk units, scaled, starts the same run."""
+    (g, p), (h, q) = units(model, fam)
+    psi0, A0 = trial_fields(g, p, TrialSpec.fitted(g, amplitude=0.5))
+    cfg = MinimizeConfig(init="given")
+    rb = minimize(g, p, cfg, psi0=psi0.data, A0=A0.data)
+    rs = minimize(h, q, cfg, psi0=psi0.data * fam["psi"], A0=A0.data * fam["A"])
+    assert rb.converged and rb.iterations > 1
+    same_run(rs, rb, fam)
+
+
+@pytest.mark.parametrize("start", ["trial", "plane"])
+def test_whole_minimize_from_a_built_start(model, fam, start):
+    """The trial and plane starts, built in each unit, start the same run."""
+    (g, p), (h, q) = units(model, fam)
+    cfg = MinimizeConfig(init=start)
+    rb, rs = minimize(g, p, cfg), minimize(h, q, cfg)
+    assert rb.converged
+    same_run(rs, rb, fam)
