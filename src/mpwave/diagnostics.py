@@ -73,7 +73,7 @@ class TrialSpec:
     """Parameters of the bump trial family.
 
     The base pair lives at unit scale: the stream profile is a radial
-    mollifier of radius ``base_radius`` generating the solenoidal
+    mollifier of radius 1 generating the solenoidal
     A_0 = (d2 Xi, -d1 Xi, 0), and the wave-function bump of radius
     ``psi_radius`` is centered a distance ``psi_offset`` below the
     x2 = 0 plane, inside the region where d2 Xi > 0.  ``amplitude``
@@ -89,26 +89,24 @@ class TrialSpec:
     dilation: float
     psi_offset: float = 0.50
     psi_radius: float = 0.50
-    base_radius: float = 1.0
     margin: float = 0.1
 
     def __post_init__(self):
         if self.amplitude <= 0 or self.dilation <= 0:
             raise InputError("trial amplitude and dilation must be positive")
-        if self.psi_offset + self.psi_radius > self.base_radius + 1e-12:
+        if self.psi_offset + self.psi_radius > 1.0 + 1e-12:
             raise InputError("wave-function bump must stay inside the base ball")
         if self.psi_offset - self.psi_radius < -1e-12:
             raise InputError("wave-function bump must stay below the x2 = 0 plane")
 
     def support_radius(self) -> float:
-        return self.dilation * self.base_radius
+        return self.dilation
 
     @classmethod
     def fitted(cls, grid: Grid, amplitude: float, **kw) -> "TrialSpec":
         """Largest dilation that keeps the support inside the margin."""
         margin = kw.pop("margin", 0.1)
-        base_radius = kw.get("base_radius", 1.0)
-        R = (0.5 - margin) * grid.box_l / base_radius
+        R = (0.5 - margin) * grid.box_l
         return cls(amplitude=amplitude, dilation=R, margin=margin, **kw)
 
 
@@ -130,10 +128,9 @@ def _trial_raw(grid: Grid, p: PhysParams, spec: TrialSpec):
     xs, ys, zs = (x - cx) / R, (y - cy) / R, (z - cz) / R
 
     r = np.sqrt(xs * xs + ys * ys + zs * zs)
-    # d_a Xi = b'(r / r0) x_a / (r r0) with r0 the base radius
-    r0 = spec.base_radius
+    # d_a Xi = b'(r) x_a / r at the unit base radius
     with np.errstate(invalid="ignore", divide="ignore"):
-        radial = np.where(r > 0, _bump_prime(r / r0) / (r * r0), 0.0)
+        radial = np.where(r > 0, _bump_prime(r) / r, 0.0)
     a_data = np.zeros((3,) + grid.shape, dtype=float)
     a_data[0] = radial * ys
     a_data[1] = -radial * xs

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pauli, spectral
 from .errors import DomainGateError
-from .fields import PhysParams, as_array, component_array, l2_norm_sq
+from .fields import PhysParams, component_array, l2_norm_sq
 from .grid import Grid
 
 #: Best constant in the Sobolev inequality |f|_{L^6} <= K_S |grad f|_{L^2}
@@ -124,10 +124,8 @@ def _field_part(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
 def _field_band(grid: Grid, p: PhysParams, A: np.ndarray) -> tuple:
     """A_hat, T A and the field term of the real field A, from one forward
     FFT; (None, None, 0.0) for an all-zero A, the field-free record's."""
-    if not np.any(A):
-        return None, None, 0.0
-    a_hat, a_low = spectral.band(grid, A)
-    return a_hat, a_low, _field_part(grid, p, a_hat)
+    a_hat, a_low = pauli._a_band(grid, A)
+    return a_hat, a_low, 0.0 if a_hat is None else _field_part(grid, p, a_hat)
 
 
 def _kinetic(grid: Grid, p: PhysParams, kpsi_hat: np.ndarray) -> float:
@@ -203,8 +201,10 @@ def travelling_energy(grid: Grid, p: PhysParams, psi, A) -> float:
     Note the plus sign on the convective term and the mass-constraint
     factor on the field part, in contrast with the variational energy.
     """
-    kinetic = _kinetic(grid, p, pauli._state(grid, p, psi, A).kpsi_hat)
-    return kinetic + p.lam * _em_energy(grid, p, grid.fft(as_array(A)))
+    a_hat, a_low = pauli._a_band(grid, component_array(grid, A, 3, "A"))
+    st = pauli.kinetic_state(grid, p, component_array(grid, psi, 2, "psi"), a_low)
+    field = 0.0 if a_hat is None else _em_energy(grid, p, a_hat)
+    return _kinetic(grid, p, st.kpsi_hat) + p.lam * field
 
 
 def theta_thresholds(p: PhysParams) -> tuple[float, float]:

@@ -24,8 +24,12 @@ div A = 0 by alternating two moves:
   whole stack.  The preconditioner is the inverse of the operator's
   diagonal at a uniform density: the wave symbol / 4 pi shifted by the
   diamagnetic mean field (Q^2 / m c^2) rho_bar, the counterpart for A of
-  the psi shift.  A is solved where the run reads it: at the start,
-  before each stationarity check and at the polish.
+  the psi shift.  A is solved at the start, after every
+  ``a_solve_every``-th accepted psi step and at the polish.
+
+A run ends where its line search ends: once the predicted decrease of a
+step is below the rounding of E, or at ``max_iter``.  The Euler-Lagrange
+residual of the polished pair alone then judges it.
 
 On a periodic box the average of the gauge current need not vanish while
 the wave operator k^2 - (v.k)^2/c^2 kills the k = 0 mode, so the zeroth
@@ -136,14 +140,16 @@ def grad_A(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
 
     grad_A = P[ -(1/c) J_j - (1/4 pi) lap A + (1/4 pi c^2) (v.grad)^2 A ].
 
-    Summed on transforms with the residual check's ``_source_hat``.  The
-    k = 0 component carries (-1/c) times the mean current; on the torus it
-    cannot be relaxed by any admissible A and is excluded from the residual.
+    Summed on transforms with the residual's ``_source_hat``, A_hat and
+    T A from one band of A.  The k = 0 component carries (-1/c) times the
+    mean current; on the torus it cannot be relaxed by any admissible A and
+    is excluded from the residual.
     """
-    A = component_array(grid, A, 3, "A")
-    out = grid.fft(A)
-    out *= energy_mod._wave_symbol(grid, p) / (4.0 * np.pi)
-    out -= _source_hat(grid, p, pauli._state(grid, p, psi, A))
+    a_hat, a_low = pauli._a_band(grid, component_array(grid, A, 3, "A"))
+    st = pauli.kinetic_state(grid, p, component_array(grid, psi, 2, "psi"), a_low)
+    out = -_source_hat(grid, p, st)
+    if a_hat is not None:
+        out += a_hat * (energy_mod._wave_symbol(grid, p) / (4.0 * np.pi))
     spectral.project_hat(grid, out)
     return grid.ifft(out, overwrite=True).real.copy()
 
@@ -182,49 +188,17 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
     (reported as (4 pi / c) |mean J|).  Both read one ``KineticState``.
     """
     psi_a = component_array(grid, psi, 2, "psi")
-    A_a = component_array(grid, A, 3, "A")
-    a_hat, a_low = spectral.band(grid, A_a) if np.any(A_a) else (None, None)
+    a_hat, a_low = pauli._a_band(grid, component_array(grid, A, 3, "A"))
     st = pauli.kinetic_state(grid, p, psi_a, a_low)
-    # A_hat is not held through the gradient, where el_residual peaks
-    a_side = _a_side(grid, p, l2_norm_sq(grid, psi_a), a_hat, st)
-    del a_hat
-    return _residual(grid, p, psi_a, _gradient(grid, p, st), a_side)
-
-
-def _residual(grid: Grid, p: PhysParams, psi_a: np.ndarray, G: np.ndarray, a_side) -> ELResidual:
-    """``el_residual`` for a caller that already holds G = grad_psi(psi, A)
-    and the ``_a_side`` of (psi, A)."""
     lam_meas = l2_norm_sq(grid, psi_a)
-    resid, theta = _tangent(grid, p, psi_a, G, lam_meas)
-    psi_raw = np.sqrt(l2_norm_sq(grid, resid))
     # exactly flat states (constant psi, vanishing current) leave every
     # term at rounding scale; flooring the denominators by the weakest
     # signal the box can carry turns 0/0 noise into a ~0 report
     k_min = 2.0 * np.pi / grid.box_l
-    psi_floor = p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass) * np.sqrt(lam_meas)
-    psi_scale = max(
-        np.sqrt(l2_norm_sq(grid, G)) + abs(p.hbar * theta) * np.sqrt(lam_meas),
-        psi_floor,
-    )
-    psi_rel = psi_raw / psi_scale if psi_scale > 0 else 0.0
-    a_raw, a_scale, a_rel, defect = a_side
-    return ELResidual(
-        psi_raw=float(psi_raw),
-        psi_scale=float(psi_scale),
-        psi_rel=float(psi_rel),
-        a_raw=float(a_raw),
-        a_scale=float(a_scale),
-        a_rel=float(a_rel),
-        current_defect=defect,
-        theta=float(theta),
-    )
 
-
-def _a_side(grid: Grid, p: PhysParams, lam_meas: float, a_hat, st: pauli.KineticState) -> tuple:
-    """(a_raw, a_scale, a_rel, current_defect) of ``el_residual`` from the
-    record ``st``, A_hat (None for A = 0) and the measured |psi|^2."""
-    # (4 pi / c) P J_hat from the record; its k = 0 mode is the mean drive,
-    # reported as the defect and then split off
+    # the A side runs first, so A_hat is not held through the gradient,
+    # where el_residual peaks.  (4 pi / c) P J_hat from the record; its
+    # k = 0 mode is the mean drive, reported as the defect and then split off
     rhs_hat = spectral.project_hat(grid, 4.0 * np.pi * _source_hat(grid, p, st))
     norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
     defect = float(np.linalg.norm(rhs_hat[:, 0, 0, 0].real)) / grid.n ** 3
@@ -233,22 +207,40 @@ def _a_side(grid: Grid, p: PhysParams, lam_meas: float, a_hat, st: pauli.Kinetic
     if a_hat is None:
         lhs_norm, a_raw = 0.0, norm(rhs_hat)
     else:
-        # the wave symbol vanishes at k = 0; the difference is taken in
-        # place, so the A-side holds two stacks
-        lhs_hat = a_hat * energy_mod._wave_symbol(grid, p)
-        lhs_norm = norm(lhs_hat)
-        lhs_hat -= rhs_hat
-        a_raw = norm(lhs_hat)
+        # the wave symbol vanishes at k = 0; the product and the difference
+        # are taken in place, so the A-side holds two stacks
+        a_hat *= energy_mod._wave_symbol(grid, p)
+        lhs_norm = norm(a_hat)
+        a_hat -= rhs_hat
+        a_raw = norm(a_hat)
+    del a_hat, rhs_hat
     # scale against the full source (k = 0 included) so delocalised states
     # with a pure mean current do not degenerate to 0/0, floored by the
     # drive a unit-mass plane wave on the largest scale would produce
-    k_min = 2.0 * np.pi / grid.box_l
     a_floor = (
         4.0 * np.pi * abs(p.charge) * p.hbar * k_min * lam_meas
         / (p.mass * p.light_speed * grid.box_l ** 1.5)
     )
     a_scale = max(lhs_norm + rhs_norm, a_floor)
-    return a_raw, a_scale, a_raw / a_scale if a_scale > 0 else 0.0, defect
+
+    G = _gradient(grid, p, st)
+    resid, theta = _tangent(grid, p, psi_a, G, lam_meas)
+    psi_raw = np.sqrt(l2_norm_sq(grid, resid))
+    psi_floor = p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass) * np.sqrt(lam_meas)
+    psi_scale = max(
+        np.sqrt(l2_norm_sq(grid, G)) + abs(p.hbar * theta) * np.sqrt(lam_meas),
+        psi_floor,
+    )
+    return ELResidual(
+        psi_raw=float(psi_raw),
+        psi_scale=float(psi_scale),
+        psi_rel=float(psi_raw / psi_scale if psi_scale > 0 else 0.0),
+        a_raw=float(a_raw),
+        a_scale=float(a_scale),
+        a_rel=float(a_raw / a_scale if a_scale > 0 else 0.0),
+        current_defect=defect,
+        theta=float(theta),
+    )
 
 
 # -- A-subproblem -------------------------------------------------------------
@@ -335,7 +327,8 @@ def solve_vector_potential(
     (floor, tol, stagnation, blow-up, max_iter, rz <= 0 or dAd <= 0), the
     operator applications and the best |r| relative to |b|, the norm of
     the forcing, against which ``tol`` is measured.  A warm start ``A0``
-    whose residual exceeds |b| is dropped for x = 0.
+    whose residual exceeds |b| is dropped for x = 0; a cold start (A0 None
+    or all zero) begins at x = 0 with r = b, with no operator application.
     A forcing |b| at the rounding floor eps log2(n^3) |J| of the transform
     of the current it came from (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002) is the projection's residue of a current
@@ -360,18 +353,20 @@ def solve_vector_potential(
         return VectorField(grid, np.zeros((3,) + grid.shape)), 0
 
     inv = _a_precond(grid, p, psi_low)
-    if A0 is None:
+    x = None if A0 is None else component_array(grid, A0, 3, "A0")
+    if x is None or not np.any(x):
+        # a cold start: r = b - op(0) = b, with no operator application
         x = np.zeros((3,) + grid.shape, dtype=complex)
+        r, n_ops = b, 0
     else:
-        x = spectral.project_hat(grid, grid.fft(component_array(grid, A0, 3, "A0")))
+        x = spectral.project_hat(grid, grid.fft(x))
         x[:, 0, 0, 0] = 0.0
-    r = b - op(x)
-    n_ops = 1
-    if dot(r, r) > b_norm ** 2:
-        # a warm start farther from the solution than x = 0 is dropped,
-        # so the target is relative to |b| on every start
-        x[...] = 0.0
-        r = b.copy()
+        r, n_ops = b - op(x), 1
+        if dot(r, r) > b_norm ** 2:
+            # a warm start farther from the solution than x = 0 is dropped,
+            # so the target is relative to |b| on every start
+            x[...] = 0.0
+            r = b
     z = inv * r
     d = z.copy()
     rz = dot(r, z)
@@ -475,21 +470,19 @@ class MinimizeConfig:
     of the random start, ``log_every`` (log every k iterations, 0 for
     never) and ``force`` (skip the speed gate).
 
-    The numerics are class constants: ``check_every`` 5, ``residual_tol``
-    1e-5, ``energy_tol`` 1e-13, ``confirm_stall`` 10, ``patience`` 100,
-    ``armijo`` 1e-4, ``backtrack`` 0.5, ``max_backtracks`` 40 and
-    ``a_tol`` 1e-9 (the polish solves A to 1e-12).
+    The numerics are class constants: ``residual_tol`` 1e-5, the bound on
+    the polished residual that makes a run converged; ``armijo`` 1e-4,
+    ``backtrack`` 0.5 and ``max_backtracks`` 40 of the line search; and
+    ``a_solve_every`` 5 and ``a_tol`` 1e-9: A is re-solved to ``a_tol``
+    after every fifth accepted step (the polish solves it to 1e-12).
     """
 
     residual_tol: ClassVar[float] = 1e-5
-    energy_tol: ClassVar[float] = 1e-13
-    patience: ClassVar[int] = 100
-    confirm_stall: ClassVar[int] = 10
     backtrack: ClassVar[float] = 0.5
     armijo: ClassVar[float] = 1e-4
     max_backtracks: ClassVar[int] = 40
     a_tol: ClassVar[float] = 1e-9
-    check_every: ClassVar[int] = 5
+    a_solve_every: ClassVar[int] = 5
 
     max_iter: int = 4000
     init: str = "trial"
@@ -566,14 +559,15 @@ def minimize(
     previous s is kept when either sum is not positive.  A trial is
     accepted under the Armijo test E(trial) <= E - armijo s Re <Gt, d>;
     otherwise s shrinks by the factor ``backtrack``.  The quadratic
-    subproblem in A is solved from a warm start where the run reads A:
-    at the start, on each iteration that runs the stationarity check
-    (every ``check_every`` iterations), before that check, and at the
-    polish, so every convergence decision reads an A solved at the same
-    psi.  The search ends as a failed one, without a trial energy, once
-    the predicted decrease s Re <Gt, d> is below the rounding of E; the
-    stationarity residual then decides whether that is convergence, also
-    at a start whose tangent gradient is exactly zero.
+    subproblem in A is solved from a warm start at the start, after every
+    ``a_solve_every``-th accepted step and, to 1e-12, at the polish.
+    The run ends where its line search ends, as a failed one without a
+    trial energy, once the predicted decrease s Re <Gt, d> is below the
+    rounding of E, or at ``max_iter``.  The Euler-Lagrange residual of the
+    polished pair alone judges it: it sets ``converged`` (below
+    ``residual_tol``) and names how a line search ended, "stationary: no
+    descent direction left" or "line search failed away from
+    stationarity", also at a start whose tangent gradient is exactly zero.
     ``psi0`` and ``A0`` start the run of ``init="given"``, which needs
     both; any other ``init`` refuses them with InputError.  A is a
     function of psi, so only psi starts the run: ``A0`` is the warm start
@@ -605,23 +599,20 @@ def minimize(
     A = solve_a(psi, A, config.a_tol)
     # an all-zero A, as the solve returns at a forcing on its rounding
     # floor, is the field-free record: no transform of A or of a product
-    a_hat, a_low, field_term = _field_band(grid, p, A)
+    a_low, field_term = _field_band(grid, p, A)[1:]
 
-    # st, the KineticState of psi, is read by E, alpha, G and the residual
-    # check; at most one is alive, so it goes at the top of each iteration
-    # and, with the transforms of A, before each A-solve
+    # st, the KineticState of psi, is read by E, alpha and G; at most one
+    # is alive, so it goes at the top of each iteration and, with T A,
+    # before each A-solve
     st = pauli.kinetic_state(grid, p, psi, a_low)
     E = _psi_energy(grid, p, st) + field_term
     lam_meas = l2_norm_sq(grid, psi)
     alpha = _shift(grid, p, st, lam_meas)
-    G = _gradient(grid, p, st)
-    Gt, theta = _tangent(grid, p, psi, G, lam_meas)
+    Gt = _tangent(grid, p, psi, _gradient(grid, p, st), lam_meas)[0]
 
     step = 1.0
     backtracks = 0
     trace = [E]
-    best_E = E
-    since_best = 0
     msg = "max_iter reached"
     it = 0
     prev_psi = prev_Gt = prev_d = None
@@ -659,7 +650,7 @@ def minimize(
             backtracks += 1
             s *= config.backtrack
         if not accepted:
-            # the message is chosen from the polished residual below
+            # the run ends here; the polished residual below names how
             msg = None
             break
 
@@ -667,42 +658,23 @@ def minimize(
         psi = trial
         E = e_trial + field_term
 
-        if it % config.check_every == 0:
-            # the check below reads A, so it is solved at this psi first
-            st = a_hat = a_low = None
+        if it % config.a_solve_every == 0:
+            st = a_low = None
             A = solve_a(psi, A, config.a_tol)
-            a_hat, a_low, field_term = _field_band(grid, p, A)
+            a_low, field_term = _field_band(grid, p, A)[1:]
             st = pauli.kinetic_state(grid, p, psi, a_low)
             E = _psi_energy(grid, p, st) + field_term
 
         lam_meas = l2_norm_sq(grid, psi)
         alpha = _shift(grid, p, st, lam_meas)
-        G = _gradient(grid, p, st)
-        Gt, theta = _tangent(grid, p, psi, G, lam_meas)
+        Gt = _tangent(grid, p, psi, _gradient(grid, p, st), lam_meas)[0]
         trace.append(E)
 
         if config.log_every and it % config.log_every == 0:
             logger.info("iter %5d  E = %+.12e  step = %.3e  alpha = %.3e", it, E, s, alpha)
 
-        if E < best_E - config.energy_tol * max(1.0, abs(best_E)):
-            best_E = E
-            since_best = 0
-        else:
-            since_best += 1
-
-        if it % config.check_every == 0 or since_best >= config.patience:
-            res = _residual(grid, p, psi, G, _a_side(grid, p, lam_meas, a_hat, st))
-            # a small residual alone can be a slow plateau transit; accept
-            # stationarity only once the energy has also stopped moving
-            if res.max_rel < config.residual_tol and since_best >= config.confirm_stall:
-                msg = "stationarity residual below tolerance"
-                break
-            if since_best >= config.patience:
-                msg = f"stalled: no energy decrease for {config.patience} iterations"
-                break
-
     # the loop's arrays go before the polish solve, which sets peak memory
-    st = a_hat = a_low = G = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
+    st = a_low = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
     # polish the quadratic subproblem before reporting
     A = solve_a(psi, A, 1e-12)
     res = el_residual(grid, p, psi, A)

@@ -113,13 +113,18 @@ def kinetic_state(grid: Grid, p: PhysParams, psi, a_low=None) -> KineticState:
     return KineticState(psi_hat, psi_low, kinetic_hat(grid, p, psi_hat, psi_low, a_low), a_low)
 
 
+def _a_band(grid: Grid, A: np.ndarray) -> tuple:
+    """A_hat and T A of the real field A, from one forward FFT; (None, None)
+    for an all-zero A, the field-free record's, with no transform of A."""
+    return spectral.band(grid, A) if np.any(A) else (None, None)
+
+
 def _state(grid: Grid, p: PhysParams, psi, A) -> KineticState:
     """``kinetic_state`` of (psi, A) for a real field A; an all-zero A
-    gives the field-free record, with no transform of A.  Both are checked
-    to be component-first fields on ``grid``."""
+    gives the field-free record (``_a_band``).  Both are checked to be
+    component-first fields on ``grid``."""
     psi = component_array(grid, psi, 2, "psi")
-    A = component_array(grid, A, 3, "A")
-    return kinetic_state(grid, p, psi, spectral.dealias(grid, A) if np.any(A) else None)
+    return kinetic_state(grid, p, psi, _a_band(grid, component_array(grid, A, 3, "A"))[1])
 
 
 def covariant_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:

@@ -165,12 +165,14 @@ def test_03_gradients_match_finite_differences(grid):
 
 
 def test_04_euler_lagrange_exit(grid, pipeline_minimizers):
-    """Full-pipeline minimizers at v = 0.1 and 0.2 converge with
-    dimensionless stationarity residuals below 1e-4, and the reported
-    multiplier matches the variational formula for theta."""
+    """Full-pipeline minimizers at v = 0.1 and 0.2 end on their line
+    search with no descent direction left, converge with dimensionless
+    stationarity residuals below 1e-4, and the reported multiplier matches
+    the variational formula for theta."""
     lines = []
     for v, (p, rep) in pipeline_minimizers.items():
         assert rep.converged, rep.message
+        assert rep.message == "stationary: no descent direction left", (v, rep.message)
         res = el_residual(grid, p, rep.psi, rep.A)
         lines.append(f"v={v}: psi_rel={res.psi_rel:.3e} a_rel={res.a_rel:.3e} "
                      f"theta={rep.theta:.9g}")

@@ -55,9 +55,9 @@ ZERO_FIELD_BUDGET = {
 }
 
 #: scalar transforms of a whole trial-start solve at n = 16, v = 0.1: A is
-#: solved at the start, from A = 0, before each stationarity check and at
-#: the polish (1617 / 1555 measured for S / P; the bound leaves room above
-#: both)
+#: solved at the start, from A = 0 with no operator application, after
+#: every fifth accepted step and at the polish (1554 / 1516 measured for
+#: S / P; the bound leaves room above both)
 SOLVE_BUDGET = {"S": 1850, "P": 1900}
 
 #: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: both
@@ -142,7 +142,8 @@ def test_transforms_per_plane_start_solve(grid16, model, count_ffts):
 
 @pytest.mark.parametrize("model", ["S", "P"])
 def test_transforms_per_solve(grid16, model, count_ffts):
-    """A whole trial-start solve, A-solves and residual checks included."""
+    """A whole trial-start solve, A-solves and the polished residual
+    included."""
     p = params(model, v=0.1)
     reports = []
     used = count_ffts(lambda: reports.append(minimize(grid16, p, MinimizeConfig(init="trial"))))
