@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import spectral
 from .energy import (
-    _field_part,
     _parseval,
     _vk_real,
     carrier_gate,
@@ -77,19 +77,21 @@ class TrialSpec:
     A_0 = (d2 Xi, -d1 Xi, 0), and the wave-function bump of radius
     ``psi_radius`` is centered a distance ``psi_offset`` below the
     x2 = 0 plane, inside the region where d2 Xi > 0.  ``amplitude``
-    and ``dilation`` are the two scan parameters (a, R); the scaled
-    support must stay ``margin`` * box_l away from the box boundary.
+    and ``dilation`` are the two scan parameters (a, R); the dilation is
+    the support radius, which must stay the class constant ``margin``
+    * box_l away from the box boundary.
 
     The default offset/radius pair was chosen by a small numerical
     study maximizing the coupling-to-cost quality of the base pair;
     see the shape study in the test suite for the measured value.
     """
 
+    margin: ClassVar[float] = 0.1
+
     amplitude: float
     dilation: float
     psi_offset: float = 0.50
     psi_radius: float = 0.50
-    margin: float = 0.1
 
     def __post_init__(self):
         if self.amplitude <= 0 or self.dilation <= 0:
@@ -99,22 +101,17 @@ class TrialSpec:
         if self.psi_offset - self.psi_radius < -1e-12:
             raise InputError("wave-function bump must stay below the x2 = 0 plane")
 
-    def support_radius(self) -> float:
-        return self.dilation
-
     @classmethod
     def fitted(cls, grid: Grid, amplitude: float, **kw) -> "TrialSpec":
         """Largest dilation that keeps the support inside the margin."""
-        margin = kw.pop("margin", 0.1)
-        R = (0.5 - margin) * grid.box_l
-        return cls(amplitude=amplitude, dilation=R, margin=margin, **kw)
+        return cls(amplitude=amplitude, dilation=(0.5 - cls.margin) * grid.box_l, **kw)
 
 
 def _check_fit(grid: Grid, spec: TrialSpec) -> None:
-    limit = (0.5 - spec.margin) * grid.box_l
-    if spec.support_radius() > limit + 1e-9:
+    limit = (0.5 - TrialSpec.margin) * grid.box_l
+    if spec.dilation > limit + 1e-9:
         raise DomainGateError(
-            f"trial support radius {spec.support_radius():.3g} exceeds the "
+            f"trial support radius {spec.dilation:.3g} exceeds the "
             f"fit limit {limit:.3g} for box {grid.box_l:g}"
         )
 
@@ -183,41 +180,32 @@ class TrialEnergyTerms:
 
 
 def trial_energy_terms(grid: Grid, p: PhysParams, spec: TrialSpec) -> TrialEnergyTerms:
-    """Evaluate the analytic energy law at (a, R).
+    """Evaluate the analytic energy law at (a, R) = (amplitude, dilation).
 
-    Each term is the grid quadrature of the corresponding base integral
-    after substitution; the carrier phase and the drift term cancel
-    exactly and never enter.  Against
-    ``energy_functional(trial_fields(...))`` the law is not exact: on the
-    witness rows at n = 32, L = 40 the two differ by up to 3 % of the
-    row margin (test_05 bounds the gap at 5e-2 of it).  The cause of a
-    gap that size at a resolved profile is not known.
+    Each term is the closed form of the base integrals (``BaseQuadratures``,
+    sampled at the dilation R of ``spec``), the law that the balancing
+    dilation R_a of ``effective_dilation`` also reads:
+
+        kinetic   hbar^2 n2 / (2 m R^2)      diamagnetic  a^2 m2 / (2 m)
+        coupling  -a |v| overlap             rest         -m v^2 lambda / 2
+        field     a^2 R (c^2 g2 - v^2 g1v2) / (8 pi Q^2)
+        spin      -(hbar a / 2 m) spin / R   (model P only)
+
+    The carrier phase and the drift term cancel exactly and never enter.
+    Against ``energy_functional(trial_fields(...))`` the law is not exact:
+    on the witness rows at n = 32, L = 40 the two differ by up to 3 % of
+    the row margin (test_05 bounds the gap at 5e-2 of it).  The cause of
+    a gap that size at a resolved profile is not known.
     """
-    env, a_data = _trial_raw(grid, p, spec)
-    v = p.v_arr
-    dens = env ** 2
-
-    grad_env = spectral.gradient(grid, env)
-    kin = p.hbar ** 2 / (2.0 * p.mass) * float(np.sum(np.abs(grad_env) ** 2)) * grid.cell
-    a_sq = np.sum(a_data ** 2, axis=0)
-    dia = p.charge ** 2 / (2.0 * p.mass * p.light_speed ** 2) * float(
-        np.sum(a_sq * dens)
-    ) * grid.cell
-    coup = -(p.charge / p.light_speed) * float(
-        np.sum(np.tensordot(a_data, v, axes=(0, 0)) * dens)
-    ) * grid.cell
-    lam_meas = float(np.sum(dens)) * grid.cell
-    rest = -0.5 * p.mass * float(v @ v) * lam_meas
-
-    field = _field_part(grid, p, grid.fft(a_data))
-
-    spin = 0.0
-    if p.model == "P":
-        b3 = spectral.curl(grid, a_data)[2]
-        spin = -(p.hbar * p.charge / (2.0 * p.mass * p.light_speed)) * float(
-            np.sum(b3 * dens)
-        ) * grid.cell
-
+    b = _base_integrals(grid, p, spec)
+    a, R = spec.amplitude, spec.dilation
+    c, v = p.light_speed, p.speed
+    kin = p.hbar ** 2 * b.n2 / (2.0 * p.mass * R ** 2)
+    dia = a ** 2 * b.m2 / (2.0 * p.mass)
+    coup = -a * v * b.overlap
+    rest = -0.5 * p.mass * v ** 2 * p.lam
+    field = a ** 2 * R * (c ** 2 * b.g2 - v ** 2 * b.g1v2) / (8.0 * np.pi * p.charge ** 2)
+    spin = -(p.hbar * a / (2.0 * p.mass)) * b.spin / R if p.model == "P" else 0.0
     total = kin + dia + coup + rest + field + spin
     return TrialEnergyTerms(
         envelope_kinetic=kin,
@@ -250,21 +238,15 @@ class BaseQuadratures:
     spin: float
 
 
-def base_quadratures(grid: Grid, p: PhysParams, spec: TrialSpec | None = None) -> BaseQuadratures:
-    """Measure the base integrals by sampling at the largest fitting scale.
+def _base_integrals(grid: Grid, p: PhysParams, spec: TrialSpec) -> BaseQuadratures:
+    """The base integrals, sampled at the dilation R of ``spec``.
 
-    All quantities refer to the unit-scale pair (amplitude and gauge
-    factors stripped); dilation covariance of each integral is used to
-    undo the reference scaling.
+    The amplitude and gauge factors are stripped, and the dilation
+    covariance of each integral undoes the scale R.
     """
-    if spec is None:
-        spec = TrialSpec.fitted(grid, amplitude=1.0)
-    ref = dataclasses.replace(
-        spec, amplitude=1.0, dilation=TrialSpec.fitted(grid, 1.0, margin=spec.margin).dilation
-    )
-    R = ref.dilation
-    env, a_scaled = _trial_raw(grid, p, ref)
-    # strip the (a c / Q) factor to recover the bare geometric A_0
+    R = spec.dilation
+    env, a_scaled = _trial_raw(grid, p, dataclasses.replace(spec, amplitude=1.0))
+    # strip the (c / Q) factor to recover the bare geometric A_0
     a0 = a_scaled * (p.charge / p.light_speed)
 
     dens = env ** 2
@@ -283,6 +265,20 @@ def base_quadratures(grid: Grid, p: PhysParams, spec: TrialSpec | None = None) -
     curl_z = grid.ifft(1j * (grid.k[0] * a0_hat[1] - grid.k[1] * a0_hat[0]), overwrite=True)
     spin = R * float(np.sum(curl_z.real * dens)) * grid.cell
     return BaseQuadratures(n2=n2, g2=g2, g1v2=g1v2, m2=m2, overlap=overlap, spin=spin)
+
+
+def base_quadratures(grid: Grid, p: PhysParams, spec: TrialSpec | None = None) -> BaseQuadratures:
+    """Measure the base integrals by sampling at the largest fitting scale.
+
+    The integrals come from the shape of ``spec`` (the default shape when
+    None) at the fitted dilation; ``effective_dilation`` reads them for
+    R_a, and ``trial_energy_terms`` reads the same integrals, sampled at
+    its own dilation, for the closed-form law.
+    """
+    ref = TrialSpec.fitted(grid, amplitude=1.0)
+    if spec is not None:
+        ref = dataclasses.replace(spec, dilation=ref.dilation)
+    return _base_integrals(grid, p, ref)
 
 
 def effective_dilation(p: PhysParams, base: BaseQuadratures, a: float) -> float:
@@ -351,14 +347,12 @@ def negativity_witness(
     base = base_quadratures(grid, p, spec)
     threshold = -0.5 * p.mass * p.speed ** 2 * p.lam
 
-    r_cap = TrialSpec.fitted(grid, 1.0, margin=spec.margin).dilation
-    w = p.light_speed ** 2 * base.g2 - p.speed ** 2 * base.g1v2
-    a_of_r = lambda R: (
-        2.0 * p.hbar * abs(p.charge) * np.sqrt(np.pi / p.mass) * np.sqrt(base.n2)
-        / (R ** 1.5 * np.sqrt(w))
-    )
-    a_min = a_of_r(r_cap)
-    a_max = a_of_r(max(4.0 * grid.spacing, 1e-3 * r_cap))
+    r_cap = TrialSpec.fitted(grid, 1.0).dilation
+    # R_a scales as a^(-2/3), so the amplitude that balances at R is
+    # (R_1 / R)^(3/2), with R_1 the balancing dilation of a = 1
+    r_one = effective_dilation(p, base, 1.0)
+    a_min = (r_one / r_cap) ** 1.5
+    a_max = (r_one / max(4.0 * grid.spacing, 1e-3 * r_cap)) ** 1.5
 
     rows = []
     found = False

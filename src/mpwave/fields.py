@@ -212,6 +212,11 @@ def random_fields(
 
     ``max_mode`` optionally hard-truncates to integer modes |m| ≤ max_mode
     per axis (sharp band limit on top of the smooth envelope).
+
+    Units: ``corr_len`` is an absolute length and ``a_amp`` the absolute
+    grid L² norm of A, neither scaled by the physical constants of ``p``,
+    so the draw is not covariant under a change of units: rescaling ħ, m,
+    c, Q or L moves the start off the rescaled one by more than rounding.
     """
     rng = np.random.default_rng(seed)
     kx, ky, kz = grid.k

@@ -176,7 +176,16 @@ class ELResidual:
 
     @property
     def max_rel(self) -> float:
-        return max(self.psi_rel, self.a_rel)
+        # NaN when either side is: the builtin max(0.0, nan) returns 0.0
+        return float(np.maximum(self.psi_rel, self.a_rel))
+
+
+def _rel(raw: float, scale: float) -> float:
+    """raw / scale: 0 for the all-zero state (scale 0) and NaN when either
+    is not finite, so a non-finite state never passes a tolerance."""
+    if not (np.isfinite(raw) and np.isfinite(scale)):
+        return float("nan")
+    return float(raw / scale if scale > 0 else 0.0)
 
 
 def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
@@ -234,10 +243,10 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
     return ELResidual(
         psi_raw=float(psi_raw),
         psi_scale=float(psi_scale),
-        psi_rel=float(psi_raw / psi_scale if psi_scale > 0 else 0.0),
+        psi_rel=_rel(psi_raw, psi_scale),
         a_raw=float(a_raw),
         a_scale=float(a_scale),
-        a_rel=float(a_raw / a_scale if a_scale > 0 else 0.0),
+        a_rel=_rel(a_raw, a_scale),
         current_defect=defect,
         theta=float(theta),
     )
@@ -441,11 +450,18 @@ def _initial_state(
 ) -> tuple[np.ndarray, object]:
     """The start psi of ``config.init``, normalized to lambda, and the warm
     start of the first A-solve: ``A0`` for "given", None (A = 0) for every
-    other start, whose A is the solution of that solve alone."""
+    other start, whose A is the solution of that solve alone.  A given
+    pair with a non-finite entry, or an all-zero psi0, is refused with
+    InputError."""
     if config.init == "given":
         if psi0 is None or A0 is None:
             raise InputError('init="given" requires both psi0 and A0')
         psi = component_array(grid, psi0, 2, "psi0")
+        a0 = component_array(grid, A0, 3, "A0")
+        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(a0))):
+            raise InputError("psi0 and A0 must be finite everywhere")
+        if not np.any(psi):
+            raise InputError("psi0 is zero everywhere and cannot carry the mass lambda")
     elif psi0 is not None or A0 is not None:
         raise InputError(f'psi0 and A0 go with init="given", not init={config.init!r}')
     elif config.init == "random":
@@ -467,7 +483,9 @@ class MinimizeConfig:
     """Settings of one run: ``max_iter``, the start ``init`` of psi
     ("trial", "random", "plane", or "given" with the psi0 and A0 of
     ``minimize``, A0 only warm-starting the first A-solve), the ``seed``
-    of the random start, ``log_every`` (log every k iterations, 0 for
+    of the random start (the psi of ``random_fields``, whose correlation
+    length 2 is an absolute length, so that start alone is not
+    unit-covariant), ``log_every`` (log every k iterations, 0 for
     never) and ``force`` (skip the speed gate).
 
     The numerics are class constants: ``residual_tol`` 1e-5, the bound on

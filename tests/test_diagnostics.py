@@ -52,7 +52,18 @@ class TestTrialSpec:
 
     def test_fitted_uses_margin(self, grid16):
         spec = TrialSpec.fitted(grid16, amplitude=1.0)
-        assert spec.support_radius() == pytest.approx(0.4 * grid16.box_l)
+        assert spec.dilation == pytest.approx(0.4 * grid16.box_l)
+
+    def test_settings_are_the_fields(self):
+        """A trial state is set by its scan parameters and its shape; the
+        fit margin is a constant of the class and the dilation is the
+        support radius."""
+        names = [f.name for f in dataclasses.fields(TrialSpec)]
+        assert names == ["amplitude", "dilation", "psi_offset", "psi_radius"]
+        assert TrialSpec.margin == TrialSpec(1.0, 1.0).margin == 0.1
+        assert not hasattr(TrialSpec, "support_radius")
+        with pytest.raises(TypeError):
+            TrialSpec(1.0, 1.0, margin=0.2)
 
 
 class TestTrialFields:
@@ -81,6 +92,27 @@ class TestTrialFields:
             defects.append(abs(terms.total - e) / max(abs(e), 1e-30))
         assert defects[0] < 5e-2
         assert defects[1] < defects[0]
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_energy_law_reads_the_base_integrals(self, grid16, model):
+        """At the fitted dilation each term of the law is the closed form
+        of the integrals ``base_quadratures`` measures, the ones R_a reads."""
+        p = params(model, v=(0.13, -0.07, 0.05))
+        spec = TrialSpec.fitted(grid16, amplitude=0.8)
+        t = trial_energy_terms(grid16, p, spec)
+        b = base_quadratures(grid16, p)
+        a, R, c, v = spec.amplitude, spec.dilation, p.light_speed, p.speed
+        law = {
+            "envelope_kinetic": p.hbar ** 2 * b.n2 / (2.0 * p.mass * R ** 2),
+            "diamagnetic": a ** 2 * b.m2 / (2.0 * p.mass),
+            "coupling": -a * v * b.overlap,
+            "rest": -0.5 * p.mass * v ** 2 * p.lam,
+            "field": a ** 2 * R * (c ** 2 * b.g2 - v ** 2 * b.g1v2) / (8.0 * np.pi * p.charge ** 2),
+            "spin": -(p.hbar * a / (2.0 * p.mass)) * b.spin / R if model == "P" else 0.0,
+        }
+        for name, value in law.items():
+            assert rel(getattr(t, name), value) < 1e-14, name
+        assert rel(t.total, sum(law.values())) < 1e-14
 
     def test_spin_term_only_in_second_model(self, grid32):
         spec = TrialSpec.fitted(grid32, amplitude=0.8)
@@ -162,6 +194,18 @@ class TestWitness:
         assert amps == sorted(amps)
         dils = [r.dilation for r in w.rows]
         assert all(d1 >= d2 - 1e-12 for d1, d2 in zip(dils, dils[1:]))
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_scan_starts_where_the_cap_balances(self, grid16, model):
+        """The scan reads its amplitude range from ``effective_dilation``:
+        its first amplitude is the one whose balancing dilation is the
+        largest that fits the box."""
+        p = params(model, v=0.2)
+        w = negativity_witness(grid16, p, num=4)
+        base = base_quadratures(grid16, p)
+        r_cap = TrialSpec.fitted(grid16, 1.0).dilation
+        assert rel(effective_dilation(p, base, w.rows[0].amplitude), r_cap) < 1e-14
+        assert rel(w.rows[0].dilation, r_cap) < 1e-14
 
 
 class TestConcentration:

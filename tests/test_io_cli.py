@@ -8,6 +8,7 @@ with plane-wave initialisation so the whole module stays fast.
 """
 from __future__ import annotations
 
+import os
 import struct
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+import mpwave
 from mpwave import cli
 from mpwave.errors import InputError
 from mpwave.fields import PhysParams, random_fields
@@ -23,6 +25,19 @@ from mpwave.io import read_state, write_state
 from mpwave.minimize import MinimizeConfig, minimize, solve_vector_potential
 
 from conftest import params
+
+
+def run_module(*args):
+    """``python -m mpwave args`` in a child process that imports the same
+    package as this suite, also from a checkout that is not installed."""
+    src = os.path.dirname(os.path.dirname(mpwave.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mpwave", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
 
 # header layout: magic(4) version(u32) n(u32) box_l(f64) model(u8) 8*f64
 _OFF_VERSION = 4
@@ -543,10 +558,7 @@ class TestCli:
         assert min(margins) > 0  # consistent with "no witness"
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "mpwave", "--help"],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "exit codes" in proc.stdout
 
@@ -555,11 +567,8 @@ class TestCli:
         only the results."""
         cfg = tmp_path / "log.cfg"
         cfg.write_text("minimize.log_every = 2\nminimize.max_iter = 4\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "mpwave", "solve", "--config", str(cfg),
-             "--grid", "16", "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module("solve", "--config", str(cfg),
+                          "--grid", "16", "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         progress = [line for line in proc.stderr.splitlines() if line.startswith("iter ")]
         assert len(progress) == 2

@@ -679,6 +679,39 @@ class TestMinimize:
         with pytest.raises(InputError, match="given"):
             minimize(grid16, p, MinimizeConfig(init="trial", max_iter=1), **start)
 
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_non_finite_state_is_never_converged(self, grid16, model):
+        """A NaN in psi makes the residual NaN rather than 0: the ratio of a
+        NaN to a NaN scale is not read as a flat state, and max_rel keeps
+        the NaN of either side."""
+        p = params(model, v=0.1)
+        psi, A = random_fields(grid16, p, seed=1)
+        bad = psi.data.copy()
+        bad[0, 3, 4, 5] = np.nan
+        res = el_residual(grid16, p, bad, A.data)
+        assert np.isnan(res.psi_raw) and np.isnan(res.psi_rel)
+        assert np.isnan(res.max_rel)
+        assert not res.max_rel < MinimizeConfig.residual_tol
+
+    @pytest.mark.parametrize("what", ["psi0 nan", "psi0 inf", "A0 nan", "psi0 zero"])
+    def test_given_start_must_be_finite_and_nonzero(self, grid16, what):
+        """A given pair with a non-finite entry or an all-zero psi0 has no
+        state to start from: it is refused as input, not run or reported
+        as converged."""
+        p = params("S", v=0.1)
+        psi, A = random_fields(grid16, p, seed=1)
+        psi0, A0 = psi.data.copy(), A.data.copy()
+        if what == "psi0 nan":
+            psi0[0, 3, 4, 5] = np.nan
+        elif what == "psi0 inf":
+            psi0[1, 0, 0, 0] = np.inf
+        elif what == "A0 nan":
+            A0[2, 7, 7, 7] = np.nan
+        else:
+            psi0[:] = 0.0
+        with pytest.raises(InputError, match="psi0"):
+            minimize(grid16, p, MinimizeConfig(init="given", max_iter=1), psi0, A0)
+
     def test_config_validation(self):
         with pytest.raises(InputError):
             MinimizeConfig(init="nope")
