@@ -116,23 +116,26 @@ def _check_fit(grid: Grid, spec: TrialSpec) -> None:
         )
 
 
-def _trial_raw(grid: Grid, p: PhysParams, spec: TrialSpec):
-    """Sampled envelope (normalized) and vector potential of the family."""
+def _trial_raw(grid: Grid, p: PhysParams, spec: TrialSpec, potential: bool = True):
+    """Sampled envelope (normalized) and vector potential of the family;
+    without ``potential`` the potential is not sampled and reads None."""
     _check_fit(grid, spec)
     x, y, z = grid.coords()
     cx, cy, cz = grid.center()
     R = spec.dilation
     xs, ys, zs = (x - cx) / R, (y - cy) / R, (z - cz) / R
 
-    r = np.sqrt(xs * xs + ys * ys + zs * zs)
-    # d_a Xi = b'(r) x_a / r at the unit base radius
-    with np.errstate(invalid="ignore", divide="ignore"):
-        radial = np.where(r > 0, _bump_prime(r) / r, 0.0)
-    a_data = np.zeros((3,) + grid.shape, dtype=float)
-    a_data[0] = radial * ys
-    a_data[1] = -radial * xs
-    scale = spec.amplitude * p.light_speed / p.charge
-    a_data *= scale
+    a_data = None
+    if potential:
+        r = np.sqrt(xs * xs + ys * ys + zs * zs)
+        # d_a Xi = b'(r) x_a / r at the unit base radius
+        with np.errstate(invalid="ignore", divide="ignore"):
+            radial = np.where(r > 0, _bump_prime(r) / r, 0.0)
+        a_data = np.zeros((3,) + grid.shape, dtype=float)
+        a_data[0] = radial * ys
+        a_data[1] = -radial * xs
+        scale = spec.amplitude * p.light_speed / p.charge
+        a_data *= scale
 
     rb = np.sqrt(xs * xs + (ys + spec.psi_offset) ** 2 + zs * zs)
     env = _bump(rb / spec.psi_radius) * R ** (-1.5)
@@ -154,16 +157,23 @@ def trial_fields(grid: Grid, p: PhysParams, spec: TrialSpec) -> tuple[SpinorFiel
     band raises DomainGateError; ``trial_energy_terms`` never samples
     the carrier and has no such limit.
     """
+    psi, a_data = _trial_sample(grid, p, spec, potential=True)
+    a_data = spectral.zero_mean(grid, spectral.helmholtz_project(grid, a_data))
+    return psi, VectorField(grid, a_data)
+
+
+def _trial_sample(grid: Grid, p: PhysParams, spec: TrialSpec, potential: bool):
+    """The psi of ``trial_fields`` and, with ``potential``, the sampled A
+    it projects; without, A is not sampled and reads None, and psi takes
+    no transform."""
     carrier_gate(grid, p)
-    env, a_data = _trial_raw(grid, p, spec)
+    env, a_data = _trial_raw(grid, p, spec, potential)
     x, y, z = grid.coords()
     v = p.v_arr
     carrier = np.exp(1j * (p.mass / p.hbar) * (v[0] * x + v[1] * y + v[2] * z))
     data = np.zeros((2,) + grid.shape, dtype=complex)
     data[0] = env * carrier
-    psi = normalize_to_lambda(SpinorField(grid, data), p.lam)
-    a_data = spectral.zero_mean(grid, spectral.helmholtz_project(grid, a_data))
-    return psi, VectorField(grid, a_data)
+    return normalize_to_lambda(SpinorField(grid, data), p.lam), a_data
 
 
 @dataclass(frozen=True)

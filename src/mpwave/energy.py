@@ -153,13 +153,18 @@ def field_energy(grid: Grid, p: PhysParams, A, Adot) -> float:
 def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     """Evaluate the variational energy and its shifted decomposition."""
     psi = component_array(grid, psi, 2, "psi")
-    A = component_array(grid, A, 3, "A")
-    v = p.v_arr
+    a_low, field = _field_band(grid, p, component_array(grid, A, 3, "A"))[1:]
+    return _energy(grid, p, psi, pauli.kinetic_state(grid, p, psi, a_low), field)
 
-    a_low, field = _field_band(grid, p, A)[1:]
-    st = pauli.kinetic_state(grid, p, psi, a_low)
+
+def _energy(grid: Grid, p: PhysParams, psi: np.ndarray, st: pauli.KineticState,
+            field: float) -> EnergyBreakdown:
+    """``energy_functional`` of psi from its record ``st`` and the field
+    term ``field``, with no transform.  The shifted form adds the boost
+    into ``st.kpsi_hat`` in place, so this is the record's last reader."""
+    v = p.v_arr
     # the shifted form sees A + (mc/Q) v; a constant cannot alias, so it
-    # multiplies psi directly, shifting the local record's K psi_hat in place
+    # multiplies psi directly, shifting K psi_hat in place
     boost = (p.charge / p.light_speed) * (p.mass * p.light_speed / p.charge * v)
     kpsi_hat = st.kpsi_hat
     kinetic = _kinetic(grid, p, kpsi_hat)
@@ -168,10 +173,10 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     drift = _drift(grid, p, st.psi_hat)
 
     coupling = 0.0
-    if a_low is not None:
+    if st.a_low is not None:
         dens_low = np.sum(np.abs(st.psi_low) ** 2, axis=0)
         coupling = -(p.charge / p.light_speed) * float(
-            grid.integrate(dens_low * np.tensordot(a_low, v, axes=(0, 0)))
+            grid.integrate(dens_low * np.tensordot(st.a_low, v, axes=(0, 0)))
         )
 
     lam_meas = l2_norm_sq(grid, psi)

@@ -46,15 +46,18 @@ class PhysParams:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "mass", "light_speed", "lam"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
-        if self.charge == 0:
-            raise ValueError("charge must be nonzero")
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (self.charge != 0 and np.isfinite(self.charge)):
+            raise ValueError(f"charge must be nonzero and finite, got {self.charge}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         v = np.asarray(self.v, dtype=float)
         if v.shape != (3,):
             raise ValueError("v must be a 3-vector")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"v must be finite, got {tuple(v)}")
         object.__setattr__(self, "v", tuple(float(c) for c in v))
 
     @property
@@ -218,8 +221,22 @@ def random_fields(
     so the draw is not covariant under a change of units: rescaling ħ, m,
     c, Q or L moves the start off the rescaled one by more than rounding.
     """
+    psi, draw = _random_psi(grid, p, seed, corr_len, max_mode)
+    a = grid.ifft(draw(3), overwrite=True).real
+    a = spectral.zero_mean(grid, spectral.helmholtz_project(grid, a))
+    nrm = np.sqrt(np.sum(a**2) * grid.cell)
+    if nrm > 0:
+        a *= a_amp / nrm
+    return psi, VectorField(grid, a)
+
+
+def _random_psi(
+    grid: Grid, p: PhysParams, seed: int, corr_len: float = 2.0, max_mode: int | None = None
+) -> tuple[SpinorField, object]:
+    """The psi of ``random_fields`` and the draw that continues its stream,
+    from which ``random_fields`` takes A: psi is drawn first, so a caller
+    that needs psi alone stops here, two scalar transforms in."""
     rng = np.random.default_rng(seed)
-    kx, ky, kz = grid.k
     kk = np.sqrt(grid.k2)
     env = np.exp(-0.5 * (kk * corr_len) ** 2)
     if max_mode is not None:
@@ -240,14 +257,7 @@ def random_fields(
         return np.multiply(np.moveaxis(z, -1, 0), env, order="C")
 
     psi = SpinorField(grid, grid.ifft(draw_complex(2), overwrite=True))
-    psi = normalize_to_lambda(psi, p.lam)
-
-    a = grid.ifft(draw_complex(3), overwrite=True).real
-    a = spectral.zero_mean(grid, spectral.helmholtz_project(grid, a))
-    nrm = np.sqrt(np.sum(a**2) * grid.cell)
-    if nrm > 0:
-        a *= a_amp / nrm
-    return psi, VectorField(grid, a)
+    return normalize_to_lambda(psi, p.lam), draw_complex
 
 
 __all__ = [

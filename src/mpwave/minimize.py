@@ -27,6 +27,16 @@ div A = 0 by alternating two moves:
   the psi shift.  A is solved at the start, after every
   ``a_solve_every``-th accepted psi step and at the polish.
 
+Each psi is banded once.  Its A-solves read psi_hat and T psi from the
+record the loop holds (the accepted trial's, or the band taken at the
+start), and its record against a new A reuses them for the 6 product
+transforms alone.  The report bands the polished A once, and the
+residual, the energy breakdown and omega read that A_hat and T A and one
+record of the polished pair.  The public ``solve_vector_potential``,
+``el_residual``, ``energy_functional`` and ``omega_from_theta`` check
+their inputs, build the same record and run the same bodies, so the
+report equals them bit for bit.
+
 A run ends where its line search ends: once the predicted decrease of a
 step is below the rounding of E, or at ``max_iter``.  The Euler-Lagrange
 residual of the polished pair alone then judges it.
@@ -55,7 +65,7 @@ from .energy import (
     _kinetic,
     _vk,
     carrier_gate,
-    energy_functional,
+    energy_functional,  # importable from this module, as before
     speed_gate,
 )
 from .errors import InputError, SolverError
@@ -63,12 +73,12 @@ from .fields import (
     PhysParams,
     SpinorField,
     VectorField,
+    _random_psi,
     as_array,
     component_array,
     inner,
     l2_norm_sq,
     normalize_to_lambda,
-    random_fields,
 )
 from .grid import Grid
 
@@ -199,15 +209,21 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
     psi_a = component_array(grid, psi, 2, "psi")
     a_hat, a_low = pauli._a_band(grid, component_array(grid, A, 3, "A"))
     st = pauli.kinetic_state(grid, p, psi_a, a_low)
-    lam_meas = l2_norm_sq(grid, psi_a)
-    # exactly flat states (constant psi, vanishing current) leave every
-    # term at rounding scale; flooring the denominators by the weakest
-    # signal the box can carry turns 0/0 noise into a ~0 report
-    k_min = 2.0 * np.pi / grid.box_l
+    # the A side runs first and overwrites A_hat, which then goes, so it
+    # is not held through the gradient, where el_residual peaks
+    a_side = _a_residual(grid, p, st, a_hat)
+    del a_hat, a_low
+    return _el_residual(grid, p, psi_a, st, a_side)
 
-    # the A side runs first, so A_hat is not held through the gradient,
-    # where el_residual peaks.  (4 pi / c) P J_hat from the record; its
-    # k = 0 mode is the mean drive, reported as the defect and then split off
+
+def _a_residual(
+    grid: Grid, p: PhysParams, st: pauli.KineticState, a_hat: np.ndarray | None
+) -> tuple[float, float, float]:
+    """A side of ``el_residual`` from the record ``st`` and the transform
+    ``a_hat`` of A (None for A = 0), which it overwrites: the raw residual,
+    the sum of the norms of its two sides and the current defect."""
+    # (4 pi / c) P J_hat from the record; its k = 0 mode is the mean drive,
+    # reported as the defect and then split off
     rhs_hat = spectral.project_hat(grid, 4.0 * np.pi * _source_hat(grid, p, st))
     norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
     defect = float(np.linalg.norm(rhs_hat[:, 0, 0, 0].real)) / grid.n ** 3
@@ -222,7 +238,21 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
         lhs_norm = norm(a_hat)
         a_hat -= rhs_hat
         a_raw = norm(a_hat)
-    del a_hat, rhs_hat
+    return a_raw, lhs_norm + rhs_norm, defect
+
+
+def _el_residual(
+    grid: Grid, p: PhysParams, psi: np.ndarray, st: pauli.KineticState,
+    a_side: tuple[float, float, float],
+) -> ELResidual:
+    """``el_residual`` of psi from its record ``st`` and the A side
+    ``a_side`` that ``_a_residual`` read from the same record."""
+    a_raw, a_sum, defect = a_side
+    lam_meas = l2_norm_sq(grid, psi)
+    # exactly flat states (constant psi, vanishing current) leave every
+    # term at rounding scale; flooring the denominators by the weakest
+    # signal the box can carry turns 0/0 noise into a ~0 report
+    k_min = 2.0 * np.pi / grid.box_l
     # scale against the full source (k = 0 included) so delocalised states
     # with a pure mean current do not degenerate to 0/0, floored by the
     # drive a unit-mass plane wave on the largest scale would produce
@@ -230,10 +260,10 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
         4.0 * np.pi * abs(p.charge) * p.hbar * k_min * lam_meas
         / (p.mass * p.light_speed * grid.box_l ** 1.5)
     )
-    a_scale = max(lhs_norm + rhs_norm, a_floor)
+    a_scale = max(a_sum, a_floor)
 
     G = _gradient(grid, p, st)
-    resid, theta = _tangent(grid, p, psi_a, G, lam_meas)
+    resid, theta = _tangent(grid, p, psi, G, lam_meas)
     psi_raw = np.sqrt(l2_norm_sq(grid, resid))
     psi_floor = p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass) * np.sqrt(lam_meas)
     psi_scale = max(
@@ -345,11 +375,28 @@ def solve_vector_potential(
     solve returns the exact minimizer A = 0 after no operator application
     and logs the reason "floor" with |b| / |J|.
     """
-    st = pauli.kinetic_state(grid, p, component_array(grid, psi, 2, "psi"))
+    psi_hat, psi_low = spectral.band(grid, component_array(grid, psi, 2, "psi"))
+    A0 = None if A0 is None else component_array(grid, A0, 3, "A0")
+    return _solve_vector_potential(grid, p, psi_hat, psi_low, A0, tol=tol, max_iter=max_iter)
+
+
+def _solve_vector_potential(
+    grid: Grid,
+    p: PhysParams,
+    psi_hat: np.ndarray,
+    psi_low: np.ndarray,
+    A0: np.ndarray | None,
+    tol: float,
+    max_iter: int = 400,
+) -> tuple[VectorField, int]:
+    """``solve_vector_potential`` of the psi whose FFT and T psi are
+    ``psi_hat`` and ``psi_low``, from the warm start ``A0`` (an array, or
+    None for A = 0).  Its field-free record takes no transform and goes
+    once the forcing is formed."""
+    st = pauli._record(grid, p, psi_hat, psi_low, None)
     b, j_norm = _a_rhs(grid, p, st)
-    psi_low = st.psi_low
+    del st
     op = _a_operator(grid, p, psi_low)
-    del st  # psi_hat and K psi_hat are not needed past the forcing
 
     # everything lives in spectral space; the inner product matches the
     # grid one through Parseval
@@ -362,13 +409,12 @@ def solve_vector_potential(
         return VectorField(grid, np.zeros((3,) + grid.shape)), 0
 
     inv = _a_precond(grid, p, psi_low)
-    x = None if A0 is None else component_array(grid, A0, 3, "A0")
-    if x is None or not np.any(x):
+    if A0 is None or not np.any(A0):
         # a cold start: r = b - op(0) = b, with no operator application
         x = np.zeros((3,) + grid.shape, dtype=complex)
         r, n_ops = b, 0
     else:
-        x = spectral.project_hat(grid, grid.fft(x))
+        x = spectral.project_hat(grid, grid.fft(A0))
         x[:, 0, 0, 0] = 0.0
         r, n_ops = b - op(x), 1
         if dot(r, r) > b_norm ** 2:
@@ -376,6 +422,7 @@ def solve_vector_potential(
             # so the target is relative to |b| on every start
             x[...] = 0.0
             r = b
+    del b  # r is b itself on a cold start; past the start nothing reads b
     z = inv * r
     d = z.copy()
     rz = dot(r, z)
@@ -406,6 +453,7 @@ def solve_vector_potential(
         alpha = rz / denom
         x += alpha * d
         r -= alpha * od
+        del od  # so the next op(d) does not run beside this one's result
         z = inv * r
         rz_new = dot(r, z)
         d = z + (rz_new / rz) * d
@@ -447,12 +495,13 @@ def plane_wave_state(grid: Grid, p: PhysParams) -> tuple[SpinorField, VectorFiel
 
 def _initial_state(
     grid: Grid, p: PhysParams, config: "MinimizeConfig", psi0, A0
-) -> tuple[np.ndarray, object]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The start psi of ``config.init``, normalized to lambda, and the warm
-    start of the first A-solve: ``A0`` for "given", None (A = 0) for every
-    other start, whose A is the solution of that solve alone.  A given
-    pair with a non-finite entry, or an all-zero psi0, is refused with
-    InputError."""
+    start of the first A-solve: the array of ``A0`` for "given", None
+    (A = 0) for every other start, whose A is the solution of that solve
+    alone, so its sampler draws psi and no A.  A given pair with a
+    non-finite entry, or an all-zero psi0, is refused with InputError."""
+    a0 = None
     if config.init == "given":
         if psi0 is None or A0 is None:
             raise InputError('init="given" requires both psi0 and A0')
@@ -465,14 +514,14 @@ def _initial_state(
     elif psi0 is not None or A0 is not None:
         raise InputError(f'psi0 and A0 go with init="given", not init={config.init!r}')
     elif config.init == "random":
-        psi = random_fields(grid, p, config.seed)[0]
+        psi = _random_psi(grid, p, config.seed)[0]
     elif config.init == "plane":
         psi = plane_wave_state(grid, p)[0]
     else:
-        from .diagnostics import TrialSpec, trial_fields
+        from .diagnostics import TrialSpec, _trial_sample
 
-        psi = trial_fields(grid, p, TrialSpec.fitted(grid, amplitude=0.5))[0]
-    return normalize_to_lambda(SpinorField(grid, as_array(psi)), p.lam).data, A0
+        psi = _trial_sample(grid, p, TrialSpec.fitted(grid, amplitude=0.5), potential=False)[0]
+    return normalize_to_lambda(SpinorField(grid, as_array(psi)), p.lam).data, a0
 
 
 # -- driver --------------------------------------------------------------------
@@ -607,14 +656,17 @@ def minimize(
 
     a_ops = a_solves = 0
 
-    def solve_a(psi: np.ndarray, A, tol: float) -> np.ndarray:
+    def solve_a(psi_hat: np.ndarray, psi_low: np.ndarray, A, tol: float) -> np.ndarray:
         nonlocal a_ops, a_solves
-        A_f, n_ops = solve_vector_potential(grid, p, psi, A0=A, tol=tol)
+        A_f, n_ops = _solve_vector_potential(grid, p, psi_hat, psi_low, A, tol=tol)
         a_ops += n_ops
         a_solves += 1
         return A_f.data
 
-    A = solve_a(psi, A, config.a_tol)
+    # psi_hat and psi_low, the band of psi, are taken once per psi: its
+    # A-solves and each record of it against a new A read them
+    psi_hat, psi_low = spectral.band(grid, psi)
+    A = solve_a(psi_hat, psi_low, A, config.a_tol)
     # an all-zero A, as the solve returns at a forcing on its rounding
     # floor, is the field-free record: no transform of A or of a product
     a_low, field_term = _field_band(grid, p, A)[1:]
@@ -622,7 +674,7 @@ def minimize(
     # st, the KineticState of psi, is read by E, alpha and G; at most one
     # is alive, so it goes at the top of each iteration and, with T A,
     # before each A-solve
-    st = pauli.kinetic_state(grid, p, psi, a_low)
+    st = pauli._record(grid, p, psi_hat, psi_low, a_low)
     E = _psi_energy(grid, p, st) + field_term
     lam_meas = l2_norm_sq(grid, psi)
     alpha = _shift(grid, p, st, lam_meas)
@@ -674,13 +726,14 @@ def minimize(
 
         prev_psi, prev_Gt, prev_d = psi, Gt, d
         psi = trial
+        psi_hat, psi_low = st.psi_hat, st.psi_low
         E = e_trial + field_term
 
         if it % config.a_solve_every == 0:
             st = a_low = None
-            A = solve_a(psi, A, config.a_tol)
+            A = solve_a(psi_hat, psi_low, A, config.a_tol)
             a_low, field_term = _field_band(grid, p, A)[1:]
-            st = pauli.kinetic_state(grid, p, psi, a_low)
+            st = pauli._record(grid, p, psi_hat, psi_low, a_low)
             E = _psi_energy(grid, p, st) + field_term
 
         lam_meas = l2_norm_sq(grid, psi)
@@ -691,17 +744,16 @@ def minimize(
         if config.log_every and it % config.log_every == 0:
             logger.info("iter %5d  E = %+.12e  step = %.3e  alpha = %.3e", it, E, s, alpha)
 
-    # the loop's arrays go before the polish solve, which sets peak memory
+    # the loop's arrays go before the polish solve, which sets peak memory;
+    # the band of psi stays for the polish and the report
     st = a_low = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
     # polish the quadratic subproblem before reporting
-    A = solve_a(psi, A, 1e-12)
-    res = el_residual(grid, p, psi, A)
+    A = solve_a(psi_hat, psi_low, A, 1e-12)
+    res, breakdown, omega = _report(grid, p, psi, psi_hat, psi_low, A)
     converged = res.max_rel < config.residual_tol
     if msg is None:
         msg = ("stationary: no descent direction left" if converged
                else "line search failed away from stationarity")
-    breakdown = energy_functional(grid, p, psi, A)
-    omega = omega_from_theta(grid, p, A, res.theta)
     stride = max(1, len(trace) // 1000)
     return MinimizeReport(
         converged=converged,
@@ -721,6 +773,29 @@ def minimize(
         A=VectorField(grid, A),
         energy_trace=trace[::stride],
     )
+
+
+def _report(
+    grid: Grid, p: PhysParams, psi: np.ndarray, psi_hat: np.ndarray, psi_low: np.ndarray,
+    A: np.ndarray,
+) -> tuple[ELResidual, EnergyBreakdown, float]:
+    """``el_residual``, ``energy_functional`` and ``omega_from_theta`` of
+    the pair (psi, A), bit for bit, from one band of A and one record of
+    the pair built on the band ``psi_hat``, ``psi_low`` of psi: 6 scalar
+    transforms for A_hat and T A and 6 for K psi with a field, none at
+    A = 0, besides the residual's current and gradient.  Each reader that
+    writes into what it reads comes after every other reader of it."""
+    a_hat, a_low, field_term = _field_band(grid, p, A)
+    st = pauli._record(grid, p, psi_hat, psi_low, a_low)
+    del a_low
+    # E_EM is read before the residual's A side overwrites A_hat
+    em = None if a_hat is None else energy_mod._em_energy(grid, p, a_hat) / p.hbar
+    a_side = _a_residual(grid, p, st, a_hat)
+    del a_hat
+    res = _el_residual(grid, p, psi, st, a_side)
+    breakdown = energy_mod._energy(grid, p, psi, st, field_term)
+    omega = -res.theta if em is None else em - res.theta
+    return res, breakdown, omega
 
 
 __all__ = [

@@ -109,7 +109,14 @@ def kinetic_state(grid: Grid, p: PhysParams, psi, a_low=None) -> KineticState:
     """The ``KineticState`` of psi against ``a_low`` = T A, or A = 0 when
     it is None: 4 scalar transforms for psi, and 6 for K psi with a field.
     Callers that evaluate many psi against one A band it once."""
-    psi_hat, psi_low = spectral.band(grid, as_array(psi))
+    return _record(grid, p, *spectral.band(grid, as_array(psi)), a_low)
+
+
+def _record(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> KineticState:
+    """The ``KineticState`` of the psi whose FFT and T psi are given: the 6
+    product transforms of K psi with a field, none at A = 0 (a_low None).
+    A caller that holds the band of psi from an earlier record of the same
+    psi rebuilds it against a new A for these alone."""
     return KineticState(psi_hat, psi_low, kinetic_hat(grid, p, psi_hat, psi_low, a_low), a_low)
 
 

@@ -43,6 +43,12 @@ BUDGET = {
     # at A = 0 (no product transforms) 6 / 2 + 3, the warm start 3 forward,
     # the result 3 inverse
     "A-solve, fixed": (19, 15),
+    # the solver's A-solve, reading psi_hat and T psi from the record
+    "A-solve from the band, fixed": (15, 11),
+    # the solver's report from the band of psi: A_hat and T A 6, K psi 6,
+    # the residual's current 6 / 2 + 3 and gradient 14; the energy and
+    # omega read the same record and A_hat
+    "report": (35, 31),
 }
 
 #: scalar transforms per call at A = 0, which reads the field-free record:
@@ -52,20 +58,27 @@ ZERO_FIELD_BUDGET = {
     "energy_functional": (4, 4),
     # psi 4, G 2 inverse, the current pairing 9 / 5; no A_hat
     "el_residual": (15, 11),
+    # the solver's report from the band of psi: G 2, the current 9 / 5
+    "report": (11, 7),
 }
+
+#: scalar transforms of the start psi of each init at n = 16: the samplers
+#: draw psi alone, and the random one takes its two inverse transforms
+START_BUDGET = {"trial": 0, "random": 2, "plane": 0}
 
 #: scalar transforms of a whole trial-start solve at n = 16, v = 0.1: A is
 #: solved at the start, from A = 0 with no operator application, after
-#: every fifth accepted step and at the polish (1554 / 1516 measured for
+#: every fifth accepted step and at the polish (1477 / 1439 measured for
 #: S / P; the bound leaves room above both)
 SOLVE_BUDGET = {"S": 1850, "P": 1900}
 
-#: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: both
-#: A-solves end on the rounding floor of their forcing, so no A-operator
-#: matvec is made, every state is read from the field-free record and the
-#: all-zero A itself is never transformed; the failed line search that ends
-#: it builds no residual of its own, the polish's residual decides
-PLANE_BUDGET = {"S": 55, "P": 43}
+#: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: psi is
+#: banded once (4) and both A-solves and every record read that band; both
+#: A-solves end on the rounding floor of their forcing (9 / 5 each), so no
+#: A-operator matvec is made, every state is read from the field-free
+#: record and the all-zero A itself is never transformed; the start's G 2,
+#: the one direction 4 and the report 11 / 7 make up the rest
+PLANE_BUDGET = {"S": 39, "P": 27}
 
 
 @pytest.fixture()
@@ -98,6 +111,7 @@ def test_transforms_per_call(grid16, model, count_ffts):
     st = kinetic_state(grid16, p, psi, a_low)
     op = minimize_mod._a_operator(grid16, p, st.psi_low)
     a_hat = grid16.fft(A)
+    psi_hat, psi_low = spectral.band(grid16, psi)
     n_ops = []
     counts = {
         "energy_functional": count_ffts(lambda: energy_functional(grid16, p, psi, A)),
@@ -112,8 +126,13 @@ def test_transforms_per_call(grid16, model, count_ffts):
         "A-solve, fixed": count_ffts(
             lambda: n_ops.append(solve_vector_potential(grid16, p, psi, A0=A)[1])
         ),
+        "A-solve from the band, fixed": count_ffts(lambda: n_ops.append(
+            minimize_mod._solve_vector_potential(grid16, p, psi_hat, psi_low, A, tol=1e-11)[1]
+        )),
+        "report": count_ffts(lambda: minimize_mod._report(grid16, p, psi, psi_hat, psi_low, A)),
     }
     counts["A-solve, fixed"] -= n_ops[0] * counts["A-operator matvec"]
+    counts["A-solve from the band, fixed"] -= n_ops[1] * counts["A-operator matvec"]
     column = "SP".index(model)
     assert counts == {name: pair[column] for name, pair in BUDGET.items()}
 
@@ -123,12 +142,28 @@ def test_transforms_per_call_at_zero_field(grid16, model, count_ffts):
     p = params(model, v=0.1)
     psi, A = random_fields(grid16, p, seed=3)
     psi, zero = psi.data, np.zeros_like(A.data)
+    psi_hat, psi_low = spectral.band(grid16, psi)
     counts = {
         "energy_functional": count_ffts(lambda: energy_functional(grid16, p, psi, zero)),
         "el_residual": count_ffts(lambda: el_residual(grid16, p, psi, zero)),
+        "report": count_ffts(
+            lambda: minimize_mod._report(grid16, p, psi, psi_hat, psi_low, zero)
+        ),
     }
     column = "SP".index(model)
     assert counts == {name: pair[column] for name, pair in ZERO_FIELD_BUDGET.items()}
+
+
+@pytest.mark.parametrize("model", ["S", "P"])
+def test_transforms_per_start(grid16, model, count_ffts):
+    p = params(model, v=0.1)
+    counts = {
+        init: count_ffts(
+            lambda: minimize_mod._initial_state(grid16, p, MinimizeConfig(init=init), None, None)
+        )
+        for init in START_BUDGET
+    }
+    assert counts == START_BUDGET
 
 
 @pytest.mark.parametrize("model", ["S", "P"])

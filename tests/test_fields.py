@@ -38,6 +38,24 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             PhysParams(v=(1.0, 2.0))
 
+    @pytest.mark.parametrize("kw", [
+        pytest.param({"v": (np.nan, 0.0, 0.0)}, id="v-nan"),
+        pytest.param({"v": (0.0, np.inf, 0.0)}, id="v-inf"),
+        pytest.param({"v": (0.0, 0.0, -np.inf)}, id="v-minus-inf"),
+        pytest.param({"charge": np.nan}, id="charge-nan"),
+        pytest.param({"charge": -np.inf}, id="charge-inf"),
+        pytest.param({"hbar": np.inf}, id="hbar-inf"),
+        pytest.param({"mass": np.inf}, id="mass-inf"),
+        pytest.param({"light_speed": np.inf}, id="light_speed-inf"),
+        pytest.param({"lam": np.inf}, id="lam-inf"),
+    ])
+    def test_non_finite_values_are_refused(self, kw):
+        """A NaN or infinite constant or velocity component is refused:
+        the speed gate cannot judge a NaN speed, and an infinite constant
+        makes every energy NaN."""
+        with pytest.raises(ValueError, match="finite"):
+            PhysParams(**kw)
+
     def test_speed(self):
         p = PhysParams(v=(0.3, 0.4, 0.0))
         assert np.linalg.norm(p.v_arr) == pytest.approx(0.5)

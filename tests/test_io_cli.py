@@ -436,6 +436,16 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_exit_2_non_finite_velocity(self, tmp_path, capsys):
+        """A NaN velocity in a config file is an input error, not a solve
+        on NaN fields."""
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("v = nan, 0, 0\n")
+        rc, _, err = _main(["solve", "--config", str(cfg), "--grid", "16",
+                            "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and "v must be finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_exit_2_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nope = 3\n")

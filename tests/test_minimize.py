@@ -12,7 +12,7 @@ from mpwave import spectral
 from mpwave.energy import _wave_symbol, apriori_bounds, energy_functional, field_energy, psi_l6_norm
 from mpwave.diagnostics import TrialSpec, coulomb_double_integral, trial_fields
 from mpwave.errors import DomainGateError, InputError, SolverError
-from mpwave.fields import inner, l2_norm_sq, random_fields
+from mpwave.fields import inner, l2_norm_sq, normalize_to_lambda, random_fields
 from mpwave.pauli import covariant_gradient, current, kinetic_state, spin_term
 from mpwave.minimize import (
     MinimizeConfig,
@@ -630,13 +630,13 @@ class TestMinimize:
         on its line search accepts iterations - 1 steps.  The residual that
         judges the run reads the polished A, at the A-solve's tolerance."""
         tols = []
-        solve = minimize_mod.solve_vector_potential
+        solve = minimize_mod._solve_vector_potential
 
         def spy(*args, **kw):
             tols.append(kw["tol"])
             return solve(*args, **kw)
 
-        monkeypatch.setattr(minimize_mod, "solve_vector_potential", spy)
+        monkeypatch.setattr(minimize_mod, "_solve_vector_potential", spy)
         config = MinimizeConfig(init="trial")
         rep = minimize(grid16, params(model, v=0.1), config)
         assert rep.converged and rep.message == "stationary: no descent direction left"
@@ -661,6 +661,44 @@ class TestMinimize:
         assert warm.converged, warm.message
         assert rel(warm.energy, rep.energy) < 1e-14
         assert warm.a_ops < cold.a_ops, (warm.a_ops, cold.a_ops)
+
+    @pytest.mark.parametrize("init", ["trial", "plane", "given"])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_report_matches_the_public_functions(self, grid16, model, init):
+        """The report reads one band of the polished A and one record of the
+        polished pair, built on the band of psi the run holds; its numbers
+        are those of the public functions of (rep.psi, rep.A), bit for bit."""
+        p = params(model, v=0.1)
+        start = {}
+        if init == "given":
+            psi0, A0 = random_fields(grid16, p, seed=1, a_amp=0.1)
+            start = {"psi0": psi0, "A0": A0}
+        rep = minimize(grid16, p, MinimizeConfig(init=init), **start)
+        assert np.any(rep.A.data) == (init != "plane")
+        res = el_residual(grid16, p, rep.psi, rep.A)
+        got = [*rep.breakdown.as_dict().values(), rep.residual_psi, rep.residual_a,
+               rep.theta, rep.current_defect, rep.omega]
+        want = [*energy_functional(grid16, p, rep.psi, rep.A).as_dict().values(),
+                res.psi_rel, res.a_rel, res.theta, res.current_defect,
+                omega_from_theta(grid16, p, rep.A, res.theta)]
+        bits = lambda xs: [np.float64(x).tobytes() for x in xs]
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("init", ["trial", "random"])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_start_draws_the_samplers_psi_alone(self, grid16, model, init):
+        """The trial and random starts draw psi alone, through the code that
+        samples the psi of ``trial_fields`` and ``random_fields``: the same
+        psi, bit for bit, and no A."""
+        p = params(model, v=0.1)
+        psi, A0 = minimize_mod._initial_state(
+            grid16, p, MinimizeConfig(init=init, seed=3), None, None)
+        if init == "random":
+            sampled = random_fields(grid16, p, 3)[0]
+        else:
+            sampled = trial_fields(grid16, p, TrialSpec.fitted(grid16, amplitude=0.5))[0]
+        assert A0 is None
+        assert psi.tobytes() == normalize_to_lambda(sampled, p.lam).data.tobytes()
 
     def test_given_init_requires_both_fields(self, grid16):
         p = params("S", v=0.1)
