@@ -349,8 +349,11 @@ def negativity_witness(
     quantifies the gap instead of manufacturing a pass.  The scan samples
     the boosted states, so a box whose dealias band does not hold the
     carrier m v / hbar raises DomainGateError; beyond that size the
-    closed-form ``trial_energy_terms`` follows R_a instead.
+    closed-form ``trial_energy_terms`` follows R_a instead.  A scan of
+    fewer than one point (``num`` < 1) is refused with InputError.
     """
+    if num < 1:
+        raise InputError(f"the scan needs at least one point, got num = {num}")
     speed_gate(p)
     if spec is None:
         spec = TrialSpec.fitted(grid, amplitude=1.0)
@@ -685,10 +688,17 @@ def mass_sweep(
 
     The quadratic coefficient of E_trav(v) is compared against the
     effective-mass prediction m lambda / 2; the fit is least squares on
-    the model alpha v^2 + beta |v|^3 through the origin.
+    the model alpha v^2 + beta |v|^3 through the origin.  A direction
+    that is not a finite nonzero 3-vector, or a speed that is not finite,
+    is refused with InputError before any solve.
     """
     direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    norm = np.linalg.norm(direction)
+    if direction.shape != (3,) or not (np.isfinite(norm) and norm > 0):
+        raise InputError(f"direction must be a finite nonzero 3-vector, got {direction.tolist()}")
+    if not np.all(np.isfinite(np.asarray(speeds, dtype=float))):
+        raise InputError(f"speeds must be finite, got {np.asarray(speeds, dtype=float).tolist()}")
+    direction = direction / norm
     pts = []
     for s in speeds:
         ps = p.with_(v=tuple(s * direction))

@@ -66,8 +66,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n % 2 != 0 or self.n < 8:
             raise ValueError(f"grid size must be even and >= 8, got n={self.n}")
-        if not (self.box_l > 0):
-            raise ValueError(f"box length must be positive, got {self.box_l}")
+        if not (self.box_l > 0 and np.isfinite(self.box_l)):
+            raise ValueError(f"box length must be positive and finite, got {self.box_l}")
         h = self.box_l / self.n
         object.__setattr__(self, "spacing", h)
         object.__setattr__(self, "cell", h**3)

@@ -71,8 +71,8 @@ def write_state(path: str, grid: Grid, p: PhysParams, psi, A) -> None:
 def read_state(path: str) -> tuple[Grid, PhysParams, SpinorField, VectorField]:
     """Load a state file written by :func:`write_state`.
 
-    Raises InputError on a short or overlong file and on non-finite
-    psi or A values.
+    Raises InputError on a short or overlong file, on a header that no
+    grid or parameter set accepts and on non-finite psi or A values.
     """
     try:
         fh = open(path, "rb")
@@ -89,17 +89,6 @@ def read_state(path: str) -> tuple[Grid, PhysParams, SpinorField, VectorField]:
             raise InputError(f"{path}: unsupported format version {version}")
         if model_code not in (0, 1):
             raise InputError(f"{path}: unknown model code {model_code}")
-        grid = Grid(n=n, box_l=box_l)
-        hbar, mass, c, charge, lam, v1, v2, v3 = params
-        p = PhysParams(
-            hbar=hbar,
-            mass=mass,
-            light_speed=c,
-            charge=charge,
-            lam=lam,
-            v=(v1, v2, v3),
-            model="S" if model_code == 0 else "P",
-        )
         count_psi = n ** 3 * 2
         count_a = n ** 3 * 3
         psi_raw = fh.read(count_psi * 16)
@@ -108,6 +97,22 @@ def read_state(path: str) -> tuple[Grid, PhysParams, SpinorField, VectorField]:
             raise InputError(f"{path}: truncated payload")
         if fh.read(1):
             raise InputError(f"{path}: trailing bytes after the payload")
+        # the grid is built once the payload has its size, so a corrupt n
+        # costs no tables
+        hbar, mass, c, charge, lam, v1, v2, v3 = params
+        try:
+            grid = Grid(n=n, box_l=box_l)
+            p = PhysParams(
+                hbar=hbar,
+                mass=mass,
+                light_speed=c,
+                charge=charge,
+                lam=lam,
+                v=(v1, v2, v3),
+                model="S" if model_code == 0 else "P",
+            )
+        except ValueError as exc:
+            raise InputError(f"{path}: bad header: {exc}") from None
         psi = np.frombuffer(psi_raw, dtype="<c16").reshape(grid.shape + (2,))
         a = np.frombuffer(a_raw, dtype="<f8").reshape(grid.shape + (3,))
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(a))):

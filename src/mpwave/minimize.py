@@ -25,7 +25,9 @@ div A = 0 by alternating two moves:
   diagonal at a uniform density: the wave symbol / 4 pi shifted by the
   diamagnetic mean field (Q^2 / m c^2) rho_bar, the counterpart for A of
   the psi shift.  A is solved at the start, after every
-  ``a_solve_every``-th accepted psi step and at the polish.
+  ``a_solve_every``-th accepted psi step and at the polish, each from
+  A = 0: A is a function of psi, and only a given pair's first solve
+  reads its A0, so the loop holds no A between solves.
 
 Each psi is banded once.  Its A-solves read psi_hat and T psi from the
 record the loop holds (the accepted trial's, or the band taken at the
@@ -390,9 +392,9 @@ def _solve_vector_potential(
     max_iter: int = 400,
 ) -> tuple[VectorField, int]:
     """``solve_vector_potential`` of the psi whose FFT and T psi are
-    ``psi_hat`` and ``psi_low``, from the warm start ``A0`` (an array, or
-    None for A = 0).  Its field-free record takes no transform and goes
-    once the forcing is formed."""
+    ``psi_hat`` and ``psi_low``, from the warm start ``A0``, None for A = 0
+    as in every solve of ``minimize`` but a given pair's first.  Its
+    field-free record takes no transform and goes once the forcing is formed."""
     st = pauli._record(grid, p, psi_hat, psi_low, None)
     b, j_norm = _a_rhs(grid, p, st)
     del st
@@ -535,7 +537,9 @@ class MinimizeConfig:
     of the random start (the psi of ``random_fields``, whose correlation
     length 2 is an absolute length, so that start alone is not
     unit-covariant), ``log_every`` (log every k iterations, 0 for
-    never) and ``force`` (skip the speed gate).
+    never) and ``force`` (skip the speed gate).  A negative ``max_iter``
+    or ``log_every`` is refused with InputError; ``max_iter`` 0 polishes
+    the start.
 
     The numerics are class constants: ``residual_tol`` 1e-5, the bound on
     the polished residual that makes a run converged; ``armijo`` 1e-4,
@@ -560,6 +564,9 @@ class MinimizeConfig:
     def __post_init__(self):
         if self.init not in ("trial", "random", "plane", "given"):
             raise InputError(f"unknown init {self.init!r}")
+        for name in ("max_iter", "log_every"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be at least 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -626,7 +633,7 @@ def minimize(
     previous s is kept when either sum is not positive.  A trial is
     accepted under the Armijo test E(trial) <= E - armijo s Re <Gt, d>;
     otherwise s shrinks by the factor ``backtrack``.  The quadratic
-    subproblem in A is solved from a warm start at the start, after every
+    subproblem in A is solved from A = 0 at the start, after every
     ``a_solve_every``-th accepted step and, to 1e-12, at the polish.
     The run ends where its line search ends, as a failed one without a
     trial energy, once the predicted decrease s Re <Gt, d> is below the
@@ -637,9 +644,8 @@ def minimize(
     stationarity", also at a start whose tangent gradient is exactly zero.
     ``psi0`` and ``A0`` start the run of ``init="given"``, which needs
     both; any other ``init`` refuses them with InputError.  A is a
-    function of psi, so only psi starts the run: ``A0`` is the warm start
-    of the first A-solve, which drops it if it lies farther from the
-    solution than A = 0, and every other start begins that solve at A = 0.
+    function of psi, so only psi starts the run: ``A0`` warm-starts the
+    first A-solve alone, which drops it if A = 0 lies nearer the solution.
     """
     if config is None:
         config = MinimizeConfig()
@@ -649,27 +655,27 @@ def minimize(
         _field_symbol(grid, p)
     else:
         speed_gate(p)
-    psi, A = _initial_state(grid, p, config, psi0, A0)
+    psi, a0 = _initial_state(grid, p, config, psi0, A0)
 
     def renorm(psi: np.ndarray) -> np.ndarray:
         return psi * np.sqrt(p.lam / (l2_norm_sq(grid, psi)))
 
     a_ops = a_solves = 0
 
-    def solve_a(psi_hat: np.ndarray, psi_low: np.ndarray, A, tol: float) -> np.ndarray:
-        nonlocal a_ops, a_solves
-        A_f, n_ops = _solve_vector_potential(grid, p, psi_hat, psi_low, A, tol=tol)
+    def solve_a(psi_hat: np.ndarray, psi_low: np.ndarray, tol: float) -> np.ndarray:
+        nonlocal a0, a_ops, a_solves
+        A, n_ops = _solve_vector_potential(grid, p, psi_hat, psi_low, a0, tol=tol)
+        a0 = None  # A is a function of psi: a given A0 starts the first solve alone
         a_ops += n_ops
         a_solves += 1
-        return A_f.data
+        return A.data
 
     # psi_hat and psi_low, the band of psi, are taken once per psi: its
     # A-solves and each record of it against a new A read them
     psi_hat, psi_low = spectral.band(grid, psi)
-    A = solve_a(psi_hat, psi_low, A, config.a_tol)
     # an all-zero A, as the solve returns at a forcing on its rounding
     # floor, is the field-free record: no transform of A or of a product
-    a_low, field_term = _field_band(grid, p, A)[1:]
+    a_low, field_term = _field_band(grid, p, solve_a(psi_hat, psi_low, config.a_tol))[1:]
 
     # st, the KineticState of psi, is read by E, alpha and G; at most one
     # is alive, so it goes at the top of each iteration and, with T A,
@@ -731,8 +737,7 @@ def minimize(
 
         if it % config.a_solve_every == 0:
             st = a_low = None
-            A = solve_a(psi_hat, psi_low, A, config.a_tol)
-            a_low, field_term = _field_band(grid, p, A)[1:]
+            a_low, field_term = _field_band(grid, p, solve_a(psi_hat, psi_low, config.a_tol))[1:]
             st = pauli._record(grid, p, psi_hat, psi_low, a_low)
             E = _psi_energy(grid, p, st) + field_term
 
@@ -748,7 +753,7 @@ def minimize(
     # the band of psi stays for the polish and the report
     st = a_low = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
     # polish the quadratic subproblem before reporting
-    A = solve_a(psi_hat, psi_low, A, 1e-12)
+    A = solve_a(psi_hat, psi_low, 1e-12)
     res, breakdown, omega = _report(grid, p, psi, psi_hat, psi_low, A)
     converged = res.max_rel < config.residual_tol
     if msg is None:

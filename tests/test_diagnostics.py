@@ -1,6 +1,7 @@
 """Trial family, witness scan, concentration, splitting, Coulomb, sweep."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from mpwave.fields import SpinorField, l2_norm_sq, normalize_to_lambda, random_f
 from mpwave.minimize import MinimizeConfig, plane_wave_state, solve_vector_potential
 
 from conftest import gaussian_bump, params, rel, two_bump_state
+
+diagnostics_mod = importlib.import_module("mpwave.diagnostics")
 
 
 class TestTrialSpec:
@@ -207,6 +210,12 @@ class TestWitness:
         assert rel(effective_dilation(p, base, w.rows[0].amplitude), r_cap) < 1e-14
         assert rel(w.rows[0].dilation, r_cap) < 1e-14
 
+    @pytest.mark.parametrize("num", [0, -3])
+    def test_empty_scan_refused(self, grid16, num):
+        """A scan of no points has no best row to report."""
+        with pytest.raises(InputError, match="at least one point"):
+            negativity_witness(grid16, params("S", v=0.1), num=num)
+
 
 class TestConcentration:
     def test_two_bump_profile(self, grid32):
@@ -362,6 +371,21 @@ class TestCoulomb:
 
 
 class TestMassSweep:
+    @pytest.mark.parametrize("direction, speeds", [
+        ((0.0, 0.0, 0.0), (0.1,)),
+        ((np.nan, 0.0, 0.0), (0.1,)),
+        ((1.0, np.inf, 0.0), (0.1,)),
+        ((1.0, 0.0), (0.1,)),
+        ((1.0, 0.0, 0.0), (0.1, np.inf)),
+        ((1.0, 0.0, 0.0), (np.nan,)),
+    ], ids=["zero", "nan", "inf", "two-vector", "inf-speed", "nan-speed"])
+    def test_bad_input_refused(self, grid16, direction, speeds, monkeypatch):
+        """A direction that cannot be normalized, or a speed that is not
+        finite, is an input error raised before any solve."""
+        monkeypatch.setattr(diagnostics_mod, "minimize", None)
+        with pytest.raises(InputError, match="direction|speeds"):
+            mass_sweep(grid16, params("S", v=0.1), speeds, direction=direction)
+
     def test_staircase_points(self, grid16):
         """Speeds rounding to the same lattice carrier share one
         travelling energy; the sweep records everything it measured."""

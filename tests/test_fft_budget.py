@@ -67,8 +67,8 @@ ZERO_FIELD_BUDGET = {
 START_BUDGET = {"trial": 0, "random": 2, "plane": 0}
 
 #: scalar transforms of a whole trial-start solve at n = 16, v = 0.1: A is
-#: solved at the start, from A = 0 with no operator application, after
-#: every fifth accepted step and at the polish (1477 / 1439 measured for
+#: solved at the start, after every fifth accepted step and at the polish,
+#: each from A = 0 with no operator application (1351 / 1337 measured for
 #: S / P; the bound leaves room above both)
 SOLVE_BUDGET = {"S": 1850, "P": 1900}
 

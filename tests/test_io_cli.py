@@ -41,7 +41,11 @@ def run_module(*args):
 
 # header layout: magic(4) version(u32) n(u32) box_l(f64) model(u8) 8*f64
 _OFF_VERSION = 4
-_OFF_MODEL = 4 + 4 + 4 + 8
+_OFF_BOX = 4 + 4 + 4
+_OFF_MODEL = _OFF_BOX + 8
+# the 8 f64 parameters follow the model byte: hbar, mass, c, Q, lambda, v
+_OFF_MASS = _OFF_MODEL + 1 + 8
+_OFF_V1 = _OFF_MODEL + 1 + 5 * 8
 
 # ground-state energy of the v = (0.1, 0, 0) box: the lattice plane wave
 # at the nearest admissible wavenumber k* = 2*pi/40
@@ -171,6 +175,23 @@ class TestStateFile:
         _patch_byte(path, _OFF_MODEL, bytes([7]))
         with pytest.raises(InputError, match="model code"):
             read_state(path)
+
+    @pytest.mark.parametrize("offset, value, match", [
+        (_OFF_BOX, 0.0, "box length"),
+        (_OFF_BOX, np.inf, "box length"),
+        (_OFF_MASS, 0.0, "mass"),
+        (_OFF_V1, np.nan, "v must be finite"),
+    ], ids=["box-0", "box-inf", "mass-0", "v-nan"])
+    def test_bad_header_rejected(self, tmp_path, capsys, offset, value, match):
+        """A header no grid or parameter set accepts is an input error, and
+        check exits 2 on it rather than with a traceback."""
+        path = str(tmp_path / "s.mpwf")
+        _write_sample(path)
+        _patch_byte(path, offset, struct.pack("<d", value))
+        with pytest.raises(InputError, match=f"bad header: {match}"):
+            read_state(path)
+        rc, _, err = _main(["check", path], capsys)
+        assert rc == 2 and "bad header" in err
 
     def test_truncated_header_rejected(self, tmp_path):
         path = str(tmp_path / "s.mpwf")
@@ -309,6 +330,8 @@ class TestConfigParsing:
             self._resolve(tmp_path, "grid_n = 4\n")
         with pytest.raises(InputError, match="positive"):
             self._resolve(tmp_path, "box_l = -5\n")
+        with pytest.raises(InputError, match="finite"):
+            self._resolve(tmp_path, "box_l = inf\n")
 
 
 #: minimize.* keys of settings that no longer exist or are constants
@@ -445,6 +468,45 @@ class TestCli:
                             "--out", str(tmp_path / "out")], capsys)
         assert rc == 2 and "v must be finite" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "trial"])
+    def test_exit_2_infinite_box(self, tmp_path, capsys, command):
+        """An infinite box is an input error, not a run on NaN fields."""
+        argv = [command, "--grid", "16", "--box", "inf", "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--speeds", "0.1"]
+        rc, _, err = _main(argv, capsys)
+        assert rc == 2 and "finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("speeds, direction, match", [
+        ("0.1", "0, 0, 0", "direction"),
+        ("0.1", "nan, 0, 0", "direction"),
+        ("0.1, inf", "1, 0, 0", "speeds"),
+    ], ids=["zero-direction", "nan-direction", "inf-speed"])
+    def test_exit_2_bad_sweep_input(self, tmp_path, capsys, speeds, direction, match):
+        """A sweep direction that cannot be normalized, or a speed that is
+        not finite, is an input error."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"speeds = {speeds}\ndirection = {direction}\n")
+        rc, _, err = _main(["sweep", "--config", str(cfg), "--grid", "16",
+                            "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and f"{match} must be" in err, err
+
+    @pytest.mark.parametrize("line, match", [
+        ("trial_points = 0", "at least one point"),
+        ("trial_points = -2", "at least one point"),
+        ("minimize.max_iter = -1", "max_iter must be at least 0"),
+        ("minimize.log_every = -2", "log_every must be at least 0"),
+    ], ids=["trial_points-0", "trial_points-neg", "max_iter-neg", "log_every-neg"])
+    def test_exit_2_negative_count(self, tmp_path, capsys, line, match):
+        """Counts below their least legal value are input errors."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        command = "trial" if line.startswith("trial") else "solve"
+        rc, _, err = _main([command, "--config", str(cfg), "--grid", "16",
+                            "--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and match in err, err
 
     def test_exit_2_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -628,39 +628,64 @@ class TestMinimize:
         """A is solved at the start, after every ``a_solve_every``-th
         accepted step and at the polish, and nowhere else: a run that ends
         on its line search accepts iterations - 1 steps.  The residual that
-        judges the run reads the polished A, at the A-solve's tolerance."""
-        tols = []
+        judges the run reads the polished A, at the A-solve's tolerance.
+        A is a function of psi, so every A-solve begins at A = 0 but the
+        first of a given start, which reads A0."""
+        tols, starts = [], []
         solve = minimize_mod._solve_vector_potential
 
-        def spy(*args, **kw):
+        def spy(grid, p, psi_hat, psi_low, A0, **kw):
             tols.append(kw["tol"])
-            return solve(*args, **kw)
+            starts.append(A0)
+            return solve(grid, p, psi_hat, psi_low, A0, **kw)
 
         monkeypatch.setattr(minimize_mod, "_solve_vector_potential", spy)
-        config = MinimizeConfig(init="trial")
-        rep = minimize(grid16, params(model, v=0.1), config)
-        assert rep.converged and rep.message == "stationary: no descent direction left"
-        assert rep.iterations > 3 * config.a_solve_every
-        assert rep.a_solves == len(tols) == 2 + (rep.iterations - 1) // config.a_solve_every
-        assert tols == [config.a_tol] * (rep.a_solves - 1) + [1e-12]
-        assert rep.residual_a <= 1e-8
+        p = params(model, v=0.1)
+        psi0, A0 = random_fields(grid16, p, seed=1, a_amp=0.1)
+        for init, start in (("trial", {}), ("given", {"psi0": psi0, "A0": A0})):
+            tols.clear()
+            starts.clear()
+            config = MinimizeConfig(init=init)
+            rep = minimize(grid16, p, config, **start)
+            assert rep.converged and rep.message == "stationary: no descent direction left"
+            assert rep.iterations > 3 * config.a_solve_every
+            assert rep.a_solves == len(tols) == 2 + (rep.iterations - 1) // config.a_solve_every
+            assert tols == [config.a_tol] * (rep.a_solves - 1) + [1e-12]
+            assert rep.residual_a <= 1e-8
+            assert all(a is None for a in starts[1:]), init
+            if init == "given":
+                assert np.array_equal(starts[0], A0.data)
+            else:
+                assert starts[0] is None
 
     @pytest.mark.parametrize("v", [0.1, 0.2])
     @pytest.mark.parametrize("model", ["S", "P"])
-    def test_restart_keeps_the_given_field(self, grid16, model, v):
+    def test_restart_keeps_the_given_field(self, grid16, model, v, monkeypatch):
         """A given start passes A0 to its first A-solve as the warm start:
         restarted from a minimizer's own pair, the run stays converged at
-        the same energy and spends fewer operator applications on A than
-        from the same psi with A0 = 0."""
+        the same energy, and that solve keeps the start, ends after the one
+        operator application that checks it and returns the minimizer's A."""
         p = params(model, v=v)
         rep = minimize(grid16, p, MinimizeConfig(init="trial"))
         assert rep.converged, rep.message
-        cfg = MinimizeConfig(init="given")
-        warm = minimize(grid16, p, cfg, rep.psi, rep.A)
-        cold = minimize(grid16, p, cfg, rep.psi, np.zeros_like(rep.A.data))
+        first = []
+        solve = minimize_mod._solve_vector_potential
+
+        def spy(grid, p, psi_hat, psi_low, A0, **kw):
+            out = solve(grid, p, psi_hat, psi_low, A0, **kw)
+            if not first:
+                first.extend([A0, *out])
+            return out
+
+        monkeypatch.setattr(minimize_mod, "_solve_vector_potential", spy)
+        warm = minimize(grid16, p, MinimizeConfig(init="given"), rep.psi, rep.A)
         assert warm.converged, warm.message
         assert rel(warm.energy, rep.energy) < 1e-14
-        assert warm.a_ops < cold.a_ops, (warm.a_ops, cold.a_ops)
+        a0, A, n_ops = first
+        assert np.array_equal(a0, rep.A.data)
+        assert n_ops == 1
+        drift = np.max(np.abs(A.data - rep.A.data)) / np.max(np.abs(rep.A.data))
+        assert drift <= 1e-15, drift
 
     @pytest.mark.parametrize("init", ["trial", "plane", "given"])
     @pytest.mark.parametrize("model", ["S", "P"])
@@ -753,6 +778,18 @@ class TestMinimize:
     def test_config_validation(self):
         with pytest.raises(InputError):
             MinimizeConfig(init="nope")
+
+    def test_negative_counts_refused(self, grid16):
+        """A negative iteration cap would run no step and report "max_iter
+        reached", and a negative logging stride would log every |k|-th
+        step: both are refused.  A cap of 0 stays legal and polishes the
+        start."""
+        with pytest.raises(InputError, match="max_iter must be at least 0"):
+            MinimizeConfig(max_iter=-1)
+        with pytest.raises(InputError, match="log_every must be at least 0"):
+            MinimizeConfig(log_every=-2)
+        rep = minimize(grid16, params("S", v=0.1), MinimizeConfig(init="plane", max_iter=0))
+        assert rep.iterations == 0 and rep.message == "max_iter reached"
 
     def test_settings_are_the_fields(self):
         """A run is set by its iteration cap, start, seed, logging and the

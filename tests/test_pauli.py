@@ -5,10 +5,11 @@ import pytest
 
 import importlib
 
-from mpwave import PhysParams
+from mpwave import Grid, PhysParams
 from mpwave import spectral
 from mpwave.energy import _field_part, energy_functional
 from mpwave.fields import inner, l2_norm_sq, random_fields
+from mpwave.minimize import el_residual
 from mpwave.pauli import (
     SIGMA,
     _pair,
@@ -301,6 +302,45 @@ class TestCurrent:
         js = current(grid16, p_s, psi.data, A.data)
         jp = current(grid16, p_p, psi.data, A.data)
         assert np.max(np.abs(js - jp)) > 1e-8 * np.max(np.abs(js))
+
+
+class TestSpinBlindness:
+    #: relative change allowed for model S: 20 eps, above the 8e-16 of the
+    #: drift term measured for this rotation
+    TOL = 20 * np.finfo(float).eps
+
+    @staticmethod
+    def _moves(grid, p, psi, A, U):
+        """Relative change of each energy term, of the parts of the EL
+        residual and of the current when psi becomes U psi at every point."""
+        rot = np.einsum("ij,j...->i...", U, psi)
+        e0, e1 = (energy_functional(grid, p, f, A).as_dict() for f in (psi, rot))
+        r0, r1 = (el_residual(grid, p, f, A) for f in (psi, rot))
+        j0, j1 = (current(grid, p, f, A) for f in (psi, rot))
+        moves = {k: rel(e0[k], e1[k]) for k in e0}
+        for k in ("psi_raw", "psi_scale", "a_raw", "a_scale", "current_defect", "theta"):
+            moves[k] = rel(getattr(r0, k), getattr(r1, k))
+        moves["J"] = np.max(np.abs(j1 - j0)) / np.max(np.abs(j0))
+        return moves
+
+    def test_model_s_does_not_see_the_spin(self):
+        """Model S couples no spin: a constant SU(2) rotation of psi leaves
+        its energy (``total`` and ``total_shifted`` and every term), its EL
+        residual and its current unchanged to rounding.  Model P, whose
+        sigma . D psi mixes the components, moves by about 2e-3, so the
+        check tells the two models apart."""
+        grid = Grid(16, 12.0)
+        nvec = np.array([1.0, 2.0, 2.0]) / 3.0
+        half = 0.35  # half the rotation angle
+        U = np.cos(half) * np.eye(2) - 1j * np.sin(half) * np.einsum("a,aij->ij", nvec, SIGMA)
+        for model in ("S", "P"):
+            p = PhysParams(v=(0.13, -0.07, 0.05), model=model)
+            psi, A = random_fields(grid, p, seed=4)
+            moves = self._moves(grid, p, psi.data, A.data, U)
+            if model == "S":
+                assert max(moves.values()) <= self.TOL, moves
+            else:
+                assert moves["total"] > 1e-4 and moves["total_shifted"] > 1e-4, moves
 
 
 def _banded_state(grid, p, psi, A):

@@ -34,6 +34,13 @@ class TestGridBasics:
         with pytest.raises(ValueError):
             Grid(16, -1.0)
 
+    @pytest.mark.parametrize("box", [np.inf, np.nan])
+    def test_box_must_be_finite(self, box):
+        """An infinite box would pass a positivity test and give NaN
+        spacings and fields; it is refused with the other bad boxes."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(16, box)
+
     def test_geometry_tables(self, grid16):
         g = grid16
         assert g.spacing == pytest.approx(2.5)
