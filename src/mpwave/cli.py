@@ -307,9 +307,14 @@ def run_sweep(cfg: RunConfig) -> int:
         return 0
     log = _RunLog(cfg.output_dir)
     log.write(f"sweep start: speeds={list(cfg.speeds)}")
-    result = diagnostics.mass_sweep(
-        grid, p, cfg.speeds, direction=cfg.direction, config=cfg.minimize
-    )
+    try:
+        result = diagnostics.mass_sweep(
+            grid, p, cfg.speeds, direction=cfg.direction, config=cfg.minimize
+        )
+    except MpwaveError as exc:
+        log.write(f"sweep failed: {exc}")
+        log.close()
+        raise
     for pt in result.points:
         rest = 0.5 * cfg.mass * pt.speed ** 2 * cfg.lam
         rows.append(
@@ -326,17 +331,21 @@ def run_sweep(cfg: RunConfig) -> int:
                 ]
             )
         )
-    rows.append(
-        f"# fit: alpha = {_fmt(result.alpha)}, beta = {_fmt(result.beta)}, "
-        f"alpha_target = {_fmt(result.alpha_target)}, residual = {_fmt(result.fit_residual)}"
-    )
+    if np.isnan(result.alpha):
+        undetermined = "undetermined: the fit needs two nonzero speeds of distinct magnitude"
+        rows.append(f"# fit: {undetermined}")
+        summary = f"fit {undetermined}"
+    else:
+        rows.append(
+            f"# fit: alpha = {_fmt(result.alpha)}, beta = {_fmt(result.beta)}, "
+            f"alpha_target = {_fmt(result.alpha_target)}, residual = {_fmt(result.fit_residual)}"
+        )
+        summary = (f"alpha = {_fmt(result.alpha)} (target {_fmt(result.alpha_target)}), "
+                   f"beta = {_fmt(result.beta)}")
     _write_lines(os.path.join(cfg.output_dir, "sweep.csv"), rows)
     log.write("sweep done")
     log.close()
-    print(
-        f"alpha = {_fmt(result.alpha)} (target {_fmt(result.alpha_target)}), "
-        f"beta = {_fmt(result.beta)}"
-    )
+    print(summary)
     return 0
 
 

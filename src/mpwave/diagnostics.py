@@ -21,8 +21,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import spectral
+from . import pauli, spectral
 from .energy import (
+    _field_part,
     _parseval,
     _vk_real,
     carrier_gate,
@@ -31,10 +32,10 @@ from .energy import (
     travelling_energy,
 )
 from .errors import DomainGateError, InputError
-from .fields import (PhysParams, SpinorField, VectorField, as_array, component_array,
-                     l2_norm_sq, normalize_to_lambda)
+from .fields import (PhysParams, SpinorField, VectorField, _spinor, as_array, component_array,
+                     l2_norm_sq)
 from .grid import Grid
-from .minimize import MinimizeConfig, minimize
+from .minimize import MinimizeConfig, _psi_energy, minimize
 
 # -- smooth profiles -----------------------------------------------------------
 
@@ -152,28 +153,51 @@ def trial_fields(grid: Grid, p: PhysParams, spec: TrialSpec) -> tuple[SpinorFiel
     The wave function is the boosted bump  R^{-3/2} e^{i(mv/hbar).x}
     psi_0(x'/R)  in the spin-up state, normalized to lambda in grid
     quadrature; the vector potential is (a c / Q) A_0(x'/R), projected
-    onto the exactly solenoidal zero-mean subspace (a rounding-level
-    correction for resolved profiles).  A carrier outside the dealias
-    band raises DomainGateError; ``trial_energy_terms`` never samples
-    the carrier and has no such limit.
+    onto the exactly solenoidal zero-mean subspace on its transform (a
+    rounding-level correction for resolved profiles): the inverse of the
+    transform ``negativity_witness`` reads.  A carrier outside the
+    dealias band raises DomainGateError; ``trial_energy_terms`` never
+    samples the carrier and has no such limit.
     """
-    psi, a_data = _trial_sample(grid, p, spec, potential=True)
-    a_data = spectral.zero_mean(grid, spectral.helmholtz_project(grid, a_data))
-    return psi, VectorField(grid, a_data)
+    up, a_hat = _trial_sample(grid, p, spec, _carrier(grid, p), potential=True)
+    return SpinorField(grid, _spinor(up)), VectorField(grid, grid.ifft(a_hat, overwrite=True).real)
 
 
-def _trial_sample(grid: Grid, p: PhysParams, spec: TrialSpec, potential: bool):
-    """The psi of ``trial_fields`` and, with ``potential``, the sampled A
-    it projects; without, A is not sampled and reads None, and psi takes
-    no transform."""
+def _carrier(grid: Grid, p: PhysParams) -> np.ndarray:
+    """The boost carrier e^{i (m v / hbar).x} sampled on the grid, after
+    ``carrier_gate``; a scan samples it once for all its rows."""
     carrier_gate(grid, p)
-    env, a_data = _trial_raw(grid, p, spec, potential)
     x, y, z = grid.coords()
     v = p.v_arr
-    carrier = np.exp(1j * (p.mass / p.hbar) * (v[0] * x + v[1] * y + v[2] * z))
-    data = np.zeros((2,) + grid.shape, dtype=complex)
-    data[0] = env * carrier
-    return normalize_to_lambda(SpinorField(grid, data), p.lam), a_data
+    return np.exp(1j * (p.mass / p.hbar) * (v[0] * x + v[1] * y + v[2] * z))
+
+
+def _trial_sample(grid: Grid, p: PhysParams, spec: TrialSpec, carrier: np.ndarray,
+                  potential: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The spin-up block (1, n, n, n) of the psi of ``trial_fields``, the
+    bump times ``carrier`` normalized to lambda, which takes no transform,
+    and, with ``potential``, the transform of its A: the sampled A
+    projected on its transform with the k = 0 mode set to 0, 3 scalar
+    FFTs; without, A is not sampled and reads None."""
+    env, a_data = _trial_raw(grid, p, spec, potential)
+    up = (env * carrier)[None]
+    up *= np.sqrt(p.lam / l2_norm_sq(grid, up))
+    if a_data is None:
+        return up, None
+    a_hat = spectral.project_hat(grid, grid.fft(a_data))
+    a_hat[:, 0, 0, 0] = 0.0
+    return up, a_hat
+
+
+def _witness_energy(grid: Grid, p: PhysParams, spec: TrialSpec, carrier: np.ndarray) -> float:
+    """``energy_functional(*trial_fields(grid, p, spec)).total`` to rounding,
+    read from the transforms the sampler holds: the record of the spin-up
+    block against T A, taken from the projected A_hat, and the field term
+    of that A_hat.  11 scalar FFTs: A_hat 3, T A 3, psi_hat and T psi 2,
+    K psi_hat 3."""
+    up, a_hat = _trial_sample(grid, p, spec, carrier, potential=True)
+    a_low = grid.ifft(a_hat * grid.dealias_mask, overwrite=True).real
+    return _psi_energy(grid, p, pauli.kinetic_state(grid, p, up, a_low)) + _field_part(grid, p, a_hat)
 
 
 @dataclass(frozen=True)
@@ -351,6 +375,13 @@ def negativity_witness(
     carrier m v / hbar raises DomainGateError; beyond that size the
     closed-form ``trial_energy_terms`` follows R_a instead.  A scan of
     fewer than one point (``num`` < 1) is refused with InputError.
+
+    The carrier is sampled once per scan.  Each row's energy is the total
+    of ``energy_functional(*trial_fields(...))`` to rounding, read from the
+    transforms the sampler holds (``_witness_energy``): the spin-up block
+    of psi, and the trial A projected once on its transform, from which
+    the field term and T A are read with no round trip through real space.
+    A row costs 11 scalar FFTs.
     """
     if num < 1:
         raise InputError(f"the scan needs at least one point, got num = {num}")
@@ -367,14 +398,14 @@ def negativity_witness(
     a_min = (r_one / r_cap) ** 1.5
     a_max = (r_one / max(4.0 * grid.spacing, 1e-3 * r_cap)) ** 1.5
 
+    carrier = _carrier(grid, p)
     rows = []
     found = False
     hit = None
     for a in np.geomspace(a_min, a_max, num):
         R = min(effective_dilation(p, base, a), r_cap)
         spec_a = dataclasses.replace(spec, amplitude=float(a), dilation=float(R))
-        psi, A = trial_fields(grid, p, spec_a)
-        e = energy_functional(grid, p, psi, A).total
+        e = _witness_energy(grid, p, spec_a, carrier)
         rows.append(WitnessRow(float(a), float(R), float(e), float(e - threshold)))
         if not found and e < threshold:
             found = True
@@ -668,7 +699,11 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Small-velocity energy law fit E_trav ~ alpha v^2 + beta |v|^3."""
+    """Small-velocity energy law fit E_trav ~ alpha v^2 + beta |v|^3.
+
+    ``alpha``, ``beta`` and ``fit_residual`` are NaN when the points do not
+    determine the fit: it needs two nonzero speeds of distinct magnitude.
+    """
 
     points: tuple
     alpha: float
@@ -688,7 +723,10 @@ def mass_sweep(
 
     The quadratic coefficient of E_trav(v) is compared against the
     effective-mass prediction m lambda / 2; the fit is least squares on
-    the model alpha v^2 + beta |v|^3 through the origin.  A direction
+    the model alpha v^2 + beta |v|^3 through the origin, NaN when fewer
+    than two nonzero speeds of distinct magnitude leave its design of
+    rank < 2 (no speeds, one, or repeats), where any alpha would fit
+    exactly.  A direction
     that is not a finite nonzero 3-vector, or a speed that is not finite,
     is refused with InputError before any solve.
     """
@@ -721,8 +759,10 @@ def mass_sweep(
     v = np.array([q.speed for q in pts])
     e = np.array([q.energy_trav for q in pts])
     design = np.stack([v ** 2, np.abs(v) ** 3], axis=1)
-    coef, *_ = np.linalg.lstsq(design, e, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, e, rcond=None)
     resid = float(np.linalg.norm(design @ coef - e))
+    if rank < 2:
+        coef, resid = (np.nan, np.nan), np.nan
     return SweepResult(
         points=tuple(pts),
         alpha=float(coef[0]),

@@ -9,6 +9,11 @@ component.  ``component_array`` refuses any other shape, including the
 component-last ``(n,n,n,c)`` order that state-file payloads keep (see
 :mod:`mpwave.io`).
 
+Inside the kernels a spinor whose spin-down component is exactly zero
+travels as its spin-up block ``psi[:1]``, shape ``(1,n,n,n)``
+(``_spin_up``), so no transform or product is spent on the zero; every
+container and public return value keeps ``(2,n,n,n)`` (``_spinor``).
+
 All reductions (norms, inner products, integrals) go through ``np.sum``,
 whose pairwise summation order is fixed for a given array shape — this
 is the project's deterministic-reduction convention.
@@ -152,6 +157,20 @@ def component_array(grid: Grid, obj, comps: int, what: str) -> np.ndarray:
             f"shape {(comps,) + grid.shape}"
         )
     return arr
+
+
+def _spin_up(psi: np.ndarray) -> np.ndarray:
+    """The spin-up block ``psi[:1]`` of a spinor whose spin-down component
+    is exactly zero, a view; ``psi`` itself otherwise.  A grid sum over the
+    block equals that over ``psi``: the pairwise summation of the
+    (2, n, n, n) array splits at the block boundary and adds an exact 0."""
+    return psi if np.any(psi[1]) else psi[:1]
+
+
+def _spinor(psi: np.ndarray) -> np.ndarray:
+    """The (2, n, n, n) spinor of ``psi``: a spin-up block gets its zero
+    spin-down component back, a full spinor is returned as it is."""
+    return psi if len(psi) == 2 else np.concatenate([psi, np.zeros_like(psi)])
 
 
 def inner(grid: Grid, f, g) -> complex:

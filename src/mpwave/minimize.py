@@ -39,6 +39,16 @@ record of the polished pair.  The public ``solve_vector_potential``,
 their inputs, build the same record and run the same bodies, so the
 report equals them bit for bit.
 
+Model S couples no spin, so a psi_down that starts exactly zero stays
+zero: such a run, from any start, carries the spin-up block of psi
+(``fields._spin_up``) through every record, A-solve and report, and pads
+the zero back onto the psi it returns.  Every grid sum of the block
+equals that of the spinor but the kinetic sum over the (3, 1, n, n, n)
+stack, which runs in another order; ``energy_functional`` evaluates the
+returned psi on the same block, so the report still equals the public
+functions bit for bit.  Model P runs on the full spinor, since
+sigma . D mixes the components.
+
 A run ends where its line search ends: once the predicted decrease of a
 step is below the rounding of E, or at ``max_iter``.  The Euler-Lagrange
 residual of the polished pair alone then judges it.
@@ -76,6 +86,8 @@ from .fields import (
     SpinorField,
     VectorField,
     _random_psi,
+    _spin_up,
+    _spinor,
     as_array,
     component_array,
     inner,
@@ -520,9 +532,10 @@ def _initial_state(
     elif config.init == "plane":
         psi = plane_wave_state(grid, p)[0]
     else:
-        from .diagnostics import TrialSpec, _trial_sample
+        from .diagnostics import TrialSpec, _carrier, _trial_sample
 
-        psi = _trial_sample(grid, p, TrialSpec.fitted(grid, amplitude=0.5), potential=False)[0]
+        spec = TrialSpec.fitted(grid, amplitude=0.5)
+        psi = _spinor(_trial_sample(grid, p, spec, _carrier(grid, p), potential=False)[0])
     return normalize_to_lambda(SpinorField(grid, as_array(psi)), p.lam).data, a0
 
 
@@ -646,6 +659,9 @@ def minimize(
     both; any other ``init`` refuses them with InputError.  A is a
     function of psi, so only psi starts the run: ``A0`` warm-starts the
     first A-solve alone, which drops it if A = 0 lies nearer the solution.
+    A model S run whose start has psi_down exactly zero (the trial and
+    plane starts, or such a given psi0) runs on the spin-up block of psi;
+    the returned ``psi`` is (2, n, n, n) with that zero component.
     """
     if config is None:
         config = MinimizeConfig()
@@ -656,6 +672,8 @@ def minimize(
     else:
         speed_gate(p)
     psi, a0 = _initial_state(grid, p, config, psi0, A0)
+    if p.model == "S":
+        psi = _spin_up(psi)
 
     def renorm(psi: np.ndarray) -> np.ndarray:
         return psi * np.sqrt(p.lam / (l2_norm_sq(grid, psi)))
@@ -774,7 +792,7 @@ def minimize(
         a_solves=a_solves,
         backtracks=backtracks,
         breakdown=breakdown,
-        psi=SpinorField(grid, psi),
+        psi=SpinorField(grid, _spinor(psi)),
         A=VectorField(grid, A),
         energy_trace=trace[::stride],
     )

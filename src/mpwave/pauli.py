@@ -17,7 +17,14 @@ K^dagger K psi, its exact psi-gradient, in both.  The one kernel is
 and T A, with the derivative as the multiplier -hbar k.  One frozen
 ``KineticState`` per state carries these transforms, built once by
 ``kinetic_state``; the real-space forms, the Laplacian, the current and
-every energy term read it.
+every energy term read it.  A spin-up state (psi_down exactly zero) may
+be carried as its (1, n, n, n) block: its stacks are (3, 1, n, n, n),
+``_spin_contract`` of model "P" writes sigma . D psi from D psi_up alone
+and ``_pair`` of model "S" sums the components it is given, so the
+record costs 2 scalar transforms for psi and 3 for K psi with a field.
+The energy terms read the record of a block for either model; the model
+P current pairs T psi with both components of sigma . D psi, so a
+model P solve carries the full spinor.
 
 The Lichnerowicz identity
 
@@ -144,16 +151,37 @@ def covariant_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
 def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
     """Kinetic contraction of the model.
 
-    ``c`` stacks one spinor per direction, shape (3, 2, ...).  Model "P"
-    contracts it with the Pauli matrices to sum_b sigma^b c_b, a (2, ...)
-    spinor, summed in the order x, y, z; model "S" keeps it as it is.
-    The contraction is a constant matrix, so it commutes with the FFT.
+    ``c`` stacks one spinor per direction, shape (3, 2, ...), or one
+    spin-up block, (3, 1, ...).  Model "P" contracts it with the Pauli
+    matrices to sum_b sigma^b c_b, a (2, ...) spinor, summed in the order
+    x, y, z; of a spin-up block that is (c_z, c_x + i c_y), the two-
+    component sum with its exact zeros left out.  Model "S" keeps ``c``
+    as it is.  The contraction is a constant matrix, so it commutes with
+    the FFT.
     """
     if model == "S":
         return c
-    out = np.empty(c.shape[1:], dtype=complex)
+    out = np.empty((2,) + c.shape[2:], dtype=complex)
+    if c.shape[1] == 1:
+        out[0] = c[2, 0]
+        out[1] = c[0, 0] + 1j * c[1, 0]
+        return out
     out[0] = c[0, 1] - 1j * c[1, 1] + c[2, 0]
     out[1] = c[0, 0] + 1j * c[1, 0] - c[2, 1]
+    return out
+
+
+def _sigma(a: int, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sigma^a h of the (2, ...) spinor ``h``, written to ``out`` when one
+    is given."""
+    if out is None:
+        out = np.empty_like(h)
+    if a == 0:
+        out[0], out[1] = h[1], h[0]
+    elif a == 1:
+        out[0], out[1] = -1j * h[1], 1j * h[0]
+    else:
+        out[0], out[1] = h[0], -h[1]
     return out
 
 
@@ -163,9 +191,8 @@ def _spin_expand(model: str, h: np.ndarray) -> np.ndarray:
     if model == "S":
         return h
     out = np.empty((3,) + h.shape, dtype=complex)
-    out[0, 0], out[0, 1] = h[1], h[0]
-    out[1, 0], out[1, 1] = -1j * h[1], 1j * h[0]
-    out[2, 0], out[2, 1] = h[0], -h[1]
+    for a in range(3):
+        _sigma(a, h, out[a])
     return out
 
 
@@ -173,11 +200,12 @@ def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise Re <psi_low, g_a> (model "S") or Re <psi_low, sigma^a g>
     (model "P") for a = x, y, z, stacked as (3, n, n, n), for ``g`` as
     returned by ``_spin_contract``.  Model "S" writes its products over the
-    stack ``g``, so no second stack is held, and adds the two spin terms
-    directly, not by a size-2 reduction."""
+    stack ``g``, so no second stack is held, and sums the spin components
+    it is given: two for a spinor, one for a spin-up block, whose sum is
+    that of the spinor with its exact zeros left out."""
     if model == "S":
         t = np.multiply(np.conj(psi_low), g, out=g)
-        return t[:, 0].real + t[:, 1].real
+        return np.sum(t.real, axis=1)
     out = np.empty((3,) + psi_low.shape[1:])
     c01 = np.conj(psi_low[0]) * g[1]
     c10 = np.conj(psi_low[1]) * g[0]
@@ -190,22 +218,26 @@ def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _laplacian_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
     """Transform of K^dagger K psi = sum_a D_a h_a, read from the record
-    ``st``: h_hat is ``_spin_expand`` of K psi_hat, a constant matrix, so
-    h needs no forward FFT of its own, and with A = 0 no transform at all.
-    The products a_low_a h_a take one inverse and one forward transform;
-    the sum runs direction by direction, the derivative term first."""
-    h_hat = _spin_expand(p.model, st.kpsi_hat)
+    ``st``: h_a is K psi_a (model "S") or sigma^a K psi (model "P"), a
+    constant matrix, so h needs no forward FFT of its own, and with A = 0
+    no transform at all.  The products a_low_a h_a take one inverse and one
+    forward transform of the stack ``_spin_expand`` of the band-limited
+    K psi_hat, a temporary; the sum runs direction by direction, the
+    derivative term first, and model "P" forms each sigma^a K psi_hat in
+    that loop, so no second stack is held beside the products."""
+    kpsi = st.kpsi_hat
     prod = None
     if st.a_low is not None:
         mask = grid.dealias_mask
-        low = grid.ifft(h_hat * mask, overwrite=True)
+        low = grid.ifft(_spin_expand(p.model, kpsi * mask), overwrite=True)
         np.multiply(st.a_low[:, None], low, out=low)
         prod = grid.fft(low, overwrite=True)
         np.multiply(mask, prod, out=prod)
         np.multiply(p.charge / p.light_speed, prod, out=prod)
-    acc_hat = np.zeros(h_hat.shape[1:], dtype=complex)
+    acc_hat = np.zeros(kpsi.shape[1:] if p.model == "S" else kpsi.shape, dtype=complex)
     for a in range(3):
-        acc_hat += (-p.hbar * grid.k[a]) * h_hat[a]
+        h_a = kpsi[a] if p.model == "S" else _sigma(a, kpsi)
+        acc_hat += (-p.hbar * grid.k[a]) * h_a
         if prod is not None:
             acc_hat += prod[a]
     return acc_hat

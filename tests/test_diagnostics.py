@@ -210,6 +210,19 @@ class TestWitness:
         assert rel(effective_dilation(p, base, w.rows[0].amplitude), r_cap) < 1e-14
         assert rel(w.rows[0].dilation, r_cap) < 1e-14
 
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_rows_are_the_energy_of_the_trial_fields(self, grid16, model):
+        """Each row reads its energy from the transforms the sampler holds;
+        it is the total of ``energy_functional(*trial_fields(...))`` of the
+        same state within 4 eps."""
+        p = params(model, v=0.2)
+        w = negativity_witness(grid16, p, num=6)
+        spec = TrialSpec.fitted(grid16, amplitude=1.0)
+        for row in w.rows:
+            spec_a = dataclasses.replace(spec, amplitude=row.amplitude, dilation=row.dilation)
+            e = energy_functional(grid16, p, *trial_fields(grid16, p, spec_a)).total
+            assert rel(row.energy, e) <= 4 * np.finfo(float).eps, (row, e)
+
     @pytest.mark.parametrize("num", [0, -3])
     def test_empty_scan_refused(self, grid16, num):
         """A scan of no points has no best row to report."""
@@ -386,6 +399,17 @@ class TestMassSweep:
         with pytest.raises(InputError, match="direction|speeds"):
             mass_sweep(grid16, params("S", v=0.1), speeds, direction=direction)
 
+    @pytest.mark.filterwarnings("ignore:v = 0")
+    @pytest.mark.parametrize("speeds", [(), (0.1,), (0.1, 0.1), (0.1, -0.1), (0.0, 0.1)],
+                             ids=["none", "one", "repeat", "opposite", "zero"])
+    def test_undetermined_fit_is_nan(self, grid16, speeds):
+        """Fewer than two nonzero speeds of distinct magnitude leave the
+        fit's design of rank < 2, where any alpha fits exactly: alpha,
+        beta and the residual are NaN, and the points are kept."""
+        res = mass_sweep(grid16, params("S", v=0.1), speeds, config=MinimizeConfig(init="plane"))
+        assert len(res.points) == len(speeds)
+        assert np.isnan(res.alpha) and np.isnan(res.beta) and np.isnan(res.fit_residual)
+
     def test_staircase_points(self, grid16):
         """Speeds rounding to the same lattice carrier share one
         travelling energy; the sweep records everything it measured."""
@@ -405,3 +429,4 @@ class TestMassSweep:
         e_star = p.lam * p.hbar ** 2 * dk ** 2 / (2.0 * p.mass)
         assert rel(res.points[0].energy_trav, e_star) < 1e-10
         assert rel(res.points[1].energy_trav, e_star) < 1e-10
+        assert np.isfinite(res.alpha) and np.isfinite(res.beta)

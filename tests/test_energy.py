@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import importlib
+
 from mpwave import Grid, PhysParams
-from mpwave import spectral
+from mpwave import pauli, spectral
 from mpwave.pauli import SIGMA
 from mpwave.energy import (
     apriori_bounds,
@@ -22,6 +24,8 @@ from mpwave.fields import l2_norm_sq, random_fields
 from mpwave.minimize import plane_wave_state
 
 from conftest import params, rel
+
+energy_mod = importlib.import_module("mpwave.energy")
 
 
 class TestFormEquivalence:
@@ -123,6 +127,25 @@ class TestParsevalNorms:
             assert set(got) == set(ref)
             for name, value in ref.items():
                 assert rel(got[name], value) <= 1e-13, (name, got[name], value)
+
+
+class TestSpinUpBlock:
+    """A psi whose spin-down component is exactly zero is evaluated on its
+    spin-up block; each term stays within 4 eps of the record of the full
+    spinor, whose kinetic sum runs over the zeros in another order."""
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_terms_match_the_full_record(self, grid16, model):
+        p = params(model, v=(0.15, 0.05, -0.1))
+        psi, A = random_fields(grid16, p, seed=7, a_amp=0.1)
+        up = psi.data.copy()
+        up[1] = 0.0
+        got = energy_functional(grid16, p, up, A).as_dict()
+        a_hat, a_low = spectral.band(grid16, A.data)
+        st = pauli.kinetic_state(grid16, p, up, a_low)
+        want = energy_mod._energy(grid16, p, up, st, energy_mod._field_part(grid16, p, a_hat))
+        for name, value in want.as_dict().items():
+            assert rel(got[name], value) <= 4 * np.finfo(float).eps, (name, got[name], value)
 
 
 class TestClosedForms:

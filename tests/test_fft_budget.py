@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mpwave import Grid, spectral
+from mpwave.diagnostics import TrialSpec
 from mpwave.energy import energy_functional
 from mpwave.fields import random_fields
 from mpwave.minimize import MinimizeConfig, el_residual, grad_psi, minimize, solve_vector_potential
@@ -19,12 +20,19 @@ from mpwave.pauli import current, kinetic_state
 from conftest import params
 
 minimize_mod = importlib.import_module("mpwave.minimize")
+diagnostics_mod = importlib.import_module("mpwave.diagnostics")
 
 #: scalar transforms per call, (model S, model P), at v = (0.1, 0, 0)
 BUDGET = {
     # A: forward 3 + band limit 3; psi: forward 2 + band limit 2;
     # K psi_hat: one forward transform of a_low_a * T psi per direction
     "energy_functional": (16, 16),
+    # psi_down = 0: A 6, the spin-up block forward 1 + band limit 1, and one
+    # product transform per direction
+    "energy_functional, spin-up": (11, 11),
+    # one row of the witness scan: the trial A projected on its transform 3,
+    # T A 3 inverse, the spin-up block 2 and its products 3
+    "witness row": (11, 11),
     # the KineticState 16, K^dagger K 12, one inverse 2
     "grad_psi": (30, 30),
     # the solver's call, reading the KineticState of its energy evaluation
@@ -56,6 +64,8 @@ BUDGET = {
 ZERO_FIELD_BUDGET = {
     # psi: forward 2 + band limit 2
     "energy_functional": (4, 4),
+    # the spin-up block: forward 1 + band limit 1
+    "energy_functional, spin-up": (2, 2),
     # psi 4, G 2 inverse, the current pairing 9 / 5; no A_hat
     "el_residual": (15, 11),
     # the solver's report from the band of psi: G 2, the current 9 / 5
@@ -68,17 +78,20 @@ START_BUDGET = {"trial": 0, "random": 2, "plane": 0}
 
 #: scalar transforms of a whole trial-start solve at n = 16, v = 0.1: A is
 #: solved at the start, after every fifth accepted step and at the polish,
-#: each from A = 0 with no operator application (1351 / 1337 measured for
-#: S / P; the bound leaves room above both)
-SOLVE_BUDGET = {"S": 1850, "P": 1900}
+#: each from A = 0 with no operator application.  Model S runs the spin-up
+#: block of its spin-up start, so no transform of the zero psi_down is made
+#: (776 / 1337 measured for S / P, S 1351 on the full spinor; the bounds
+#: leave room above both, and the S one below the full spinor's count)
+SOLVE_BUDGET = {"S": 1000, "P": 1900}
 
 #: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: psi is
-#: banded once (4) and both A-solves and every record read that band; both
-#: A-solves end on the rounding floor of their forcing (9 / 5 each), so no
-#: A-operator matvec is made, every state is read from the field-free
-#: record and the all-zero A itself is never transformed; the start's G 2,
-#: the one direction 4 and the report 11 / 7 make up the rest
-PLANE_BUDGET = {"S": 39, "P": 27}
+#: banded once (2 / 4) and both A-solves and every record read that band;
+#: both A-solves end on the rounding floor of their forcing (6 / 5 each), so
+#: no A-operator matvec is made, every state is read from the field-free
+#: record and the all-zero A itself is never transformed; the start's G
+#: 1 / 2, the one direction 2 / 4 and the report 7 / 7 make up the rest.
+#: Model S runs the spin-up block of the spin-up plane wave, P the spinor
+PLANE_BUDGET = {"S": 24, "P": 27}
 
 
 @pytest.fixture()
@@ -112,9 +125,17 @@ def test_transforms_per_call(grid16, model, count_ffts):
     op = minimize_mod._a_operator(grid16, p, st.psi_low)
     a_hat = grid16.fft(A)
     psi_hat, psi_low = spectral.band(grid16, psi)
+    up = psi.copy()
+    up[1] = 0.0
+    spec = TrialSpec.fitted(grid16, amplitude=1.0)
+    carrier = diagnostics_mod._carrier(grid16, p)
     n_ops = []
     counts = {
         "energy_functional": count_ffts(lambda: energy_functional(grid16, p, psi, A)),
+        "energy_functional, spin-up": count_ffts(lambda: energy_functional(grid16, p, up, A)),
+        "witness row": count_ffts(
+            lambda: diagnostics_mod._witness_energy(grid16, p, spec, carrier)
+        ),
         "grad_psi": count_ffts(lambda: grad_psi(grid16, p, psi, A)),
         "grad_psi from the record": count_ffts(lambda: minimize_mod._gradient(grid16, p, st)),
         "el_residual": count_ffts(lambda: el_residual(grid16, p, psi, A)),
@@ -143,8 +164,11 @@ def test_transforms_per_call_at_zero_field(grid16, model, count_ffts):
     psi, A = random_fields(grid16, p, seed=3)
     psi, zero = psi.data, np.zeros_like(A.data)
     psi_hat, psi_low = spectral.band(grid16, psi)
+    up = psi.copy()
+    up[1] = 0.0
     counts = {
         "energy_functional": count_ffts(lambda: energy_functional(grid16, p, psi, zero)),
+        "energy_functional, spin-up": count_ffts(lambda: energy_functional(grid16, p, up, zero)),
         "el_residual": count_ffts(lambda: el_residual(grid16, p, psi, zero)),
         "report": count_ffts(
             lambda: minimize_mod._report(grid16, p, psi, psi_hat, psi_low, zero)

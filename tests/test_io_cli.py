@@ -606,6 +606,36 @@ class TestCli:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3 and rows[1].startswith("0.029999999999999999,")
 
+    def test_sweep_undetermined_fit(self, tmp_path, capsys):
+        """One speed cannot determine the two-term fit: the rows are kept,
+        the fit line says what it needs and the sweep exits 0."""
+        cfg = tmp_path / "plane.cfg"
+        cfg.write_text("minimize.init = plane\n")
+        rc, text, err = _main(["sweep", "--config", str(cfg), "--grid", "16",
+                               "--out", str(tmp_path), "--speeds", "0.1"], capsys)
+        assert rc == 0, err
+        assert "two nonzero speeds of distinct magnitude" in text
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 3 and rows[1].startswith("0.10000000000000001,")
+        assert rows[2] == "# fit: undetermined: the fit needs two nonzero speeds of distinct magnitude"
+
+    @pytest.mark.parametrize("flags, code, reason", [
+        (["--speeds", "0.1,1.0"], 3, "not below the admissible threshold"),
+        (["--speeds", "2.0", "--force"], 4, "wave symbol is indefinite"),
+    ], ids=["gated", "solver"])
+    def test_sweep_failure_is_logged(self, tmp_path, capsys, monkeypatch, flags, code, reason):
+        """A sweep that raises leaves its failure in run.log and closes
+        the log, as a solve does."""
+        closed = []
+        close = cli._RunLog.close
+        monkeypatch.setattr(cli._RunLog, "close", lambda log: (closed.append(log), close(log)))
+        rc, _, err = _main(["sweep", "--grid", "16", "--out", str(tmp_path), *flags], capsys)
+        assert rc == code and reason in err
+        log = (tmp_path / "run.log").read_text().splitlines()
+        assert "sweep failed: " in log[-1] and reason in log[-1]
+        assert len(closed) == 1 and closed[0]._fh.closed
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_sweep_empty_speed_list(self, tmp_path, capsys):
         rc, text, _ = _main(["sweep", "--out", str(tmp_path)], capsys)
         assert rc == 0

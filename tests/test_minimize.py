@@ -13,7 +13,7 @@ from mpwave.energy import _wave_symbol, apriori_bounds, energy_functional, field
 from mpwave.diagnostics import TrialSpec, coulomb_double_integral, trial_fields
 from mpwave.errors import DomainGateError, InputError, SolverError
 from mpwave.fields import inner, l2_norm_sq, normalize_to_lambda, random_fields
-from mpwave.pauli import covariant_gradient, current, kinetic_state, spin_term
+from mpwave.pauli import SIGMA, covariant_gradient, current, kinetic_state, spin_term
 from mpwave.minimize import (
     MinimizeConfig,
     _a_operator,
@@ -708,6 +708,29 @@ class TestMinimize:
                 omega_from_theta(grid16, p, rep.A, res.theta)]
         bits = lambda xs: [np.float64(x).tobytes() for x in xs]
         assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("init", ["trial", "plane"])
+    def test_model_s_runs_the_spin_up_block(self, grid16, init):
+        """Model S couples no spin, so a spin-up start runs on its spin-up
+        block and psi_down stays exactly zero.  The same start rotated by a
+        constant SU(2) matrix (that of the pauli spin-blindness test) has
+        psi_down != 0 and takes the two-component path from A0 = 0: the
+        same iterations, A-operator applications and backtracks, and the
+        energy to 4 eps of the size of its terms, which nearly cancel
+        (1.5e-15 of E measured)."""
+        p = params("S", v=0.1)
+        rep = minimize(grid16, p, MinimizeConfig(init=init))
+        assert not np.any(rep.psi.data[1])
+        start = minimize_mod._initial_state(grid16, p, MinimizeConfig(init=init), None, None)[0]
+        nvec, half = np.array([1.0, 2.0, 2.0]) / 3.0, 0.35
+        U = np.cos(half) * np.eye(2) - 1j * np.sin(half) * np.einsum("a,aij->ij", nvec, SIGMA)
+        rot = minimize(grid16, p, MinimizeConfig(init="given"),
+                       psi0=np.einsum("ij,j...->i...", U, start), A0=np.zeros((3,) + grid16.shape))
+        assert np.all(rot.psi.data[1] != 0)
+        assert (rep.iterations, rep.a_ops, rep.backtracks) == (rot.iterations, rot.a_ops, rot.backtracks)
+        br = rep.breakdown
+        scale = abs(br.kinetic) + abs(br.field) + abs(br.drift)
+        assert abs(rep.energy - rot.energy) <= 4 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("init", ["trial", "random"])
     @pytest.mark.parametrize("model", ["S", "P"])

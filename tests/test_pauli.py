@@ -128,6 +128,19 @@ class TestSigmaAlgebra:
         reduced = np.real(np.sum(np.conj(psi) * g, axis=1))
         assert _pair("S", psi, g).tobytes() == reduced.tobytes()
 
+    def test_spin_up_block_matches_the_spinor_bit_for_bit(self, grid16, rng):
+        """A spin-up block (3, 1, ...) takes the one-component branches of
+        the model P contraction and the model S pairing; each equals the
+        two-component path with psi_down = 0, bit for bit."""
+        c = rng.standard_normal((3, 2) + grid16.shape) + 1j * rng.standard_normal(
+            (3, 2) + grid16.shape
+        )
+        psi = random_spinor(grid16, rng)
+        c[:, 1] = 0.0
+        psi[1] = 0.0
+        assert _spin_contract("P", c[:, :1]).tobytes() == _spin_contract("P", c).tobytes()
+        assert _pair("S", psi[:1], c[:, :1].copy()).tobytes() == _pair("S", psi, c.copy()).tobytes()
+
 
 class TestCovariantDerivative:
     def test_component_self_adjoint(self, grid16, rng):
