@@ -121,7 +121,7 @@ def _trial_raw(grid: Grid, p: PhysParams, spec: TrialSpec, potential: bool = Tru
     """Sampled envelope (normalized) and vector potential of the family;
     without ``potential`` the potential is not sampled and reads None."""
     _check_fit(grid, spec)
-    x, y, z = grid.coords()
+    x, y, z = grid.open_coords()
     cx, cy, cz = grid.center()
     R = spec.dilation
     xs, ys, zs = (x - cx) / R, (y - cy) / R, (z - cz) / R
@@ -167,7 +167,7 @@ def _carrier(grid: Grid, p: PhysParams) -> np.ndarray:
     """The boost carrier e^{i (m v / hbar).x} sampled on the grid, after
     ``carrier_gate``; a scan samples it once for all its rows."""
     carrier_gate(grid, p)
-    x, y, z = grid.coords()
+    x, y, z = grid.open_coords()
     v = p.v_arr
     return np.exp(1j * (p.mass / p.hbar) * (v[0] * x + v[1] * y + v[2] * z))
 
@@ -526,7 +526,7 @@ class SplitPieces:
 
 
 def _periodic_dist(grid: Grid, center) -> np.ndarray:
-    x, y, z = grid.coords()
+    x, y, z = grid.open_coords()
     L = grid.box_l
     d = []
     for c, w in zip(center, (x, y, z)):

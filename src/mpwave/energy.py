@@ -340,7 +340,13 @@ def apriori_bounds(
     A = component_array(grid, A, 3, "A")
     if total is None:
         total = energy_functional(grid, p, psi, A).total
+    return _apriori(grid, p, psi, np.sqrt(_parseval(grid, grid.fft(A), grid.k2)), total)
 
+
+def _apriori(grid: Grid, p: PhysParams, psi: np.ndarray, grad_a: float,
+             total: float) -> AprioriBounds:
+    """``apriori_bounds`` of psi past its speed gates, from |grad A| =
+    ``grad_a`` and the variational energy ``total``."""
     c = p.light_speed
     v2 = p.speed ** 2
     lam = p.lam
@@ -349,7 +355,6 @@ def apriori_bounds(
     gap = (hi - p.speed) * (p.speed - lo)
     c2mv2 = c * c - v2
 
-    grad_a = np.sqrt(_parseval(grid, grid.fft(A), grid.k2))
     psi6 = psi_l6_norm(grid, psi)
     excess = total + 0.5 * p.mass * v2 * lam
 

@@ -17,6 +17,7 @@ Conventions fixed project-wide:
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -34,14 +35,44 @@ def _workers() -> int:
         return 1
 
 
+@functools.lru_cache(maxsize=4)
+def _tables(n: int, box_l: float) -> dict:
+    """The spectral tables of the (n, box_l) grid by attribute name, built
+    once and shared, read-only, by every equal grid."""
+    h = box_l / n
+    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    kvec = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
+    kx, ky, kz = kvec
+    k2 = kx**2 + ky**2 + kz**2
+    inv_k2 = np.zeros_like(k2)
+    nz = k2 > 0
+    inv_k2[nz] = 1.0 / k2[nz]
+
+    m_cut = (n - 1) // 3
+    modes = np.rint(k1 / (2.0 * np.pi / box_l)).astype(int)
+    keep1 = np.abs(modes) <= m_cut
+    mask = keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
+
+    # Nyquist planes: real fields cannot carry conjugate-symmetric
+    # content under odd (ik) multipliers there, so solenoidal
+    # projections drop them
+    nyq1 = np.arange(n) != n // 2
+    nyq = nyq1[:, None, None] & nyq1[None, :, None] & nyq1[None, None, :]
+    for table in (kvec, k2, inv_k2, mask, nyq):
+        table.flags.writeable = False
+    return {"k": kvec, "k2": k2, "inv_k2": inv_k2, "dealias_mask": mask,
+            "nyquist_mask": nyq, "mode_cut": m_cut}
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform n×n×n periodic grid on a cube of side ``box_l``.
 
     n must be even (real Nyquist pairing) and at least 8 so the dealias
-    band is nonempty.  All derived spectral tables are precomputed once,
-    and so is ``workers``, the FFT worker count: MPW_THREADS is read when
-    the grid is built, not on each transform.
+    band is nonempty.  The spectral tables are built once per (n, box_l)
+    and shared, read-only, by equal grids; ``workers``, the FFT worker
+    count, is set per grid: MPW_THREADS is read when the grid is built,
+    not on each transform.
     """
 
     n: int
@@ -73,30 +104,8 @@ class Grid:
         object.__setattr__(self, "cell", h**3)
         object.__setattr__(self, "workers", _workers())
 
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=h)
-        kvec = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
-        object.__setattr__(self, "k", kvec)
-        kx, ky, kz = kvec
-        k2 = kx**2 + ky**2 + kz**2
-        object.__setattr__(self, "k2", k2)
-        inv_k2 = np.zeros_like(k2)
-        nz = k2 > 0
-        inv_k2[nz] = 1.0 / k2[nz]
-        object.__setattr__(self, "inv_k2", inv_k2)
-
-        m_cut = (self.n - 1) // 3
-        modes = np.rint(k1 / (2.0 * np.pi / self.box_l)).astype(int)
-        keep1 = np.abs(modes) <= m_cut
-        mask = keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
-        object.__setattr__(self, "dealias_mask", mask)
-        object.__setattr__(self, "mode_cut", m_cut)
-
-        # Nyquist planes: real fields cannot carry conjugate-symmetric
-        # content under odd (ik) multipliers there, so solenoidal
-        # projections drop them
-        nyq1 = np.arange(self.n) != self.n // 2
-        nyq = nyq1[:, None, None] & nyq1[None, :, None] & nyq1[None, None, :]
-        object.__setattr__(self, "nyquist_mask", nyq)
+        for name, table in _tables(self.n, self.box_l).items():
+            object.__setattr__(self, name, table)
 
     # -- geometry ---------------------------------------------------------
 
@@ -112,6 +121,13 @@ class Grid:
         """Broadcastable (X, Y, Z) coordinate arrays."""
         x = self.axis_coords()
         return np.meshgrid(x, x, x, indexing="ij")
+
+    def open_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, Y, Z) as (n, 1, 1), (1, n, 1) and (1, 1, n) arrays: an
+        element-wise formula in them broadcasts to the values it takes on
+        ``coords()``, with the per-axis work done on n points."""
+        x = self.axis_coords()
+        return np.ix_(x, x, x)
 
     def center(self) -> np.ndarray:
         return np.full(3, 0.5 * self.box_l)

@@ -91,12 +91,16 @@ def read_state(path: str) -> tuple[Grid, PhysParams, SpinorField, VectorField]:
             raise InputError(f"{path}: unknown model code {model_code}")
         count_psi = n ** 3 * 2
         count_a = n ** 3 * 3
+        # the payload size the header gives is held against the file's
+        # before any of it is read, so a corrupt n asks for no oversized read
+        payload = count_psi * 16 + count_a * 8
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size < payload:
+            raise InputError(f"{path}: truncated payload")
+        if size > payload:
+            raise InputError(f"{path}: trailing bytes after the payload")
         psi_raw = fh.read(count_psi * 16)
         a_raw = fh.read(count_a * 8)
-        if len(psi_raw) != count_psi * 16 or len(a_raw) != count_a * 8:
-            raise InputError(f"{path}: truncated payload")
-        if fh.read(1):
-            raise InputError(f"{path}: trailing bytes after the payload")
         # the grid is built once the payload has its size, so a corrupt n
         # costs no tables
         hbar, mass, c, charge, lam, v1, v2, v3 = params

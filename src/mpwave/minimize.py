@@ -499,7 +499,7 @@ def plane_wave_state(grid: Grid, p: PhysParams) -> tuple[SpinorField, VectorFiel
     """
     dk = 2.0 * np.pi / grid.box_l
     kstar = carrier_gate(grid, p, lattice=True) * dk
-    x, y, z = grid.coords()
+    x, y, z = grid.open_coords()
     phase = np.exp(1j * (kstar[0] * x + kstar[1] * y + kstar[2] * z))
     data = np.zeros((2,) + grid.shape, dtype=complex)
     data[0] = phase

@@ -171,28 +171,16 @@ def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma(a: int, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sigma^a h of the (2, ...) spinor ``h``, written to ``out`` when one
-    is given."""
-    if out is None:
-        out = np.empty_like(h)
+def _sigma(a: int, h: np.ndarray) -> np.ndarray:
+    """sigma^a h of the (2, ...) spinor ``h``; summed over a against a
+    stack, the adjoint of ``_spin_contract`` of model "P"."""
+    out = np.empty_like(h)
     if a == 0:
         out[0], out[1] = h[1], h[0]
     elif a == 1:
         out[0], out[1] = -1j * h[1], 1j * h[0]
     else:
         out[0], out[1] = h[0], -h[1]
-    return out
-
-
-def _spin_expand(model: str, h: np.ndarray) -> np.ndarray:
-    """Adjoint of ``_spin_contract``: the stack sigma^a h over a = x, y, z
-    for model "P", shape (3, 2, ...); model "S" keeps ``h``."""
-    if model == "S":
-        return h
-    out = np.empty((3,) + h.shape, dtype=complex)
-    for a in range(3):
-        _sigma(a, h, out[a])
     return out
 
 
@@ -220,26 +208,23 @@ def _laplacian_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
     """Transform of K^dagger K psi = sum_a D_a h_a, read from the record
     ``st``: h_a is K psi_a (model "S") or sigma^a K psi (model "P"), a
     constant matrix, so h needs no forward FFT of its own, and with A = 0
-    no transform at all.  The products a_low_a h_a take one inverse and one
-    forward transform of the stack ``_spin_expand`` of the band-limited
-    K psi_hat, a temporary; the sum runs direction by direction, the
-    derivative term first, and model "P" forms each sigma^a K psi_hat in
-    that loop, so no second stack is held beside the products."""
+    no transform at all.  The sum runs direction by direction, the
+    derivative term first, then the product a_low_a T h_a, which takes one
+    inverse and one forward transform of h_a alone, so no stack is held
+    beside the record and the sum."""
     kpsi = st.kpsi_hat
-    prod = None
-    if st.a_low is not None:
-        mask = grid.dealias_mask
-        low = grid.ifft(_spin_expand(p.model, kpsi * mask), overwrite=True)
-        np.multiply(st.a_low[:, None], low, out=low)
-        prod = grid.fft(low, overwrite=True)
-        np.multiply(mask, prod, out=prod)
-        np.multiply(p.charge / p.light_speed, prod, out=prod)
+    mask = grid.dealias_mask
     acc_hat = np.zeros(kpsi.shape[1:] if p.model == "S" else kpsi.shape, dtype=complex)
     for a in range(3):
         h_a = kpsi[a] if p.model == "S" else _sigma(a, kpsi)
         acc_hat += (-p.hbar * grid.k[a]) * h_a
-        if prod is not None:
-            acc_hat += prod[a]
+        if st.a_low is not None:
+            low = grid.ifft(h_a * mask, overwrite=True)
+            np.multiply(st.a_low[a], low, out=low)
+            prod = grid.fft(low, overwrite=True)
+            np.multiply(mask, prod, out=prod)
+            np.multiply(p.charge / p.light_speed, prod, out=prod)
+            acc_hat += prod
     return acc_hat
 
 
@@ -255,8 +240,13 @@ def spin_term(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     """-(hbar Q / c) T(sigma . B T psi), B = curl T(A): covariant_laplacian
     of model "P" minus that of model "S" on fields band limited to half
     the dealias cutoff (Lichnerowicz); a check, not a kernel."""
-    b_field = spectral.curl(grid, spectral.dealias(grid, component_array(grid, A, 3, "A")))
-    spin = sigma_dot(b_field, spectral.dealias(grid, component_array(grid, psi, 2, "psi")))
+    a_low = spectral.dealias(grid, component_array(grid, A, 3, "A"))
+    return _spin_term(grid, p, spectral.dealias(grid, component_array(grid, psi, 2, "psi")), a_low)
+
+
+def _spin_term(grid: Grid, p: PhysParams, psi_low, a_low) -> np.ndarray:
+    """``spin_term`` from psi_low = T psi and a_low = T A."""
+    spin = sigma_dot(spectral.curl(grid, a_low), psi_low)
     return -p.hbar * p.charge / p.light_speed * spectral.dealias(grid, spin)
 
 

@@ -69,6 +69,49 @@ class TestTrialSpec:
             TrialSpec(1.0, 1.0, margin=0.2)
 
 
+class TestSamplers:
+    """The samplers broadcast 1-D coordinates; each equals its form on the
+    full coordinate arrays of ``Grid.coords`` bit for bit."""
+
+    def test_trial_raw_matches_meshgrid_form(self, grid16):
+        p = params("P", v=0.2)
+        spec = TrialSpec.fitted(grid16, amplitude=0.7)
+        x, y, z = grid16.coords()
+        cx, cy, cz = grid16.center()
+        R = spec.dilation
+        xs, ys, zs = (x - cx) / R, (y - cy) / R, (z - cz) / R
+        r = np.sqrt(xs * xs + ys * ys + zs * zs)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            radial = np.where(r > 0, diagnostics_mod._bump_prime(r) / r, 0.0)
+        a_ref = np.zeros((3,) + grid16.shape)
+        a_ref[0] = radial * ys
+        a_ref[1] = -radial * xs
+        a_ref *= spec.amplitude * p.light_speed / p.charge
+        rb = np.sqrt(xs * xs + (ys + spec.psi_offset) ** 2 + zs * zs)
+        env_ref = diagnostics_mod._bump(rb / spec.psi_radius) * R ** (-1.5)
+        env_ref *= np.sqrt(p.lam) / np.sqrt(float(np.sum(env_ref ** 2)) * grid16.cell)
+        env, a_data = diagnostics_mod._trial_raw(grid16, p, spec)
+        assert np.array_equal(env, env_ref)
+        assert np.array_equal(a_data, a_ref)
+
+    def test_carrier_matches_meshgrid_form(self, grid16):
+        p = params("S", v=(0.1, -0.05, 0.08))
+        x, y, z = grid16.coords()
+        v = p.v_arr
+        ref = np.exp(1j * (p.mass / p.hbar) * (v[0] * x + v[1] * y + v[2] * z))
+        assert np.array_equal(diagnostics_mod._carrier(grid16, p), ref)
+
+    def test_periodic_dist_matches_meshgrid_form(self, grid16):
+        center = (3.0, 37.5, 21.2)
+        L = grid16.box_l
+        d = []
+        for c, w in zip(center, grid16.coords()):
+            raw = np.abs(w - c) % L
+            d.append(np.minimum(raw, L - raw))
+        ref = np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+        assert np.array_equal(diagnostics_mod._periodic_dist(grid16, center), ref)
+
+
 class TestTrialFields:
     def test_contract(self, grid32):
         p = params("S", v=0.1)

@@ -10,7 +10,7 @@ import importlib
 import numpy as np
 import pytest
 
-from mpwave import Grid, spectral
+from mpwave import Grid, cli, spectral
 from mpwave.diagnostics import TrialSpec
 from mpwave.energy import energy_functional
 from mpwave.fields import random_fields
@@ -92,6 +92,18 @@ SOLVE_BUDGET = {"S": 1000, "P": 1900}
 #: 1 / 2, the one direction 2 / 4 and the report 7 / 7 make up the rest.
 #: Model S runs the spin-up block of the spin-up plane wave, P the spinor
 PLANE_BUDGET = {"S": 24, "P": 27}
+
+#: scalar transforms of one check (``cli._check_lines``) at v = (0.1, 0, 0),
+#: (model S, model P): one record of the state (random: A 6, psi 4, K psi 6;
+#: the spin-up plane wave at A = 0: the block 2 for S, the spinor 4 for P)
+#: with the residual's current and gradient read from it, the Coulomb
+#: potential 2, the half-band pair cut from psi_hat and A_hat (3 / 2 + 3),
+#: one band of each half-band field with one stack of the D_a psi
+#: transforms (4 + 6 + 6), the two Laplacians read from that stack (14
+#: each, 2 at A = 0), the spin term 10 (none at A = 0) and the gauge line
+#: 33, whose right side is the inverse of the stack.  With each check on
+#: its own transforms a check took 199 / 195 (random) and 113 / 109 (plane)
+CHECK_BUDGET = {"random": (133, 129), "plane": (53, 56)}
 
 
 @pytest.fixture()
@@ -208,3 +220,18 @@ def test_transforms_per_solve(grid16, model, count_ffts):
     used = count_ffts(lambda: reports.append(minimize(grid16, p, MinimizeConfig(init="trial"))))
     assert reports[0].converged
     assert used <= SOLVE_BUDGET[model]
+
+
+@pytest.mark.parametrize("model", ["S", "P"])
+def test_transforms_per_check(grid16, model, count_ffts):
+    p = params(model, v=0.1)
+    states = {
+        "random": random_fields(grid16, p, seed=3, a_amp=0.1),
+        "plane": minimize_mod.plane_wave_state(grid16, p),
+    }
+    counts = {
+        name: count_ffts(lambda: cli._check_lines(grid16, p, *state))
+        for name, state in states.items()
+    }
+    column = "SP".index(model)
+    assert counts == {name: pair[column] for name, pair in CHECK_BUDGET.items()}

@@ -12,17 +12,22 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mpwave
-from mpwave import cli
+from mpwave import cli, spectral
+from mpwave.diagnostics import coulomb_lower_bound
+from mpwave.energy import apriori_bounds, energy_functional
 from mpwave.errors import InputError
-from mpwave.fields import PhysParams, random_fields
+from mpwave.fields import PhysParams, SpinorField, random_fields
 from mpwave.grid import Grid
 from mpwave.io import read_state, write_state
-from mpwave.minimize import MinimizeConfig, minimize, solve_vector_potential
+from mpwave.minimize import (MinimizeConfig, el_residual, minimize, plane_wave_state,
+                             solve_vector_potential)
+from mpwave.pauli import covariant_gradient, covariant_laplacian, spin_term
 
 from conftest import params
 
@@ -41,6 +46,7 @@ def run_module(*args):
 
 # header layout: magic(4) version(u32) n(u32) box_l(f64) model(u8) 8*f64
 _OFF_VERSION = 4
+_OFF_N = _OFF_VERSION + 4
 _OFF_BOX = 4 + 4 + 4
 _OFF_MODEL = _OFF_BOX + 8
 # the 8 f64 parameters follow the model byte: hbar, mass, c, Q, lambda, v
@@ -218,6 +224,21 @@ class TestStateFile:
             fh.write(b"\0")
         with pytest.raises(InputError, match="trailing bytes"):
             read_state(path)
+
+    @pytest.mark.parametrize("n", [2 ** 20, 4096])
+    def test_oversized_header_n_rejected(self, tmp_path, capsys, n):
+        """A header n whose payload the file cannot hold is refused before
+        any of the payload is read, and check exits 2 on it rather than
+        with a traceback (n = 2**20 overflowed the read size)."""
+        path = str(tmp_path / "s.mpwf")
+        grid = Grid(8, 40.0)
+        psi, A = random_fields(grid, params(), seed=3)
+        write_state(path, grid, params(), psi, A)
+        _patch_byte(path, _OFF_N, struct.pack("<I", n))
+        with pytest.raises(InputError, match="truncated payload"):
+            read_state(path)
+        rc, _, err = _main(["check", path], capsys)
+        assert rc == 2 and "truncated payload" in err
 
     def test_non_finite_payload_rejected(self, tmp_path, capsys):
         """A NaN in psi or an inf in A is refused, and check exits 2."""
@@ -675,3 +696,99 @@ class TestCli:
         progress = [line for line in proc.stderr.splitlines() if line.startswith("iter ")]
         assert len(progress) == 2
         assert "iter " not in proc.stdout
+
+
+def reference_check_lines(grid, p, psi, A):
+    """The lines of ``mpwave check`` built from the public functions, each
+    on its own transforms: the form ``cli._check_lines`` reads from one
+    record of the state and one of its half-band part."""
+    lines = []
+    br = energy_functional(grid, p, psi, A)
+    defect = abs(br.total - br.total_shifted) / max(abs(br.total), 1.0)
+    lines.append(f"{'PASS' if defect < 1e-8 else 'FAIL'} form-equivalence: "
+                 f"relative defect {defect:.3e}")
+
+    modes = np.rint(grid.k / (2.0 * np.pi / grid.box_l))
+    mask = np.all(np.abs(modes) <= grid.mode_cut // 2, axis=0)
+    psi_h = grid.ifft(grid.fft(psi.data) * mask)
+    a_h = grid.ifft(grid.fft(A.data) * mask).real
+    lap = covariant_laplacian(grid, p.with_(model="P"), psi_h, a_h)
+    lap_s = covariant_laplacian(grid, p.with_(model="S"), psi_h, a_h)
+    num = float(np.max(np.abs(lap - lap_s - spin_term(grid, p, psi_h, a_h))))
+    r = num / max(float(np.max(np.abs(lap))), 1e-300)
+    lines.append(f"{'PASS' if r < 1e-8 else 'FAIL'} spin-laplacian-identity: "
+                 f"relative defect {r:.3e}")
+
+    rng = np.random.default_rng(7)
+    u_hat = np.zeros(grid.shape, dtype=complex)
+    u_hat[(slice(0, 2),) * 3] = (rng.standard_normal((2, 2, 2))
+                                 + 1j * rng.standard_normal((2, 2, 2)))
+    u = np.real(grid.ifft(u_hat))
+    u *= 0.05 / max(np.max(np.abs(u)), 1e-300)
+    phase = np.exp(1j * p.charge / (p.hbar * p.light_speed) * u)
+    lhs = covariant_gradient(grid, p, phase * psi_h, a_h + spectral.gradient(grid, u).real)
+    rhs = phase * covariant_gradient(grid, p, psi_h, a_h)
+    r = float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(rhs))), 1e-300)
+    lines.append(f"{'PASS' if r < 1e-6 else 'FAIL'} gauge-covariance: relative defect {r:.3e}")
+
+    bounds = apriori_bounds(grid, p, psi, A, total=br.total)
+    lines.append(f"{'PASS' if bounds.all_hold else 'FAIL'} a-priori-bounds: "
+                 f"field {bounds.field_bound.lhs:.3e} <= {bounds.field_bound.rhs:.3e}, "
+                 f"low-field regime {bounds.low_field_regime}")
+    cb = coulomb_lower_bound(grid, p, psi, A, total=br.total)
+    lines.append(f"{'PASS' if cb.holds else 'FAIL'} coulomb-lower-bound: "
+                 f"energy {cb.energy:.6e} >= bound {cb.bound:.6e}")
+    res = el_residual(grid, p, psi, A)
+    if res.max_rel < 1e-3:
+        lines.append(f"PASS stationarity: relative residual {res.max_rel:.3e}")
+    else:
+        lines.append(f"SKIP stationarity: not a minimizer (residual {res.max_rel:.3e})")
+    return lines
+
+
+def _check_state(grid, model, state):
+    """A state of each kind the check reads differently: with a field
+    (random, at the benchmark's and at the default amplitude), spin-up
+    with a field (model S records the block) and the field-free plane
+    wave."""
+    p = params(model=model)
+    if state == "plane":
+        return (p,) + plane_wave_state(grid, p)
+    psi, A = random_fields(grid, p, seed=4, a_amp=0.1 if state == "random" else 1.0)
+    if state == "spin-up":
+        up = psi.data.copy()
+        up[1] = 0.0
+        psi = SpinorField(grid, up)
+    return p, psi, A
+
+
+_STATES = ["random", "random-a1", "spin-up", "plane"]
+
+
+class TestCheckSuite:
+    @pytest.mark.parametrize("state", _STATES)
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_lines_match_the_public_functions(self, grid16, model, state):
+        """Every line of the check, read from the shared records, equals the
+        line built from the public functions."""
+        p, psi, A = _check_state(grid16, model, state)
+        lines, ok = cli._check_lines(grid16, p, psi, A)
+        assert lines == reference_check_lines(grid16, p, psi, A)
+        assert ok == (not any(line.startswith("FAIL") for line in lines))
+
+    @pytest.mark.parametrize("state", ["random", "plane"])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_peak_memory(self, grid16, model, state):
+        """Each invariant frees its stacks before the next is built: the
+        traced peak of one check stays under 36 scalar complex fields (with
+        each check on its own transforms and every stack kept to the
+        suite's last line, it read 43 to 51)."""
+        p, psi, A = _check_state(grid16, model, state)
+        cli._check_lines(grid16, p, psi, A)
+        tracemalloc.start()
+        try:
+            cli._check_lines(grid16, p, psi, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * grid16.n ** 3 * 16

@@ -12,7 +12,7 @@ from mpwave import spectral
 from mpwave.energy import _wave_symbol, apriori_bounds, energy_functional, field_energy, psi_l6_norm
 from mpwave.diagnostics import TrialSpec, coulomb_double_integral, trial_fields
 from mpwave.errors import DomainGateError, InputError, SolverError
-from mpwave.fields import inner, l2_norm_sq, normalize_to_lambda, random_fields
+from mpwave.fields import SpinorField, inner, l2_norm_sq, normalize_to_lambda, random_fields
 from mpwave.pauli import SIGMA, covariant_gradient, current, kinetic_state, spin_term
 from mpwave.minimize import (
     MinimizeConfig,
@@ -527,6 +527,19 @@ class TestPlaneWaveState:
         assert res.max_rel < 1e-10
         br = energy_functional(grid16, p, psi.data, A.data)
         assert rel(br.total, lattice_energy(grid16, p)) < 1e-12
+
+    def test_matches_meshgrid_form(self, grid16):
+        """The sampler broadcasts 1-D coordinates; the carrier equals its
+        form on the full coordinate arrays bit for bit."""
+        p = params("S", v=(0.1, 0.05, -0.1))
+        dk = 2.0 * np.pi / grid16.box_l
+        kstar = np.round(p.mass * p.v_arr / (p.hbar * dk)) * dk
+        x, y, z = grid16.coords()
+        phase = np.exp(1j * (kstar[0] * x + kstar[1] * y + kstar[2] * z))
+        data = np.zeros((2,) + grid16.shape, dtype=complex)
+        data[0] = phase
+        ref = normalize_to_lambda(SpinorField(grid16, data), p.lam)
+        assert np.array_equal(plane_wave_state(grid16, p)[0].data, ref.data)
 
     def test_snaps_to_lattice(self, grid16):
         dk = 2.0 * np.pi / grid16.box_l

@@ -13,8 +13,8 @@ from mpwave.minimize import el_residual
 from mpwave.pauli import (
     SIGMA,
     _pair,
+    _sigma,
     _spin_contract,
-    _spin_expand,
     _state,
     covariant_gradient,
     covariant_laplacian,
@@ -92,8 +92,9 @@ class TestSigmaAlgebra:
 
 
     def test_component_contraction_matches_matrix_loop(self, grid16, rng):
-        """The component forms of the spin contraction and its adjoint
-        equal the per-matrix products exactly, and are adjoint."""
+        """The component forms of the spin contraction and of its adjoint,
+        the stack of sigma^a h, equal the per-matrix products exactly, and
+        are adjoint."""
         c = rng.standard_normal((3, 2) + grid16.shape) + 1j * rng.standard_normal(
             (3, 2) + grid16.shape
         )
@@ -103,9 +104,10 @@ class TestSigmaAlgebra:
             loop += np.einsum("ij,j...->i...", SIGMA[b], c[b])
         assert np.array_equal(_spin_contract("P", c), loop)
         stack = np.stack([np.einsum("ij,j...->i...", SIGMA[a], h) for a in range(3)])
-        assert np.array_equal(_spin_expand("P", h), stack)
+        expand = np.stack([_sigma(a, h) for a in range(3)])
+        assert np.array_equal(expand, stack)
         lhs = inner(grid16, h, _spin_contract("P", c))
-        rhs = inner(grid16, _spin_expand("P", h), c)
+        rhs = inner(grid16, expand, c)
         assert rel(lhs, rhs) < 1e-14
 
     def test_component_pairing_matches_matrix_loop(self, grid16, rng):

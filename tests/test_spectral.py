@@ -54,6 +54,25 @@ class TestGridBasics:
         assert kx[1, 0, 0] == pytest.approx(2.0 * np.pi / 40.0)
         assert kx[8, 0, 0] == pytest.approx(-16.0 * np.pi / 40.0)
 
+    def test_equal_grids_share_read_only_tables(self):
+        """The spectral tables are built once per (n, box_l) and shared by
+        equal grids; a write into one raises, so no grid can change the
+        tables of another."""
+        a, b, other = Grid(16, 40.0), Grid(16, 40.0), Grid(16, 30.0)
+        assert a.k is b.k and a.dealias_mask is b.dealias_mask
+        assert other.k is not a.k
+        assert not np.array_equal(other.k, a.k)
+        for name in ("k", "k2", "inv_k2", "dealias_mask", "nyquist_mask"):
+            table = getattr(a, name)
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1
+
+    def test_open_coords_broadcast_to_coords(self, grid16):
+        x, y, z = grid16.open_coords()
+        assert (x.shape, y.shape, z.shape) == ((16, 1, 1), (1, 16, 1), (1, 1, 16))
+        for full, part in zip(grid16.coords(), (x, y, z)):
+            assert np.array_equal(full, np.broadcast_to(part, grid16.shape))
+
     def test_parseval(self, grid16, rng):
         f = rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
         direct = float(np.sum(np.abs(f) ** 2)) * grid16.cell
