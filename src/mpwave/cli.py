@@ -436,8 +436,9 @@ def _half_band(grid, psi_hat, a_hat) -> tuple:
 def _half_band_checks(grid, p, psi_h, a_h) -> tuple:
     """The spin-Laplacian identity and gauge covariance of the half-band
     pair, from one band of each field and one stack of the transforms of
-    the three D_a psi_h: both Laplacians read it as their K psi, and the
-    gauge line's right side is its inverse transform, which consumes it."""
+    the three D_a psi_h: the model S Laplacian reads it as its K psi, and
+    the gauge line's right side is its inverse transform, which consumes
+    it."""
     psi_hat, psi_low = spectral.band(grid, psi_h)
     a_low = pauli._a_band(grid, a_h)[1]
     stack = pauli._covariant_hat(grid, p, psi_hat, psi_low, a_low)
@@ -448,14 +449,17 @@ def _half_band_checks(grid, p, psi_h, a_h) -> tuple:
 
 def _spin_identity(grid, p, psi_hat, psi_low, stack, a_low) -> tuple:
     """Lichnerowicz identity: the model P Laplacian equals the model S one
-    plus the spin term, which vanishes at A = 0 (a_low None)."""
-    def laplacian(model, kpsi_hat):
+    plus the spin term, which vanishes at A = 0 (a_low None).  The model P
+    side reads sigma . D psi from ``kinetic_hat``, as ``covariant_laplacian``
+    does."""
+    def laplacian(pm, kpsi_hat):
         st = pauli.KineticState(psi_hat, psi_low, kpsi_hat, a_low)
-        return grid.ifft(pauli._laplacian_hat(grid, p.with_(model=model), st), overwrite=True)
+        return grid.ifft(pauli._laplacian_hat(grid, pm, st), overwrite=True)
 
-    lap = laplacian("P", pauli._spin_contract("P", stack))
+    p_spin = p.with_(model="P")
+    lap = laplacian(p_spin, pauli.kinetic_hat(grid, p_spin, psi_hat, psi_low, a_low))
     den = max(float(np.max(np.abs(lap))), 1e-300)
-    lap -= laplacian("S", stack)
+    lap -= laplacian(p.with_(model="S"), stack)
     if a_low is not None:
         lap -= pauli._spin_term(grid, p, psi_low, a_low)
     num = float(np.max(np.abs(lap)))

@@ -193,8 +193,8 @@ def _witness_energy(grid: Grid, p: PhysParams, spec: TrialSpec, carrier: np.ndar
     """``energy_functional(*trial_fields(grid, p, spec)).total`` to rounding,
     read from the transforms the sampler holds: the record of the spin-up
     block against T A, taken from the projected A_hat, and the field term
-    of that A_hat.  11 scalar FFTs: A_hat 3, T A 3, psi_hat and T psi 2,
-    K psi_hat 3."""
+    of that A_hat.  11 scalar FFTs for model S, 10 for P: A_hat 3, T A 3,
+    psi_hat and T psi 2, K psi_hat 3 / 2."""
     up, a_hat = _trial_sample(grid, p, spec, carrier, potential=True)
     a_low = grid.ifft(a_hat * grid.dealias_mask, overwrite=True).real
     return _psi_energy(grid, p, pauli.kinetic_state(grid, p, up, a_low)) + _field_part(grid, p, a_hat)
@@ -381,7 +381,7 @@ def negativity_witness(
     transforms the sampler holds (``_witness_energy``): the spin-up block
     of psi, and the trial A projected once on its transform, from which
     the field term and T A are read with no round trip through real space.
-    A row costs 11 scalar FFTs.
+    A row costs 11 scalar FFTs for model S, 10 for model P.
     """
     if num < 1:
         raise InputError(f"the scan needs at least one point, got num = {num}")

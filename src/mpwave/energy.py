@@ -154,8 +154,9 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     """Evaluate the variational energy and its shifted decomposition.
 
     A psi whose spin-down component is exactly zero is evaluated on its
-    spin-up block (``fields._spin_up``), for both models: 11 scalar FFTs
-    with a field instead of 16, 2 at A = 0 instead of 4.
+    spin-up block (``fields._spin_up``), for both models: with a field 11
+    scalar FFTs instead of 16 for model S, 10 instead of 12 for P; 2 at
+    A = 0 instead of 4.
     """
     psi = _spin_up(component_array(grid, psi, 2, "psi"))
     a_low, field = _field_band(grid, p, component_array(grid, A, 3, "A"))[1:]
@@ -173,7 +174,11 @@ def _energy(grid: Grid, p: PhysParams, psi: np.ndarray, st: pauli.KineticState,
     boost = (p.charge / p.light_speed) * (p.mass * p.light_speed / p.charge * v)
     kpsi_hat = st.kpsi_hat
     kinetic = _kinetic(grid, p, kpsi_hat)
-    kpsi_hat += pauli._spin_contract(p.model, boost.reshape(3, 1, 1, 1, 1) * st.psi_hat)
+    if p.model == "P":
+        kpsi_hat += pauli._sigma_mul(boost, st.psi_hat)
+    else:
+        for a in range(3):
+            kpsi_hat[a] += boost[a] * st.psi_hat
     kinetic_sh = _kinetic(grid, p, kpsi_hat)
     drift = _drift(grid, p, st.psi_hat)
 

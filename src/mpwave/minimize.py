@@ -31,10 +31,10 @@ div A = 0 by alternating two moves:
 
 Each psi is banded once.  Its A-solves read psi_hat and T psi from the
 record the loop holds (the accepted trial's, or the band taken at the
-start), and its record against a new A reuses them for the 6 product
-transforms alone.  The report bands the polished A once, and the
-residual, the energy breakdown and omega read that A_hat and T A and one
-record of the polished pair.  The public ``solve_vector_potential``,
+start), and its record against a new A reuses them for the product
+transforms alone, 6 for model S and 2 for model P.  The report bands the
+polished A once, and the residual, the energy breakdown and omega read
+that A_hat and T A and one record of the polished pair.  The public ``solve_vector_potential``,
 ``el_residual``, ``energy_functional`` and ``omega_from_theta`` check
 their inputs, build the same record and run the same bodies, so the
 report equals them bit for bit.
@@ -315,16 +315,19 @@ def _a_operator(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> Callable[[np.
 
     Maps the transform of a solenoidal zero-mean field a to the transform
     of the energy Hessian applied to it: wave symbol / 4 pi plus -1/c times
-    the current of the field part of a, re-projected, with k = 0 frozen.
+    the current of the field part of K psi at A = a (``pauli._field_hat``),
+    re-projected, with k = 0 frozen.  One matvec takes 18 scalar transforms
+    for model S and 10 for model P, whose field part is one transform of
+    the spinor (sigma . T a) T psi.
     """
     sym = _field_symbol(grid, p)
 
     def op(a_hat: np.ndarray) -> np.ndarray:
-        # the field part, contracted on its transform as kinetic_hat does, is
-        # passed on unnamed, so each stack goes once the next holds its result
-        out = pauli._current_hat(grid, p, psi_low, pauli._spin_contract(p.model, pauli._field_hat(
+        # the field part of K psi at A = a, as kinetic_hat forms it, is passed
+        # on unnamed, so each stack goes once the next holds its result
+        out = pauli._current_hat(grid, p, psi_low, pauli._field_hat(
             grid, p, psi_low, grid.ifft(a_hat * grid.dealias_mask, overwrite=True).real
-        )))
+        ))
         np.multiply(-1.0 / p.light_speed, out, out=out)
         out += sym * a_hat
         spectral.project_hat(grid, out)
@@ -481,7 +484,10 @@ def _solve_vector_potential(
             best_x[...] = x
     logger.debug("A-solve: %s after %d operator applications, best |r|/ref = %.3e",
                  reason, n_ops, best / b_norm)
-    out = np.real(grid.ifft(best_x, overwrite=True))
+    # each iterate carries the projection's rounding of the longitudinal
+    # forcing, eps |J_long|, which can dwarf an A near zero; projected once
+    # more, the result is solenoidal to its own rounding
+    out = np.real(grid.ifft(spectral.project_hat(grid, best_x), overwrite=True))
     if not np.all(np.isfinite(out)):
         raise SolverError("vector-potential subproblem diverged")
     return VectorField(grid, out), n_ops
@@ -805,9 +811,10 @@ def _report(
     """``el_residual``, ``energy_functional`` and ``omega_from_theta`` of
     the pair (psi, A), bit for bit, from one band of A and one record of
     the pair built on the band ``psi_hat``, ``psi_low`` of psi: 6 scalar
-    transforms for A_hat and T A and 6 for K psi with a field, none at
-    A = 0, besides the residual's current and gradient.  Each reader that
-    writes into what it reads comes after every other reader of it."""
+    transforms for A_hat and T A and 6 (S) or 2 (P) for K psi with a
+    field, none at A = 0, besides the residual's current and gradient.
+    Each reader that writes into what it reads comes after every other
+    reader of it."""
     a_hat, a_low, field_term = _field_band(grid, p, A)
     st = pauli._record(grid, p, psi_hat, psi_low, a_low)
     del a_low

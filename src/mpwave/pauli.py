@@ -17,14 +17,22 @@ K^dagger K psi, its exact psi-gradient, in both.  The one kernel is
 and T A, with the derivative as the multiplier -hbar k.  One frozen
 ``KineticState`` per state carries these transforms, built once by
 ``kinetic_state``; the real-space forms, the Laplacian, the current and
-every energy term read it.  A spin-up state (psi_down exactly zero) may
-be carried as its (1, n, n, n) block: its stacks are (3, 1, n, n, n),
-``_spin_contract`` of model "P" writes sigma . D psi from D psi_up alone
-and ``_pair`` of model "S" sums the components it is given, so the
-record costs 2 scalar transforms for psi and 3 for K psi with a field.
-The energy terms read the record of a block for either model; the model
-P current pairs T psi with both components of sigma . D psi, so a
-model P solve carries the full spinor.
+every energy term read it.
+
+Every sum over the directions a is taken before a forward transform:
+sigma is a constant matrix and the sum is linear, so both commute with
+the mask and the FFT.  Model P forms (sigma . T A) T psi pointwise
+(``_sigma_mul``) and transforms that one spinor, 2 scalar transforms
+for K psi with a field where the three products took 6; model S sums
+the products A_a T h_a of its Laplacian in real space.  A spin-up
+state (psi_down exactly zero) may be carried as its (1, n, n, n) block:
+``_sigma_mul`` leaves out its psi_down terms, model S keeps the
+(3, 1, n, n, n) stack, and ``_pair`` of model "S" sums the components
+it is given, so the record costs 2 scalar transforms for psi and 3
+(S) or 2 (P) for K psi with a field.  The energy terms read the record
+of a block for either model; the model P current pairs T psi with both
+components of sigma . D psi, so a model P solve carries the full
+spinor.
 
 The Lichnerowicz identity
 
@@ -64,26 +72,61 @@ def sigma_dot(vec: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """
     vec = np.asarray(vec)
     psi = np.asarray(psi)
-    vec = vec.reshape((3, 1) + vec.shape[1:] + (1,) * (psi.ndim - vec.ndim))
-    return _spin_contract("P", vec * psi)
+    return _sigma_mul(vec.reshape(vec.shape + (1,) * (psi.ndim - vec.ndim)), psi)
 
 
-def _field_hat(grid: Grid, p: PhysParams, psi_low, a_low) -> np.ndarray:
-    """Field part (Q/c) mask FFT(a_low_a psi_low) of the three D_a psi_hat,
-    (3, 2, n, n, n): the three products take one transform, in place."""
-    out = grid.fft(a_low[:, None] * psi_low, overwrite=True)
+def _sigma_mul(a, psi: np.ndarray) -> np.ndarray:
+    """(sigma . a) psi, pointwise, shape (2, ...): of a (2, ...) spinor,
+
+        ((a_x - i a_y) psi_down + a_z psi_up, (a_x + i a_y) psi_up - a_z psi_down),
+
+    and of a (1, ...) spin-up block the same with its psi_down terms left
+    out.  ``a`` is indexed by direction: a (3, ...) stack of fields, such
+    as T A or the wavenumbers k, or a constant 3-vector.  Each component
+    is formed in place, with one temporary of its size at a time."""
+    up = psi[0]
+    out = np.empty((2,) + np.broadcast_shapes(np.shape(a[0]), up.shape), dtype=complex)
+    np.multiply(a[1], up, out=out[1])
+    out[1] *= 1j
+    out[1] += a[0] * up
+    if len(psi) == 1:
+        np.multiply(a[2], up, out=out[0])
+        return out
+    down = psi[1]
+    np.multiply(a[1], down, out=out[0])
+    out[0] *= -1j
+    out[0] += a[0] * down
+    out[0] += a[2] * up
+    out[1] -= a[2] * down
+    return out
+
+
+def _product_hat(grid: Grid, p: PhysParams, prod: np.ndarray) -> np.ndarray:
+    """(Q/c) mask FFT(prod) of a product of T A with a band-limited field:
+    one transform call, in place over ``prod``, a temporary of the caller."""
+    out = grid.fft(prod, overwrite=True)
     np.multiply(grid.dealias_mask, out, out=out)
     np.multiply(p.charge / p.light_speed, out, out=out)
     return out
 
 
+def _field_hat(grid: Grid, p: PhysParams, psi_low, a_low) -> np.ndarray:
+    """Field part of the transform of K psi from psi_low = T psi and
+    a_low = T A: (Q/c) mask FFT((sigma . a_low) psi_low), (2, ...), for
+    "P"; the stack (Q/c) mask FFT(a_low_a psi_low), (3, c, ...), for "S"."""
+    if p.model == "P":
+        return _product_hat(grid, p, _sigma_mul(a_low, psi_low))
+    return _product_hat(grid, p, a_low[:, None] * psi_low)
+
+
 def _covariant_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarray:
-    """Transforms of the three D_a psi, (3, 2, n, n, n): -hbar k_a psi_hat
-    plus ``_field_hat``, a_low None for A = 0; the derivative terms are
-    added one direction at a time, so no second stack is held."""
+    """Transforms of the three D_a psi, (3, c, n, n, n), for either model:
+    -hbar k_a psi_hat plus the field part, a_low None for A = 0; the
+    derivative terms are added one direction at a time, so no second
+    stack is held."""
     if a_low is None:
         return (-p.hbar * grid.k)[:, None] * psi_hat
-    out = _field_hat(grid, p, psi_low, a_low)
+    out = _product_hat(grid, p, a_low[:, None] * psi_low)
     for a in range(3):
         out[a] += (-p.hbar * grid.k[a]) * psi_hat
     return out
@@ -94,11 +137,25 @@ def kinetic_hat(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> np.ndarra
     for "P", the stack D psi for "S".
 
     Takes psi_hat = FFT(psi), psi_low = T psi and a_low = T A (None for
-    A = 0), and spends one forward transform per direction on the products
-    a_low_a psi_low, in one call.  The kinetic energy of either model is
-    |K psi|^2 / 2m; callers take it from this transform by Parseval.
+    A = 0).  Model "P" reads
+
+        K psi_hat = -hbar (sigma . k) psi_hat + (Q/c) mask FFT((sigma . T A) T psi),
+
+    one forward transform of a spinor; model "S" spends one forward
+    transform per direction on the products a_low_a psi_low, in one call.
+    The derivative terms are added into the transform of the field part.
+    The kinetic energy of either model is |K psi|^2 / 2m; callers take it
+    from this transform by Parseval.
     """
-    return _spin_contract(p.model, _covariant_hat(grid, p, psi_hat, psi_low, a_low))
+    if p.model == "S":
+        return _covariant_hat(grid, p, psi_hat, psi_low, a_low)
+    deriv = _sigma_mul(grid.k, psi_hat)
+    deriv *= -p.hbar
+    if a_low is None:
+        return deriv
+    out = _field_hat(grid, p, psi_low, a_low)
+    out += deriv
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,14 +171,16 @@ class KineticState:
 
 def kinetic_state(grid: Grid, p: PhysParams, psi, a_low=None) -> KineticState:
     """The ``KineticState`` of psi against ``a_low`` = T A, or A = 0 when
-    it is None: 4 scalar transforms for psi, and 6 for K psi with a field.
+    it is None: 4 scalar transforms for psi, and for K psi with a field 6
+    (model S) or 2 (model P).
     Callers that evaluate many psi against one A band it once."""
     return _record(grid, p, *spectral.band(grid, as_array(psi)), a_low)
 
 
 def _record(grid: Grid, p: PhysParams, psi_hat, psi_low, a_low) -> KineticState:
-    """The ``KineticState`` of the psi whose FFT and T psi are given: the 6
-    product transforms of K psi with a field, none at A = 0 (a_low None).
+    """The ``KineticState`` of the psi whose FFT and T psi are given: the
+    product transforms of K psi with a field (one per direction and
+    component for model S, one per component for model P), none at A = 0.
     A caller that holds the band of psi from an earlier record of the same
     psi rebuilds it against a new A for these alone."""
     return KineticState(psi_hat, psi_low, kinetic_hat(grid, p, psi_hat, psi_low, a_low), a_low)
@@ -148,46 +207,10 @@ def covariant_gradient(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
     return grid.ifft(_covariant_hat(grid, p, psi_hat, psi_low, a_low), overwrite=True)
 
 
-def _spin_contract(model: str, c: np.ndarray) -> np.ndarray:
-    """Kinetic contraction of the model.
-
-    ``c`` stacks one spinor per direction, shape (3, 2, ...), or one
-    spin-up block, (3, 1, ...).  Model "P" contracts it with the Pauli
-    matrices to sum_b sigma^b c_b, a (2, ...) spinor, summed in the order
-    x, y, z; of a spin-up block that is (c_z, c_x + i c_y), the two-
-    component sum with its exact zeros left out.  Model "S" keeps ``c``
-    as it is.  The contraction is a constant matrix, so it commutes with
-    the FFT.
-    """
-    if model == "S":
-        return c
-    out = np.empty((2,) + c.shape[2:], dtype=complex)
-    if c.shape[1] == 1:
-        out[0] = c[2, 0]
-        out[1] = c[0, 0] + 1j * c[1, 0]
-        return out
-    out[0] = c[0, 1] - 1j * c[1, 1] + c[2, 0]
-    out[1] = c[0, 0] + 1j * c[1, 0] - c[2, 1]
-    return out
-
-
-def _sigma(a: int, h: np.ndarray) -> np.ndarray:
-    """sigma^a h of the (2, ...) spinor ``h``; summed over a against a
-    stack, the adjoint of ``_spin_contract`` of model "P"."""
-    out = np.empty_like(h)
-    if a == 0:
-        out[0], out[1] = h[1], h[0]
-    elif a == 1:
-        out[0], out[1] = -1j * h[1], 1j * h[0]
-    else:
-        out[0], out[1] = h[0], -h[1]
-    return out
-
-
 def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise Re <psi_low, g_a> (model "S") or Re <psi_low, sigma^a g>
-    (model "P") for a = x, y, z, stacked as (3, n, n, n), for ``g`` as
-    returned by ``_spin_contract``.  Model "S" writes its products over the
+    (model "P") for a = x, y, z, stacked as (3, n, n, n), for ``g`` = T K
+    psi as ``kinetic_hat`` builds it.  Model "S" writes its products over the
     stack ``g``, so no second stack is held, and sums the spin components
     it is given: two for a spinor, one for a spin-up block, whose sum is
     that of the spinor with its exact zeros left out."""
@@ -205,27 +228,35 @@ def _pair(model: str, psi_low: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _laplacian_hat(grid: Grid, p: PhysParams, st: KineticState) -> np.ndarray:
-    """Transform of K^dagger K psi = sum_a D_a h_a, read from the record
-    ``st``: h_a is K psi_a (model "S") or sigma^a K psi (model "P"), a
-    constant matrix, so h needs no forward FFT of its own, and with A = 0
-    no transform at all.  The sum runs direction by direction, the
-    derivative term first, then the product a_low_a T h_a, which takes one
-    inverse and one forward transform of h_a alone, so no stack is held
-    beside the record and the sum."""
+    """Transform of K^dagger K psi, read from the record ``st``, with no
+    transform at A = 0.
+
+    Model "P": sigma . D is self-adjoint, so K^dagger K psi = K h with
+    h = K psi, whose transform the record holds: ``kinetic_hat`` of h_hat
+    and T h, one inverse and one forward transform of a spinor.  Model
+    "S": sum_a D_a h_a with h_a = (D psi)_a, that is
+
+        -hbar sum_a k_a h_a_hat + (Q/c) mask FFT(sum_a A_a T h_a),
+
+    whose products are summed in real space, one inverse transform per
+    direction and one forward transform of the sum.  In both the product
+    sum is transformed in place before the derivative terms are added,
+    so no stack is held beside the record and the sum."""
     kpsi = st.kpsi_hat
-    mask = grid.dealias_mask
-    acc_hat = np.zeros(kpsi.shape[1:] if p.model == "S" else kpsi.shape, dtype=complex)
-    for a in range(3):
-        h_a = kpsi[a] if p.model == "S" else _sigma(a, kpsi)
-        acc_hat += (-p.hbar * grid.k[a]) * h_a
-        if st.a_low is not None:
-            low = grid.ifft(h_a * mask, overwrite=True)
+    if p.model == "P":
+        low = None if st.a_low is None else grid.ifft(kpsi * grid.dealias_mask, overwrite=True)
+        return kinetic_hat(grid, p, kpsi, low, st.a_low)
+    out = np.zeros(kpsi.shape[1:], dtype=complex)
+    if st.a_low is not None:
+        for a in range(3):
+            low = grid.ifft(kpsi[a] * grid.dealias_mask, overwrite=True)
             np.multiply(st.a_low[a], low, out=low)
-            prod = grid.fft(low, overwrite=True)
-            np.multiply(mask, prod, out=prod)
-            np.multiply(p.charge / p.light_speed, prod, out=prod)
-            acc_hat += prod
-    return acc_hat
+            out += low
+            del low
+        out = _product_hat(grid, p, out)
+    for a in range(3):
+        out += (-p.hbar * grid.k[a]) * kpsi[a]
+    return out
 
 
 def covariant_laplacian(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:

@@ -22,41 +22,49 @@ from conftest import params
 minimize_mod = importlib.import_module("mpwave.minimize")
 diagnostics_mod = importlib.import_module("mpwave.diagnostics")
 
-#: scalar transforms per call, (model S, model P), at v = (0.1, 0, 0)
+#: scalar transforms per call, (model S, model P), at v = (0.1, 0, 0).
+#: Every sum over directions and every sigma contraction is taken before
+#: its forward transform: model P's K psi_hat takes 2 product transforms
+#: (6 at the parent commit) and model S's K^dagger K 3c inverse + c
+#: forward (6c), so the parent's counts, given after each entry where
+#: they differ, fell wherever a K psi with a field or a Laplacian is made
 BUDGET = {
     # A: forward 3 + band limit 3; psi: forward 2 + band limit 2;
-    # K psi_hat: one forward transform of a_low_a * T psi per direction
-    "energy_functional": (16, 16),
-    # psi_down = 0: A 6, the spin-up block forward 1 + band limit 1, and one
-    # product transform per direction
-    "energy_functional, spin-up": (11, 11),
+    # K psi_hat: one forward transform of a_low_a * T psi per direction (S),
+    # of (sigma . T A) T psi (P); parent 16 / 16
+    "energy_functional": (16, 12),
+    # psi_down = 0: A 6, the spin-up block forward 1 + band limit 1, and the
+    # product transforms 3 / 2; parent 11 / 11
+    "energy_functional, spin-up": (11, 10),
     # one row of the witness scan: the trial A projected on its transform 3,
-    # T A 3 inverse, the spin-up block 2 and its products 3
-    "witness row": (11, 11),
-    # the KineticState 16, K^dagger K 12, one inverse 2
-    "grad_psi": (30, 30),
-    # the solver's call, reading the KineticState of its energy evaluation
-    "grad_psi from the record": (14, 14),
-    # the KineticState 16, G from it 14, the current pairing: T K psi 6 / 2
-    # inverse and the pair 3 forward; A_hat comes from the band limit of A
-    "el_residual": (39, 35),
-    # one Armijo trial energy: psi_hat, T psi and K psi_hat
-    "trial energy": (10, 10),
-    # the KineticState 16, the pairing 9 / 5, one inverse 3
-    "current": (28, 24),
-    # T a 3 inverse, its products with T psi 6 forward; the current of that
-    # field part, contracted on its transform: 6 / 2 inverse, the pair 3
-    "A-operator matvec": (18, 14),
+    # T A 3 inverse, the spin-up block 2 and its products 3 / 2; parent 11 / 11
+    "witness row": (11, 10),
+    # the KineticState 16 / 12, K^dagger K 8 / 4, one inverse 2; parent 30 / 30
+    "grad_psi": (26, 18),
+    # the solver's call, reading the KineticState of its energy evaluation;
+    # parent 14 / 14
+    "grad_psi from the record": (10, 6),
+    # the KineticState 16 / 12, G from it 10 / 6, the current pairing: T K
+    # psi 6 / 2 inverse and the pair 3 forward; A_hat comes from the band
+    # limit of A; parent 39 / 35
+    "el_residual": (35, 23),
+    # one Armijo trial energy: psi_hat, T psi and K psi_hat; parent 10 / 10
+    "trial energy": (10, 6),
+    # the KineticState 16 / 12, the pairing 9 / 5, one inverse 3; parent 28 / 24
+    "current": (28, 20),
+    # T a 3 inverse, the field part of K psi at A = a 6 / 2 forward; the
+    # current of that field part: 6 / 2 inverse, the pair 3; parent 18 / 14
+    "A-operator matvec": (18, 10),
     # one warm A-solve less its matvecs: psi_hat and T psi 4, the forcing
     # at A = 0 (no product transforms) 6 / 2 + 3, the warm start 3 forward,
     # the result 3 inverse
     "A-solve, fixed": (19, 15),
     # the solver's A-solve, reading psi_hat and T psi from the record
     "A-solve from the band, fixed": (15, 11),
-    # the solver's report from the band of psi: A_hat and T A 6, K psi 6,
-    # the residual's current 6 / 2 + 3 and gradient 14; the energy and
-    # omega read the same record and A_hat
-    "report": (35, 31),
+    # the solver's report from the band of psi: A_hat and T A 6, K psi 6 / 2,
+    # the residual's current 6 / 2 + 3 and gradient 10 / 6; the energy and
+    # omega read the same record and A_hat; parent 35 / 31
+    "report": (31, 19),
 }
 
 #: scalar transforms per call at A = 0, which reads the field-free record:
@@ -80,9 +88,11 @@ START_BUDGET = {"trial": 0, "random": 2, "plane": 0}
 #: solved at the start, after every fifth accepted step and at the polish,
 #: each from A = 0 with no operator application.  Model S runs the spin-up
 #: block of its spin-up start, so no transform of the zero psi_down is made
-#: (776 / 1337 measured for S / P, S 1351 on the full spinor; the bounds
-#: leave room above both, and the S one below the full spinor's count)
-SOLVE_BUDGET = {"S": 1000, "P": 1900}
+#: (718 / 835 measured for S / P; 776 / 1337 at the parent commit, before
+#: the sums over directions moved ahead of the transforms, and S 1351 on
+#: the full spinor before that; each bound leaves room above the count and
+#: sits below the parent's)
+SOLVE_BUDGET = {"S": 1000, "P": 1000}
 
 #: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: psi is
 #: banded once (2 / 4) and both A-solves and every record read that band;
@@ -94,16 +104,19 @@ SOLVE_BUDGET = {"S": 1000, "P": 1900}
 PLANE_BUDGET = {"S": 24, "P": 27}
 
 #: scalar transforms of one check (``cli._check_lines``) at v = (0.1, 0, 0),
-#: (model S, model P): one record of the state (random: A 6, psi 4, K psi 6;
-#: the spin-up plane wave at A = 0: the block 2 for S, the spinor 4 for P)
-#: with the residual's current and gradient read from it, the Coulomb
-#: potential 2, the half-band pair cut from psi_hat and A_hat (3 / 2 + 3),
-#: one band of each half-band field with one stack of the D_a psi
-#: transforms (4 + 6 + 6), the two Laplacians read from that stack (14
-#: each, 2 at A = 0), the spin term 10 (none at A = 0) and the gauge line
-#: 33, whose right side is the inverse of the stack.  With each check on
-#: its own transforms a check took 199 / 195 (random) and 113 / 109 (plane)
-CHECK_BUDGET = {"random": (133, 129), "plane": (53, 56)}
+#: (model S, model P): one record of the state (random: A 6, psi 4, K psi
+#: 6 / 2; the spin-up plane wave at A = 0: the block 2 for S, the spinor 4
+#: for P) with the residual's current and gradient read from it, the
+#: Coulomb potential 2, the half-band pair cut from psi_hat and A_hat
+#: (3 / 2 + 3), one band of each half-band field with one stack of the D_a
+#: psi transforms (4 + 6 + 6), the model S Laplacian read from that stack
+#: (10, 2 at A = 0), the model P one from the sigma . D psi of
+#: ``kinetic_hat`` (2 + 6, 2 at A = 0), the spin term 10 (none at A = 0)
+#: and the gauge line 33, whose right side is the inverse of the stack.
+#: At the parent commit, with the sums over directions taken after the
+#: transforms, a check took 133 / 129 (random) and 53 / 56 (plane); with
+#: each check on its own transforms it took 199 / 195 and 113 / 109
+CHECK_BUDGET = {"random": (119, 107), "plane": (53, 56)}
 
 
 @pytest.fixture()
