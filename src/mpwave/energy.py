@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pauli, spectral
 from .errors import DomainGateError
-from .fields import PhysParams, _spin_up, component_array, l2_norm_sq
+from .fields import PhysParams, _re_dot, _spin_up, component_array, l2_norm_sq
 from .grid import Grid
 
 #: Best constant in the Sobolev inequality |f|_{L^6} <= K_S |grad f|_{L^2}
@@ -95,10 +95,12 @@ def _wave_symbol(grid: Grid, p: PhysParams) -> np.ndarray:
 def _parseval(grid: Grid, fh: np.ndarray, weight: np.ndarray | None = None) -> float:
     """Grid norm |f|^2 = h^3 sum |f|^2 = (h^3 / n^3) sum |f_hat|^2 read from
     the transform, each mode weighted by the (n, n, n) symbol ``weight``
-    when one is given (the norm of the field that symbol maps f to)."""
+    when one is given (the norm of the field that symbol maps f to).  The
+    unweighted sum is ``fields._re_dot``, a BLAS dot with no temporary."""
+    if weight is None:
+        return _re_dot(fh) * grid.cell / grid.n ** 3
     sq = fh.real ** 2 + fh.imag ** 2
-    if weight is not None:
-        sq *= weight
+    sq *= weight
     return float(np.sum(sq)) * grid.cell / grid.n ** 3
 
 

@@ -14,9 +14,17 @@ travels as its spin-up block ``psi[:1]``, shape ``(1,n,n,n)``
 (``_spin_up``), so no transform or product is spent on the zero; every
 container and public return value keeps ``(2,n,n,n)`` (``_spinor``).
 
-All reductions (norms, inner products, integrals) go through ``np.sum``,
-whose pairwise summation order is fixed for a given array shape — this
-is the project's deterministic-reduction convention.
+Reductions follow one deterministic-reduction convention.  Unweighted
+sums, Re Σ ū·w and Σ|u|² (``_re_dot``, read by ``l2_norm_sq``, the
+unweighted Parseval norm and the solver's inner products), are BLAS dots
+over the float64 views of each (n, n, n) block, with no temporary, and
+the block sums are added in order; ``inner`` is ``np.vdot``.  A BLAS dot
+splits its sum by the CPU's vector width and the BLAS thread count, so
+these bits are fixed on one machine at one BLAS thread count but may
+differ across CPUs.  Adding the blocks in order keeps a spin-up block's
+sum equal to its spinor's bit for bit: the spinor adds an exact 0 per
+spin-down block.  Weighted sums and integrals go through ``np.sum``,
+whose pairwise summation order is fixed for a given array shape.
 """
 
 from __future__ import annotations
@@ -173,13 +181,37 @@ def _spinor(psi: np.ndarray) -> np.ndarray:
     return psi if len(psi) == 2 else np.concatenate([psi, np.zeros_like(psi)])
 
 
+def _float_blocks(u) -> np.ndarray:
+    """The float64 view of ``u``, one row per (n, n, n) block (per trailing
+    three axes): real and imaginary parts interleave for a complex array."""
+    u = np.asarray(u)
+    u = np.ascontiguousarray(u, dtype=np.complex128 if u.dtype.kind == "c" else np.float64)
+    return u.reshape(-1, int(np.prod(u.shape[-3:]))).view(np.float64)
+
+
+def _re_dot(u, w=None) -> float:
+    """Re Σ ū·w over every entry, or Σ|u|² when ``w`` is None: one BLAS dot
+    per (n, n, n) block over the float64 views, with no temporary, the
+    block sums added in order (the module's reduction convention).  ``u``
+    and ``w`` have one shape and are both complex or both real."""
+    ub = _float_blocks(u)
+    wb = ub if w is None else _float_blocks(w)
+    if wb.shape != ub.shape:
+        raise ValueError(f"cannot pair arrays of shapes {np.shape(u)} and {np.shape(w)}")
+    total = 0.0
+    for a, b in zip(ub, wb):
+        total += float(np.dot(a, b))
+    return total
+
+
 def inner(grid: Grid, f, g) -> complex:
     """Grid L² inner product ⟨f, g⟩ = h³ Σ f̄·g (all component axes summed)."""
-    return complex(np.sum(np.conj(as_array(f)) * as_array(g)) * grid.cell)
+    return complex(np.vdot(as_array(f), as_array(g)) * grid.cell)
 
 
 def l2_norm_sq(grid: Grid, f) -> float:
-    return float(np.sum(np.abs(as_array(f)) ** 2) * grid.cell)
+    """Grid norm ‖f‖² = h³ Σ|f|²."""
+    return _re_dot(as_array(f)) * grid.cell
 
 
 def normalize_to_lambda(psi: SpinorField, lam: float) -> SpinorField:

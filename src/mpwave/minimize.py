@@ -14,6 +14,10 @@ div A = 0 by alternating two moves:
   pulled back by renormalization, and an Armijo backtracking guard keeps
   the energy monotone (Antoine, Levitt & Tang, J. Comput. Phys. 343
   (2017); Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20 (1998)).
+  psi is iterated as its band-limited transform psi_hat, zero outside
+  the dealias band: out-of-band modes of psi couple to no field, so they
+  decouple and vanish at a minimizer, and a start's out-of-band content
+  is dropped.
 
 * A: the energy is an inhomogeneous positive-definite quadratic in A at
   fixed psi, so the subproblem is solved essentially exactly by
@@ -29,12 +33,20 @@ div A = 0 by alternating two moves:
   A = 0: A is a function of psi, and only a given pair's first solve
   reads its A0, so the loop holds no A between solves.
 
-Each psi is banded once.  Its A-solves read psi_hat and T psi from the
-record the loop holds (the accepted trial's, or the band taken at the
-start), and its record against a new A reuses them for the product
-transforms alone, 6 for model S and 2 for model P.  The report bands the
-polished A once, and the residual, the energy breakdown and omega read
-that A_hat and T A and one record of the polished pair.  The public ``solve_vector_potential``,
+The psi-loop lives in spectral space.  The tangent and theta, the
+direction P Gt, the step, the Armijo test and the renormalization of a
+trial read psi_hat, the transform of G and their Parseval sums
+(``fields._re_dot``, weighted by h^3 / n^3), with no transform: a
+band-limited psi_hat is its own T psi, so a trial's record takes one
+inverse transform, ifft(psi_hat), besides its product transforms.  The
+start, normalized on the grid, is banded once and masked.  Each A-solve
+reads psi_hat and T psi from the record the loop holds, and the record
+of psi against a new A reuses them for the product transforms alone, 6
+for model S and 2 for model P.  The run returns ifft(psi_hat) normalized
+on the grid; the polish and the report read the band of that psi.  The
+report bands the polished A once, and the residual, the energy
+breakdown and omega read that A_hat and T A and one record of the
+polished pair.  The public ``solve_vector_potential``,
 ``el_residual``, ``energy_functional`` and ``omega_from_theta`` check
 their inputs, build the same record and run the same bodies, so the
 report equals them bit for bit.
@@ -43,11 +55,11 @@ Model S couples no spin, so a psi_down that starts exactly zero stays
 zero: such a run, from any start, carries the spin-up block of psi
 (``fields._spin_up``) through every record, A-solve and report, and pads
 the zero back onto the psi it returns.  Every grid sum of the block
-equals that of the spinor but the kinetic sum over the (3, 1, n, n, n)
-stack, which runs in another order; ``energy_functional`` evaluates the
-returned psi on the same block, so the report still equals the public
-functions bit for bit.  Model P runs on the full spinor, since
-sigma . D mixes the components.
+equals that of the spinor, the kinetic sum over the (3, 1, n, n, n)
+stack too, since an unweighted sum adds its (n, n, n) blocks in order;
+``energy_functional`` evaluates the returned psi on the same block, so
+the report still equals the public functions bit for bit.  Model P runs
+on the full spinor, since sigma . D mixes the components.
 
 A run ends where its line search ends: once the predicted decrease of a
 step is below the rounding of E, or at ``max_iter``.  The Euler-Lagrange
@@ -86,11 +98,11 @@ from .fields import (
     SpinorField,
     VectorField,
     _random_psi,
+    _re_dot,
     _spin_up,
     _spinor,
     as_array,
     component_array,
-    inner,
     l2_norm_sq,
     normalize_to_lambda,
 )
@@ -114,11 +126,17 @@ def grad_psi(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
 
 def _gradient(grid: Grid, p: PhysParams, st: pauli.KineticState) -> np.ndarray:
     """``grad_psi`` of the state whose record is ``st``."""
+    return grid.ifft(_gradient_hat(grid, p, st), overwrite=True)
+
+
+def _gradient_hat(grid: Grid, p: PhysParams, st: pauli.KineticState) -> np.ndarray:
+    """Transform of ``grad_psi`` of the record ``st``, with no transform of
+    its own: the solver's psi-loop reads it as it is."""
     out_hat = pauli._laplacian_hat(grid, p, st)
     out_hat /= 2.0 * p.mass
     if np.any(p.v_arr):
         out_hat -= p.hbar * _vk(grid, p.v_arr) * st.psi_hat
-    return grid.ifft(out_hat, overwrite=True)
+    return out_hat
 
 
 def _psi_energy(grid: Grid, p: PhysParams, st: pauli.KineticState) -> float:
@@ -142,12 +160,15 @@ def lagrange_theta(grid: Grid, p: PhysParams, psi, A) -> float:
 
 
 def _tangent(
-    grid: Grid, p: PhysParams, psi: np.ndarray, G: np.ndarray, lam_meas: float
+    grid: Grid, p: PhysParams, psi: np.ndarray, G: np.ndarray, lam_meas: float,
+    weight: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """G + hbar theta psi and theta, the multiplier that makes the sum
     tangent to the mass sphere at psi, whose measured |psi|^2 is
-    ``lam_meas``."""
-    theta = -float(np.real(np.sum(np.conj(psi) * G)) * grid.cell) / (p.hbar * lam_meas)
+    ``lam_meas``.  psi and G are grid values, whose sums are weighted by
+    h^3, or both transforms, with the Parseval ``weight`` h^3 / n^3."""
+    weight = grid.cell if weight is None else weight
+    theta = -_re_dot(psi, G) * weight / (p.hbar * lam_meas)
     return G + p.hbar * theta * psi, theta
 
 
@@ -239,7 +260,7 @@ def _a_residual(
     # (4 pi / c) P J_hat from the record; its k = 0 mode is the mean drive,
     # reported as the defect and then split off
     rhs_hat = spectral.project_hat(grid, 4.0 * np.pi * _source_hat(grid, p, st))
-    norm = lambda fh: np.sqrt(float(np.sum(np.abs(fh) ** 2)) * grid.cell / grid.n ** 3)
+    norm = lambda fh: np.sqrt(energy_mod._parseval(grid, fh))
     defect = float(np.linalg.norm(rhs_hat[:, 0, 0, 0].real)) / grid.n ** 3
     rhs_norm = norm(rhs_hat)
     rhs_hat[:, 0, 0, 0] = 0.0
@@ -361,7 +382,7 @@ def _a_precond(grid: Grid, p: PhysParams, psi_low: np.ndarray) -> np.ndarray:
     preconditioner (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017)).
     """
     sym = energy_mod._wave_symbol(grid, p)
-    rho_bar = float(np.sum(psi_low.real ** 2 + psi_low.imag ** 2)) / grid.n ** 3
+    rho_bar = _re_dot(psi_low) / grid.n ** 3
     diag = sym / (4.0 * np.pi) + p.charge ** 2 / (p.mass * p.light_speed ** 2) * rho_bar
     inv = np.zeros_like(sym)
     np.divide(1.0, diag, out=inv, where=sym > 0)
@@ -418,7 +439,7 @@ def _solve_vector_potential(
     # everything lives in spectral space; the inner product matches the
     # grid one through Parseval
     scale = grid.cell / grid.n ** 3
-    dot = lambda u, w: float(np.real(np.sum(np.conj(u) * w))) * scale
+    dot = lambda u, w: _re_dot(u, w) * scale
     b_norm = np.sqrt(dot(b, b))
     if b_norm <= np.finfo(float).eps * np.log2(grid.n ** 3) * j_norm:
         logger.debug("A-solve: floor after 0 operator applications, |b|/|J| = %.3e",
@@ -619,17 +640,17 @@ def _shift(grid: Grid, p: PhysParams, st: pauli.KineticState, lam_meas: float) -
 
 
 def _direction(
-    grid: Grid, p: PhysParams, psi: np.ndarray, Gt: np.ndarray, alpha: float, lam_meas: float
+    grid: Grid, p: PhysParams, psi_hat: np.ndarray, gt_hat: np.ndarray, alpha: float,
+    lam_meas: float,
 ) -> np.ndarray:
-    """Preconditioned descent direction d at psi: P Gt with the spectral
-    multiplier P = 1 / (alpha + hbar^2 k^2 / 2m), projected back on the
-    tangent space of the mass sphere.  For a tangent Gt, Re <Gt, d> =
-    Re <Gt, P Gt> > 0, so d is a descent direction."""
-    symbol = 1.0 / (alpha + p.hbar ** 2 * grid.k2 / (2.0 * p.mass))
-    pg_hat = grid.fft(Gt)
-    pg_hat *= symbol
-    pg = grid.ifft(pg_hat, overwrite=True)
-    return pg - (inner(grid, psi, pg).real / lam_meas) * psi
+    """Transform of the preconditioned descent direction d at psi: P Gt
+    with the spectral multiplier P = 1 / (alpha + hbar^2 k^2 / 2m),
+    projected back on the tangent space of the mass sphere, read from the
+    transforms of psi and Gt with no transform.  For a tangent Gt,
+    Re <Gt, d> = Re <Gt, P Gt> > 0, so d is a descent direction."""
+    d = gt_hat * (1.0 / (alpha + p.hbar ** 2 * grid.k2 / (2.0 * p.mass)))
+    d -= (_re_dot(psi_hat, d) * grid.cell / grid.n ** 3 / lam_meas) * psi_hat
+    return d
 
 
 def minimize(
@@ -665,6 +686,10 @@ def minimize(
     both; any other ``init`` refuses them with InputError.  A is a
     function of psi, so only psi starts the run: ``A0`` warm-starts the
     first A-solve alone, which drops it if A = 0 lies nearer the solution.
+    psi is iterated as its transform, zero outside the dealias band: a
+    start's out-of-band modes are dropped (and the start put back on the
+    mass sphere if they carried more than rounding), and the returned psi
+    is band-limited.
     A model S run whose start has psi_down exactly zero (the trial and
     plane starts, or such a given psi0) runs on the spin-up block of psi;
     the returned ``psi`` is (2, n, n, n) with that zero component.
@@ -681,9 +706,11 @@ def minimize(
     if p.model == "S":
         psi = _spin_up(psi)
 
-    def renorm(psi: np.ndarray) -> np.ndarray:
-        return psi * np.sqrt(p.lam / (l2_norm_sq(grid, psi)))
-
+    # the loop iterates psi as its transform psi_hat, zero outside the
+    # dealias band, so ifft(psi_hat) is T psi and psi itself; its sums are
+    # Parseval sums, weighted by h^3 / n^3
+    weight = grid.cell / grid.n ** 3
+    dot = lambda u, w=None: _re_dot(u, w) * weight
     a_ops = a_solves = 0
 
     def solve_a(psi_hat: np.ndarray, psi_low: np.ndarray, tol: float) -> np.ndarray:
@@ -694,9 +721,22 @@ def minimize(
         a_solves += 1
         return A.data
 
-    # psi_hat and psi_low, the band of psi, are taken once per psi: its
-    # A-solves and each record of it against a new A read them
+    # the start, normalized on the grid, drops its out-of-band modes, which
+    # decouple and vanish at a minimizer.  Its A-solve and each record of
+    # it against a new A read this band.  A band-limited start keeps its
+    # mass to the rounding of a transform, eps log2(n^3) lambda (Higham
+    # 2002), and is not rescaled, so a restart from a returned psi keeps
+    # its bits; a start whose out-of-band modes carried more is put back
+    # on the sphere, so the first Armijo test compares energies at one mass
     psi_hat, psi_low = spectral.band(grid, psi)
+    psi_hat *= grid.dealias_mask
+    del psi
+    lam_meas = dot(psi_hat)
+    if abs(lam_meas - p.lam) > np.finfo(float).eps * np.log2(grid.n ** 3) * p.lam:
+        scale = np.sqrt(p.lam / lam_meas)
+        psi_hat *= scale
+        psi_low *= scale
+        lam_meas = dot(psi_hat)
     # an all-zero A, as the solve returns at a forcing on its rounding
     # floor, is the field-free record: no transform of A or of a product
     a_low, field_term = _field_band(grid, p, solve_a(psi_hat, psi_low, config.a_tol))[1:]
@@ -706,9 +746,8 @@ def minimize(
     # before each A-solve
     st = pauli._record(grid, p, psi_hat, psi_low, a_low)
     E = _psi_energy(grid, p, st) + field_term
-    lam_meas = l2_norm_sq(grid, psi)
     alpha = _shift(grid, p, st, lam_meas)
-    Gt = _tangent(grid, p, psi, _gradient(grid, p, st), lam_meas)[0]
+    Gt = _tangent(grid, p, psi_hat, _gradient_hat(grid, p, st), lam_meas, weight)[0]
 
     step = 1.0
     backtracks = 0
@@ -719,14 +758,14 @@ def minimize(
 
     for it in range(1, config.max_iter + 1):
         st = None
-        d = _direction(grid, p, psi, Gt, alpha, lam_meas)
-        gd = inner(grid, Gt, d).real
+        d = _direction(grid, p, psi_hat, Gt, alpha, lam_meas)
+        gd = dot(Gt, d)
 
         # BB step in the metric of P, with Armijo guard
         if prev_psi is not None:
             dGt = Gt - prev_Gt
-            num = inner(grid, psi - prev_psi, dGt).real
-            den = inner(grid, d - prev_d, dGt).real
+            num = dot(psi_hat - prev_psi, dGt)
+            den = dot(d - prev_d, dGt)
             if num > 0 and den > 0:
                 step = num / den
         accepted = False
@@ -740,8 +779,10 @@ def minimize(
         for _ in range(config.max_backtracks):
             if s * gd <= floor:
                 break
-            trial = renorm(psi - s * d)
-            st = pauli.kinetic_state(grid, p, trial, a_low)
+            trial = psi_hat - s * d
+            trial *= np.sqrt(p.lam / dot(trial))
+            # a band-limited trial is its own T psi: one inverse transform
+            st = pauli._record(grid, p, trial, grid.ifft(trial), a_low)
             e_trial = _psi_energy(grid, p, st)
             if e_trial + field_term <= E - config.armijo * s * gd:
                 accepted = True
@@ -754,8 +795,7 @@ def minimize(
             msg = None
             break
 
-        prev_psi, prev_Gt, prev_d = psi, Gt, d
-        psi = trial
+        prev_psi, prev_Gt, prev_d = psi_hat, Gt, d
         psi_hat, psi_low = st.psi_hat, st.psi_low
         E = e_trial + field_term
 
@@ -765,17 +805,22 @@ def minimize(
             st = pauli._record(grid, p, psi_hat, psi_low, a_low)
             E = _psi_energy(grid, p, st) + field_term
 
-        lam_meas = l2_norm_sq(grid, psi)
+        lam_meas = dot(psi_hat)
         alpha = _shift(grid, p, st, lam_meas)
-        Gt = _tangent(grid, p, psi, _gradient(grid, p, st), lam_meas)[0]
+        Gt = _tangent(grid, p, psi_hat, _gradient_hat(grid, p, st), lam_meas, weight)[0]
         trace.append(E)
 
         if config.log_every and it % config.log_every == 0:
             logger.info("iter %5d  E = %+.12e  step = %.3e  alpha = %.3e", it, E, s, alpha)
 
-    # the loop's arrays go before the polish solve, which sets peak memory;
-    # the band of psi stays for the polish and the report
-    st = a_low = Gt = d = trial = prev_psi = prev_Gt = prev_d = None
+    # the loop's arrays go before the polish solve, which sets peak memory.
+    # The run returns T psi = ifft(psi_hat), normalized on the grid in
+    # place, as no record holds it any more, and the polish and the report
+    # read the band of that psi
+    st = a_low = Gt = d = trial = prev_psi = prev_Gt = prev_d = psi_hat = None
+    psi = psi_low
+    psi *= np.sqrt(p.lam / l2_norm_sq(grid, psi))
+    psi_hat, psi_low = spectral.band(grid, psi)
     # polish the quadratic subproblem before reporting
     A = solve_a(psi_hat, psi_low, 1e-12)
     res, breakdown, omega = _report(grid, p, psi, psi_hat, psi_low, A)

@@ -87,21 +87,25 @@ START_BUDGET = {"trial": 0, "random": 2, "plane": 0}
 #: scalar transforms of a whole trial-start solve at n = 16, v = 0.1: A is
 #: solved at the start, after every fifth accepted step and at the polish,
 #: each from A = 0 with no operator application.  Model S runs the spin-up
-#: block of its spin-up start, so no transform of the zero psi_down is made
-#: (718 / 835 measured for S / P; 776 / 1337 at the parent commit, before
-#: the sums over directions moved ahead of the transforms, and S 1351 on
-#: the full spinor before that; each bound leaves room above the count and
-#: sits below the parent's)
-SOLVE_BUDGET = {"S": 1000, "P": 1000}
+#: block of its spin-up start, so no transform of the zero psi_down is made.
+#: The psi-loop iterates the band-limited psi_hat: a trial's record takes
+#: one inverse transform of psi and the gradient and the direction none
+#: (605 / 593 measured for S / P; 718 / 835 at the parent commit, whose loop
+#: ran on grid values, and 776 / 1337 before the sums over directions moved
+#: ahead of the transforms; each bound leaves room for about two iterations
+#: above the count and sits below the parent's)
+SOLVE_BUDGET = {"S": 650, "P": 640}
 
-#: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: psi is
-#: banded once (2 / 4) and both A-solves and every record read that band;
-#: both A-solves end on the rounding floor of their forcing (6 / 5 each), so
-#: no A-operator matvec is made, every state is read from the field-free
-#: record and the all-zero A itself is never transformed; the start's G
-#: 1 / 2, the one direction 2 / 4 and the report 7 / 7 make up the rest.
-#: Model S runs the spin-up block of the spin-up plane wave, P the spinor
-PLANE_BUDGET = {"S": 24, "P": 27}
+#: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: the
+#: start is banded once (2 / 4) and both A-solves and every record read that
+#: band; both A-solves end on the rounding floor of their forcing (6 / 5
+#: each), so no A-operator matvec is made, every state is read from the
+#: field-free record and the all-zero A itself is never transformed; the
+#: start's G and the one direction take no transform, and the returned psi
+#: is banded again (2 / 4) for the polish and the report 7 / 7.  Model S runs
+#: the spin-up block of the spin-up plane wave, P the spinor (24 / 27 at the
+#: parent commit, whose G took 1 / 2 and direction 2 / 4)
+PLANE_BUDGET = {"S": 23, "P": 25}
 
 #: scalar transforms of one check (``cli._check_lines``) at v = (0.1, 0, 0),
 #: (model S, model P): one record of the state (random: A 6, psi 4, K psi

@@ -9,6 +9,7 @@ from mpwave.fields import (
     ScalarField,
     SpinorField,
     VectorField,
+    _re_dot,
     as_array,
     inner,
     l2_norm_sq,
@@ -105,6 +106,35 @@ class TestInnerProducts:
         )
         assert rel(inner(grid16, f, g), np.conj(inner(grid16, g, f))) < 1e-13
         assert inner(grid16, f, f).real == pytest.approx(l2_norm_sq(grid16, f))
+
+    def test_inner_matches_the_summed_form(self, grid16, rng):
+        """``inner`` is a BLAS vdot; it equals the elementwise form
+        h^3 sum conj(f) g to 1e-14."""
+        shape = (2,) + grid16.shape
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        summed = complex(np.sum(np.conj(f) * g) * grid16.cell)
+        assert rel(inner(grid16, f, g), summed) < 1e-14
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_real_dot_sums_blocks_in_order(self, n, rng):
+        """``_re_dot`` is Re sum conj(u) w (sum |u|^2 without w) for complex
+        and real arrays, and a spin-up block sums to its spinor's value bit
+        for bit, also for a (3, 1, ...) stack against (3, 2, ...), at a
+        size where one BLAS dot over the whole array would split
+        differently."""
+        shape = (3, 1, n, n, n)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert rel(_re_dot(u, w), float(np.sum(np.real(np.conj(u) * w)))) < 1e-14
+        assert rel(_re_dot(u), float(np.sum(np.abs(u) ** 2))) < 1e-14
+        assert rel(_re_dot(u.real, w.real), float(np.sum(u.real * w.real))) < 1e-14
+        pad = lambda a: np.concatenate([a, np.zeros_like(a)], axis=-4)
+        assert _re_dot(pad(u)) == _re_dot(u)
+        assert _re_dot(pad(u), pad(w)) == _re_dot(u, w)
+        assert _re_dot(pad(u[0]), pad(w[0])) == _re_dot(u[0], w[0])
+        with pytest.raises(ValueError):
+            _re_dot(u, pad(w))
 
     def test_normalize_to_lambda(self, grid16, rng):
         data = rng.standard_normal((2,) + grid16.shape) + 1j * rng.standard_normal(

@@ -22,6 +22,7 @@ from mpwave.minimize import (
     _direction,
     _field_symbol,
     _gradient,
+    _gradient_hat,
     _psi_energy,
     _shift,
     _source_hat,
@@ -700,6 +701,54 @@ class TestMinimize:
         drift = np.max(np.abs(A.data - rep.A.data)) / np.max(np.abs(rep.A.data))
         assert drift <= 1e-15, drift
 
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_early_stop_is_not_converged(self, grid16, model):
+        """A run cut at ``max_iter`` is judged by its polished residual like
+        any other: two steps from the trial start leave it far from
+        stationary (residual_psi about 0.45), so it is not converged and
+        its message says where it stopped."""
+        p = params(model, v=0.1)
+        rep = minimize(grid16, p, MinimizeConfig(max_iter=2))
+        assert rep.iterations == 2
+        assert rep.converged is False
+        assert rep.residual_psi > MinimizeConfig.residual_tol
+        assert rep.message == "max_iter reached"
+
+    @pytest.mark.parametrize("init", ["trial", "random", "given"])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_returned_psi_is_band_limited(self, grid16, model, init):
+        """The loop iterates the band-limited transform of psi, so the psi
+        a run returns is its own band limit T psi to rounding (8 eps of
+        |psi|; up to 7e-13 when the loop ran on grid values)."""
+        p = params(model, v=0.1)
+        start = {}
+        if init == "given":
+            psi0, A0 = random_fields(grid16, p, seed=1, a_amp=0.1)
+            start = {"psi0": psi0, "A0": A0}
+        rep = minimize(grid16, p, MinimizeConfig(init=init, seed=2), **start)
+        assert rep.converged, rep.message
+        psi = rep.psi.data
+        off_band = np.sqrt(l2_norm_sq(grid16, psi - spectral.dealias(grid16, psi)))
+        assert off_band <= 8 * np.finfo(float).eps * np.sqrt(p.lam), off_band
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_out_of_band_start_is_dropped(self, grid16, model):
+        """A given psi0 with a large out-of-band mode starts from its band
+        limit: the run converges to the lattice plane wave to 1e-14 and
+        returns a band-limited psi."""
+        p = params(model, v=0.1)
+        psi0, A0 = random_fields(grid16, p, seed=1, a_amp=0.1)
+        x = grid16.open_coords()[0]
+        high = 2.0 * np.pi / grid16.box_l * (grid16.mode_cut + 2)
+        rough = psi0.data + np.sqrt(p.lam / grid16.box_l ** 3) * np.exp(1j * high * x)
+        assert l2_norm_sq(grid16, rough - spectral.dealias(grid16, rough)) > 0.5 * p.lam
+        rep = minimize(grid16, p, MinimizeConfig(init="given"), psi0=rough, A0=A0)
+        assert rep.converged, rep.message
+        assert rel(rep.energy, lattice_energy(grid16, p)) < 1e-14
+        psi = rep.psi.data
+        off_band = np.sqrt(l2_norm_sq(grid16, psi - spectral.dealias(grid16, psi)))
+        assert off_band <= 8 * np.finfo(float).eps * np.sqrt(p.lam), off_band
+
     @pytest.mark.parametrize("init", ["trial", "plane", "given"])
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_report_matches_the_public_functions(self, grid16, model, init):
@@ -844,18 +893,23 @@ class TestMinimize:
 class TestPreconditionedDescent:
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_direction_is_tangent_and_descending(self, grid16, model):
-        """d = P Gt projected on the tangent space: Re <psi, d> vanishes to
-        rounding and Re <Gt, d> = Re <Gt, P Gt> is positive."""
+        """d = P Gt projected on the tangent space, read as the solver's
+        loop reads it, from the band-limited transforms of psi and Gt:
+        Re <psi, d> vanishes to rounding and Re <Gt, d> = Re <Gt, P Gt> is
+        positive, both Parseval sums."""
         p = params(model, v=0.15)
+        weight = grid16.cell / grid16.n ** 3
         for mm in (grid16.mode_cut // 2, None):
             psi, A = random_fields(grid16, p, seed=59, max_mode=mm)
-            st = kinetic_state(grid16, p, psi.data, spectral.dealias(grid16, A.data))
-            lam = l2_norm_sq(grid16, psi.data)
-            G = _gradient(grid16, p, st)
-            Gt, _ = _tangent(grid16, p, psi.data, G, lam)
-            d = _direction(grid16, p, psi.data, Gt, _shift(grid16, p, st, lam), lam)
-            d_norm = np.sqrt(l2_norm_sq(grid16, d))
-            assert abs(inner(grid16, psi.data, d).real) <= 1e-13 * np.sqrt(lam) * d_norm, mm
+            psi_hat = grid16.fft(psi.data) * grid16.dealias_mask
+            st = minimize_mod.pauli._record(
+                grid16, p, psi_hat, grid16.ifft(psi_hat), spectral.dealias(grid16, A.data))
+            lam = l2_norm_sq(grid16, psi_hat) / grid16.n ** 3
+            Gt, _ = _tangent(grid16, p, psi_hat, _gradient_hat(grid16, p, st), lam, weight)
+            d = _direction(grid16, p, psi_hat, Gt, _shift(grid16, p, st, lam), lam)
+            d_norm = np.sqrt(l2_norm_sq(grid16, d) / grid16.n ** 3)
+            tangency = inner(grid16, psi_hat, d).real / grid16.n ** 3
+            assert abs(tangency) <= 1e-13 * np.sqrt(lam) * d_norm, mm
             assert inner(grid16, Gt, d).real > 0, mm
 
     def test_shift_is_floored_for_a_flat_state(self, grid16):
