@@ -162,14 +162,14 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
     """
     psi = _spin_up(component_array(grid, psi, 2, "psi"))
     a_low, field = _field_band(grid, p, component_array(grid, A, 3, "A"))[1:]
-    return _energy(grid, p, psi, pauli.kinetic_state(grid, p, psi, a_low), field)
+    return _energy(grid, p, pauli.kinetic_state(grid, p, psi, a_low), field)
 
 
-def _energy(grid: Grid, p: PhysParams, psi: np.ndarray, st: pauli.KineticState,
-            field: float) -> EnergyBreakdown:
-    """``energy_functional`` of psi from its record ``st`` and the field
-    term ``field``, with no transform.  The shifted form adds the boost
-    into ``st.kpsi_hat`` in place, so this is the record's last reader."""
+def _energy(grid: Grid, p: PhysParams, st: pauli.KineticState, field: float) -> EnergyBreakdown:
+    """``energy_functional`` of the record ``st`` and the field term
+    ``field``, with no transform; |psi|^2 is the Parseval sum of
+    ``st.psi_hat``.  The shifted form adds the boost into ``st.kpsi_hat``
+    in place, so this is the record's last reader."""
     v = p.v_arr
     # the shifted form sees A + (mc/Q) v; a constant cannot alias, so it
     # multiplies psi directly, shifting K psi_hat in place
@@ -191,7 +191,7 @@ def _energy(grid: Grid, p: PhysParams, psi: np.ndarray, st: pauli.KineticState,
             grid.integrate(dens_low * np.tensordot(st.a_low, v, axes=(0, 0)))
         )
 
-    lam_meas = l2_norm_sq(grid, psi)
+    lam_meas = _parseval(grid, st.psi_hat)
     rest = -0.5 * p.mass * float(v @ v) * lam_meas
 
     total = kinetic + field + drift

@@ -44,12 +44,12 @@ reads psi_hat and T psi from the record the loop holds, and the record
 of psi against a new A reuses them for the product transforms alone, 6
 for model S and 2 for model P.  The run returns ifft(psi_hat) normalized
 on the grid; the polish and the report read the band of that psi.  The
-report bands the polished A once, and the residual, the energy
-breakdown and omega read that A_hat and T A and one record of the
-polished pair.  The public ``solve_vector_potential``,
-``el_residual``, ``energy_functional`` and ``omega_from_theta`` check
-their inputs, build the same record and run the same bodies, so the
-report equals them bit for bit.
+report (``_report``, which ``mpwave check`` reads too) takes the band of
+A as well: the residual, whose theta, |Gt|, |G| and |psi|^2 are Parseval
+sums of G_hat and psi_hat, the breakdown and omega read that A_hat and
+one record of the pair.  The public ``el_residual``, ``energy_functional``
+and ``omega_from_theta`` check their inputs, build the same record and
+run the same bodies, so the report equals them bit for bit.
 
 Model S couples no spin, so a psi_down that starts exactly zero stays
 zero: such a run, from any start, carries the spin-up block of psi
@@ -118,15 +118,10 @@ def grad_psi(grid: Grid, p: PhysParams, psi, A) -> np.ndarray:
 
     so that dE[delta] = 2 Re <G, delta>.  Both terms are summed in
     spectral space, the drift as -hbar (v.k) psi_hat, before one inverse
-    transform.  The solver reads the same G from the ``KineticState`` of
-    its energy evaluation (``_gradient``).
+    transform.  The solver and the residual read the transform of the same
+    G from the ``KineticState`` of the state (``_gradient_hat``).
     """
-    return _gradient(grid, p, pauli._state(grid, p, psi, A))
-
-
-def _gradient(grid: Grid, p: PhysParams, st: pauli.KineticState) -> np.ndarray:
-    """``grad_psi`` of the state whose record is ``st``."""
-    return grid.ifft(_gradient_hat(grid, p, st), overwrite=True)
+    return grid.ifft(_gradient_hat(grid, p, pauli._state(grid, p, psi, A)), overwrite=True)
 
 
 def _gradient_hat(grid: Grid, p: PhysParams, st: pauli.KineticState) -> np.ndarray:
@@ -160,16 +155,14 @@ def lagrange_theta(grid: Grid, p: PhysParams, psi, A) -> float:
 
 
 def _tangent(
-    grid: Grid, p: PhysParams, psi: np.ndarray, G: np.ndarray, lam_meas: float,
-    weight: float | None = None,
+    grid: Grid, p: PhysParams, psi_hat: np.ndarray, g_hat: np.ndarray, lam_meas: float,
 ) -> tuple[np.ndarray, float]:
-    """G + hbar theta psi and theta, the multiplier that makes the sum
-    tangent to the mass sphere at psi, whose measured |psi|^2 is
-    ``lam_meas``.  psi and G are grid values, whose sums are weighted by
-    h^3, or both transforms, with the Parseval ``weight`` h^3 / n^3."""
-    weight = grid.cell if weight is None else weight
-    theta = -_re_dot(psi, G) * weight / (p.hbar * lam_meas)
-    return G + p.hbar * theta * psi, theta
+    """The transform of G + hbar theta psi and theta, the multiplier that
+    makes the sum tangent to the mass sphere at psi, whose measured |psi|^2
+    is ``lam_meas``, from the transforms of psi and G by Parseval (weight
+    h^3 / n^3)."""
+    theta = -_re_dot(psi_hat, g_hat) * (grid.cell / grid.n ** 3) / (p.hbar * lam_meas)
+    return g_hat + p.hbar * theta * psi_hat, theta
 
 
 def omega_from_theta(grid: Grid, p: PhysParams, A, theta: float) -> float:
@@ -241,14 +234,13 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
     wave equation with the k = 0 mode split off into ``current_defect``
     (reported as (4 pi / c) |mean J|).  Both read one ``KineticState``.
     """
-    psi_a = component_array(grid, psi, 2, "psi")
     a_hat, a_low = pauli._a_band(grid, component_array(grid, A, 3, "A"))
-    st = pauli.kinetic_state(grid, p, psi_a, a_low)
+    st = pauli.kinetic_state(grid, p, component_array(grid, psi, 2, "psi"), a_low)
     # the A side runs first and overwrites A_hat, which then goes, so it
     # is not held through the gradient, where el_residual peaks
     a_side = _a_residual(grid, p, st, a_hat)
     del a_hat, a_low
-    return _el_residual(grid, p, psi_a, st, a_side)
+    return _el_residual(grid, p, st, a_side)
 
 
 def _a_residual(
@@ -277,13 +269,13 @@ def _a_residual(
 
 
 def _el_residual(
-    grid: Grid, p: PhysParams, psi: np.ndarray, st: pauli.KineticState,
-    a_side: tuple[float, float, float],
+    grid: Grid, p: PhysParams, st: pauli.KineticState, a_side: tuple[float, float, float],
 ) -> ELResidual:
-    """``el_residual`` of psi from its record ``st`` and the A side
-    ``a_side`` that ``_a_residual`` read from the same record."""
+    """``el_residual`` of the record ``st`` and the A side ``a_side`` that
+    ``_a_residual`` read from it.  theta, |Gt|, |G| and |psi|^2 are Parseval
+    sums of the transform of G and ``st.psi_hat``, with no transform."""
     a_raw, a_sum, defect = a_side
-    lam_meas = l2_norm_sq(grid, psi)
+    lam_meas = energy_mod._parseval(grid, st.psi_hat)
     # exactly flat states (constant psi, vanishing current) leave every
     # term at rounding scale; flooring the denominators by the weakest
     # signal the box can carry turns 0/0 noise into a ~0 report
@@ -297,12 +289,12 @@ def _el_residual(
     )
     a_scale = max(a_sum, a_floor)
 
-    G = _gradient(grid, p, st)
-    resid, theta = _tangent(grid, p, psi, G, lam_meas)
-    psi_raw = np.sqrt(l2_norm_sq(grid, resid))
+    G = _gradient_hat(grid, p, st)
+    resid, theta = _tangent(grid, p, st.psi_hat, G, lam_meas)
+    psi_raw = np.sqrt(energy_mod._parseval(grid, resid))
     psi_floor = p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass) * np.sqrt(lam_meas)
     psi_scale = max(
-        np.sqrt(l2_norm_sq(grid, G)) + abs(p.hbar * theta) * np.sqrt(lam_meas),
+        np.sqrt(energy_mod._parseval(grid, G)) + abs(p.hbar * theta) * np.sqrt(lam_meas),
         psi_floor,
     )
     return ELResidual(
@@ -747,7 +739,7 @@ def minimize(
     st = pauli._record(grid, p, psi_hat, psi_low, a_low)
     E = _psi_energy(grid, p, st) + field_term
     alpha = _shift(grid, p, st, lam_meas)
-    Gt = _tangent(grid, p, psi_hat, _gradient_hat(grid, p, st), lam_meas, weight)[0]
+    Gt = _tangent(grid, p, psi_hat, _gradient_hat(grid, p, st), lam_meas)[0]
 
     step = 1.0
     backtracks = 0
@@ -807,7 +799,7 @@ def minimize(
 
         lam_meas = dot(psi_hat)
         alpha = _shift(grid, p, st, lam_meas)
-        Gt = _tangent(grid, p, psi_hat, _gradient_hat(grid, p, st), lam_meas, weight)[0]
+        Gt = _tangent(grid, p, psi_hat, _gradient_hat(grid, p, st), lam_meas)[0]
         trace.append(E)
 
         if config.log_every and it % config.log_every == 0:
@@ -823,7 +815,7 @@ def minimize(
     psi_hat, psi_low = spectral.band(grid, psi)
     # polish the quadratic subproblem before reporting
     A = solve_a(psi_hat, psi_low, 1e-12)
-    res, breakdown, omega = _report(grid, p, psi, psi_hat, psi_low, A)
+    res, breakdown, omega = _report(grid, p, psi_hat, psi_low, _field_band(grid, p, A))
     converged = res.max_rel < config.residual_tol
     if msg is None:
         msg = ("stationary: no descent direction left" if converged
@@ -850,25 +842,25 @@ def minimize(
 
 
 def _report(
-    grid: Grid, p: PhysParams, psi: np.ndarray, psi_hat: np.ndarray, psi_low: np.ndarray,
-    A: np.ndarray,
+    grid: Grid, p: PhysParams, psi_hat: np.ndarray, psi_low: np.ndarray, a_band: tuple,
 ) -> tuple[ELResidual, EnergyBreakdown, float]:
     """``el_residual``, ``energy_functional`` and ``omega_from_theta`` of
-    the pair (psi, A), bit for bit, from one band of A and one record of
-    the pair built on the band ``psi_hat``, ``psi_low`` of psi: 6 scalar
-    transforms for A_hat and T A and 6 (S) or 2 (P) for K psi with a
-    field, none at A = 0, besides the residual's current and gradient.
-    Each reader that writes into what it reads comes after every other
-    reader of it."""
-    a_hat, a_low, field_term = _field_band(grid, p, A)
+    the pair (psi, A), bit for bit, from the band ``psi_hat``, ``psi_low``
+    of psi and the band ``a_band`` of A (``energy._field_band``): one
+    record of the pair, 6 (S) or 2 (P) scalar transforms for K psi with a
+    field and none at A = 0, and the residual's current.  A caller that
+    passes ``a_band`` unnamed leaves T A to the record alone.  Each reader
+    that writes into what it reads comes after every other reader of it."""
+    a_hat, a_low, field_term = a_band
+    del a_band
     st = pauli._record(grid, p, psi_hat, psi_low, a_low)
     del a_low
     # E_EM is read before the residual's A side overwrites A_hat
     em = None if a_hat is None else energy_mod._em_energy(grid, p, a_hat) / p.hbar
     a_side = _a_residual(grid, p, st, a_hat)
     del a_hat
-    res = _el_residual(grid, p, psi, st, a_side)
-    breakdown = energy_mod._energy(grid, p, psi, st, field_term)
+    res = _el_residual(grid, p, st, a_side)
+    breakdown = energy_mod._energy(grid, p, st, field_term)
     omega = -res.theta if em is None else em - res.theta
     return res, breakdown, omega
 

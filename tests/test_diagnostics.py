@@ -453,6 +453,17 @@ class TestMassSweep:
         assert len(res.points) == len(speeds)
         assert np.isnan(res.alpha) and np.isnan(res.beta) and np.isnan(res.fit_residual)
 
+    def test_fit_is_least_squares_on_its_points(self, grid16):
+        """alpha and beta are the least-squares fit of alpha v^2 + beta |v|^3
+        to the sweep's own travelling energies."""
+        res = mass_sweep(grid16, params("S", v=0.1), (0.05, 0.1, 0.15, 0.2),
+                         config=MinimizeConfig(init="plane"))
+        v = np.array([pt.speed for pt in res.points])
+        e = np.array([pt.energy_trav for pt in res.points])
+        coef = np.linalg.lstsq(np.stack([v ** 2, np.abs(v) ** 3], axis=1), e, rcond=None)[0]
+        assert rel(res.alpha, coef[0]) <= 1e-12, (res.alpha, coef[0])
+        assert rel(res.beta, coef[1]) <= 1e-12, (res.beta, coef[1])
+
     def test_staircase_points(self, grid16):
         """Speeds rounding to the same lattice carrier share one
         travelling energy; the sweep records everything it measured."""

@@ -144,7 +144,7 @@ class TestSpinUpBlock:
         got = energy_functional(grid16, p, up, A).as_dict()
         a_hat, a_low = spectral.band(grid16, A.data)
         st = pauli.kinetic_state(grid16, p, up, a_low)
-        want = energy_mod._energy(grid16, p, up, st, energy_mod._field_part(grid16, p, a_hat))
+        want = energy_mod._energy(grid16, p, st, energy_mod._field_part(grid16, p, a_hat))
         for name, value in want.as_dict().items():
             assert rel(got[name], value) <= 4 * np.finfo(float).eps, (name, got[name], value)
 

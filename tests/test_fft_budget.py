@@ -21,6 +21,7 @@ from conftest import params
 
 minimize_mod = importlib.import_module("mpwave.minimize")
 diagnostics_mod = importlib.import_module("mpwave.diagnostics")
+energy_mod = importlib.import_module("mpwave.energy")
 
 #: scalar transforms per call, (model S, model P), at v = (0.1, 0, 0).
 #: Every sum over directions and every sigma contraction is taken before
@@ -41,13 +42,15 @@ BUDGET = {
     "witness row": (11, 10),
     # the KineticState 16 / 12, K^dagger K 8 / 4, one inverse 2; parent 30 / 30
     "grad_psi": (26, 18),
-    # the solver's call, reading the KineticState of its energy evaluation;
-    # parent 14 / 14
-    "grad_psi from the record": (10, 6),
-    # the KineticState 16 / 12, G from it 10 / 6, the current pairing: T K
+    # the transform of G as the solver and the residual read it from the
+    # KineticState, K^dagger K alone; 10 / 6 with the inverse transform the
+    # residual took, 14 / 14 before the sums over directions came first
+    "G_hat from the record": (8, 4),
+    # the KineticState 16 / 12, G_hat from it 8 / 4, the current pairing: T K
     # psi 6 / 2 inverse and the pair 3 forward; A_hat comes from the band
-    # limit of A; parent 39 / 35
-    "el_residual": (35, 23),
+    # limit of A, and theta, |Gt|, |G| and |psi|^2 are Parseval sums of
+    # G_hat and psi_hat; 35 / 23 while it inverted G, 39 / 35 before that
+    "el_residual": (33, 21),
     # one Armijo trial energy: psi_hat, T psi and K psi_hat; parent 10 / 10
     "trial energy": (10, 6),
     # the KineticState 16 / 12, the pairing 9 / 5, one inverse 3; parent 28 / 24
@@ -61,10 +64,11 @@ BUDGET = {
     "A-solve, fixed": (19, 15),
     # the solver's A-solve, reading psi_hat and T psi from the record
     "A-solve from the band, fixed": (15, 11),
-    # the solver's report from the band of psi: A_hat and T A 6, K psi 6 / 2,
-    # the residual's current 6 / 2 + 3 and gradient 10 / 6; the energy and
-    # omega read the same record and A_hat; parent 35 / 31
-    "report": (31, 19),
+    # the solver's report from the band of psi and of A: A_hat and T A 6
+    # (``energy._field_band``), K psi 6 / 2, the residual's current 6 / 2 + 3
+    # and G_hat 8 / 4; the energy and omega read the same record and A_hat;
+    # 31 / 19 while the residual inverted G, 35 / 31 before that
+    "report": (29, 17),
 }
 
 #: scalar transforms per call at A = 0, which reads the field-free record:
@@ -74,10 +78,12 @@ ZERO_FIELD_BUDGET = {
     "energy_functional": (4, 4),
     # the spin-up block: forward 1 + band limit 1
     "energy_functional, spin-up": (2, 2),
-    # psi 4, G 2 inverse, the current pairing 9 / 5; no A_hat
-    "el_residual": (15, 11),
-    # the solver's report from the band of psi: G 2, the current 9 / 5
-    "report": (11, 7),
+    # psi 4, the current pairing 9 / 5; G_hat takes none; no A_hat; 15 / 11
+    # while the residual inverted G
+    "el_residual": (13, 9),
+    # the solver's report from the band of psi: the current 9 / 5; 11 / 7
+    # while the residual inverted G
+    "report": (9, 5),
 }
 
 #: scalar transforms of the start psi of each init at n = 16: the samplers
@@ -90,10 +96,11 @@ START_BUDGET = {"trial": 0, "random": 2, "plane": 0}
 #: block of its spin-up start, so no transform of the zero psi_down is made.
 #: The psi-loop iterates the band-limited psi_hat: a trial's record takes
 #: one inverse transform of psi and the gradient and the direction none
-#: (605 / 593 measured for S / P; 718 / 835 at the parent commit, whose loop
-#: ran on grid values, and 776 / 1337 before the sums over directions moved
+#: (604 / 591 measured for S / P, whose polished residual reads G_hat by
+#: Parseval; 605 / 593 when it inverted G, 718 / 835 when the loop ran on
+#: grid values, and 776 / 1337 before the sums over directions moved
 #: ahead of the transforms; each bound leaves room for about two iterations
-#: above the count and sits below the parent's)
+#: above the count and sits below 718 / 835)
 SOLVE_BUDGET = {"S": 650, "P": 640}
 
 #: scalar transforms of a whole plane-start solve at n = 16, v = 0.1: the
@@ -102,25 +109,28 @@ SOLVE_BUDGET = {"S": 650, "P": 640}
 #: each), so no A-operator matvec is made, every state is read from the
 #: field-free record and the all-zero A itself is never transformed; the
 #: start's G and the one direction take no transform, and the returned psi
-#: is banded again (2 / 4) for the polish and the report 7 / 7.  Model S runs
-#: the spin-up block of the spin-up plane wave, P the spinor (24 / 27 at the
-#: parent commit, whose G took 1 / 2 and direction 2 / 4)
-PLANE_BUDGET = {"S": 23, "P": 25}
+#: is banded again (2 / 4) for the polish and the report 6 / 5, the
+#: residual's current alone.  Model S runs the spin-up block of the spin-up
+#: plane wave, P the spinor (23 / 25 while the report inverted G, 1 / 2;
+#: 24 / 27 while the loop's G took 1 / 2 and its direction 2 / 4)
+PLANE_BUDGET = {"S": 22, "P": 23}
 
 #: scalar transforms of one check (``cli._check_lines``) at v = (0.1, 0, 0),
 #: (model S, model P): one record of the state (random: A 6, psi 4, K psi
 #: 6 / 2; the spin-up plane wave at A = 0: the block 2 for S, the spinor 4
-#: for P) with the residual's current and gradient read from it, the
+#: for P) with the residual's current and G_hat read from it by
+#: ``minimize._report``, G_hat with no inverse transform, the
 #: Coulomb potential 2, the half-band pair cut from psi_hat and A_hat
 #: (3 / 2 + 3), one band of each half-band field with one stack of the D_a
 #: psi transforms (4 + 6 + 6), the model S Laplacian read from that stack
 #: (10, 2 at A = 0), the model P one from the sigma . D psi of
 #: ``kinetic_hat`` (2 + 6, 2 at A = 0), the spin term 10 (none at A = 0)
 #: and the gauge line 33, whose right side is the inverse of the stack.
-#: At the parent commit, with the sums over directions taken after the
-#: transforms, a check took 133 / 129 (random) and 53 / 56 (plane); with
-#: each check on its own transforms it took 199 / 195 and 113 / 109
-CHECK_BUDGET = {"random": (119, 107), "plane": (53, 56)}
+#: Before the residual read G_hat by Parseval a check took 119 / 107
+#: (random) and 53 / 56 (plane); with the sums over directions taken after
+#: the transforms 133 / 129 and 53 / 56; with each check on its own
+#: transforms 199 / 195 and 113 / 109
+CHECK_BUDGET = {"random": (117, 105), "plane": (52, 54)}
 
 
 @pytest.fixture()
@@ -166,7 +176,7 @@ def test_transforms_per_call(grid16, model, count_ffts):
             lambda: diagnostics_mod._witness_energy(grid16, p, spec, carrier)
         ),
         "grad_psi": count_ffts(lambda: grad_psi(grid16, p, psi, A)),
-        "grad_psi from the record": count_ffts(lambda: minimize_mod._gradient(grid16, p, st)),
+        "G_hat from the record": count_ffts(lambda: minimize_mod._gradient_hat(grid16, p, st)),
         "el_residual": count_ffts(lambda: el_residual(grid16, p, psi, A)),
         "trial energy": count_ffts(
             lambda: minimize_mod._psi_energy(grid16, p, kinetic_state(grid16, p, psi, a_low))
@@ -179,7 +189,8 @@ def test_transforms_per_call(grid16, model, count_ffts):
         "A-solve from the band, fixed": count_ffts(lambda: n_ops.append(
             minimize_mod._solve_vector_potential(grid16, p, psi_hat, psi_low, A, tol=1e-11)[1]
         )),
-        "report": count_ffts(lambda: minimize_mod._report(grid16, p, psi, psi_hat, psi_low, A)),
+        "report": count_ffts(lambda: minimize_mod._report(
+            grid16, p, psi_hat, psi_low, energy_mod._field_band(grid16, p, A))),
     }
     counts["A-solve, fixed"] -= n_ops[0] * counts["A-operator matvec"]
     counts["A-solve from the band, fixed"] -= n_ops[1] * counts["A-operator matvec"]
@@ -200,7 +211,8 @@ def test_transforms_per_call_at_zero_field(grid16, model, count_ffts):
         "energy_functional, spin-up": count_ffts(lambda: energy_functional(grid16, p, up, zero)),
         "el_residual": count_ffts(lambda: el_residual(grid16, p, psi, zero)),
         "report": count_ffts(
-            lambda: minimize_mod._report(grid16, p, psi, psi_hat, psi_low, zero)
+            lambda: minimize_mod._report(
+                grid16, p, psi_hat, psi_low, energy_mod._field_band(grid16, p, zero))
         ),
     }
     column = "SP".index(model)

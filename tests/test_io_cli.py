@@ -8,6 +8,7 @@ with plane-wave initialisation so the whole module stays fast.
 """
 from __future__ import annotations
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import mpwave
-from mpwave import cli, spectral
+from mpwave import cli, pauli, spectral
 from mpwave.diagnostics import coulomb_lower_bound
 from mpwave.energy import apriori_bounds, energy_functional
 from mpwave.errors import InputError
@@ -775,6 +776,43 @@ class TestCheckSuite:
         lines, ok = cli._check_lines(grid16, p, psi, A)
         assert lines == reference_check_lines(grid16, p, psi, A)
         assert ok == (not any(line.startswith("FAIL") for line in lines))
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_exit_4_on_a_strong_field_state(self, grid32, tmp_path, capsys, model):
+        """A random state at the default amplitude a_amp = 1 fails gauge
+        covariance at n = 32 too, not only on coarse grids (relative defect
+        4.5e-6 to 6.8e-6 > 1e-6): the check prints that FAIL line and
+        "CHECK FAILED" and exits 4."""
+        p = params(model=model)
+        for seed in (0, 1, 3):
+            psi, A = random_fields(grid32, p, seed, a_amp=1.0)
+            path = tmp_path / f"strong{seed}.mpwf"
+            write_state(str(path), grid32, p, psi, A)
+            rc, out, _ = _main(["check", str(path)], capsys)
+            lines = out.strip().splitlines()
+            assert rc == 4, out
+            assert lines[-1] == "CHECK FAILED"
+            assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+                "FAIL gauge-covariance"], out
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_verdicts_fail_on_corrupted_records(self, grid16, model):
+        """The form-equivalence and spin-identity verdicts pass on the
+        record of a state and FAIL on a corrupted one: a total_shifted off
+        by 1e-6 of the check's scale max(|E|, 1), and a stack of D_a psi
+        transforms with one direction scaled by 1 + 1e-6."""
+        p, psi, A = _check_state(grid16, model, "random")
+        br, _, _, psi_h, a_h = cli._state_record(grid16, p, psi.data, A.data)
+        assert cli._form_equivalence(br)[0]
+        shifted = br.total_shifted + 1e-6 * max(abs(br.total), 1.0)
+        assert not cli._form_equivalence(dataclasses.replace(br, total_shifted=shifted))[0]
+
+        psi_hat, psi_low = spectral.band(grid16, psi_h)
+        a_low = pauli._a_band(grid16, a_h)[1]
+        stack = pauli._covariant_hat(grid16, p, psi_hat, psi_low, a_low)
+        assert cli._spin_identity(grid16, p, psi_hat, psi_low, stack, a_low)[0]
+        stack[0] *= 1.0 + 1e-6
+        assert not cli._spin_identity(grid16, p, psi_hat, psi_low, stack, a_low)[0]
 
     @pytest.mark.parametrize("state", ["random", "plane"])
     @pytest.mark.parametrize("model", ["S", "P"])

@@ -21,7 +21,6 @@ from mpwave.minimize import (
     _a_rhs,
     _direction,
     _field_symbol,
-    _gradient,
     _gradient_hat,
     _psi_energy,
     _shift,
@@ -167,7 +166,7 @@ class TestLayout:
         assert np.array_equal(psi, saved[0]) and np.array_equal(A, saved[1])
         st = kinetic_state(grid16, p, psi, spectral.dealias(grid16, A))
         record = [st.psi_hat.copy(), st.psi_low.copy(), st.kpsi_hat.copy(), st.a_low.copy()]
-        _gradient(grid16, p, st)
+        _gradient_hat(grid16, p, st)
         _source_hat(grid16, p, st)
         _a_operator(grid16, p, st.psi_low)(grid16.fft(A))
         for got, want in zip((st.psi_hat, st.psi_low, st.kpsi_hat, st.a_low), record):
@@ -259,7 +258,7 @@ class TestGradients:
         psi, A = random_fields(grid16, p, seed=58)
         st = kinetic_state(grid16, p, psi.data, spectral.dealias(grid16, A.data))
         e_psi = _psi_energy(grid16, p, st)
-        cached = _gradient(grid16, p, st)
+        cached = grid16.ifft(_gradient_hat(grid16, p, st), overwrite=True)
         assert np.array_equal(cached, grad_psi(grid16, p, psi.data, A.data))
         br = energy_functional(grid16, p, psi.data, A.data)
         assert e_psi == br.kinetic + br.drift
@@ -309,6 +308,19 @@ class TestGradients:
             theta = lagrange_theta(grid16, p, psi.data, A.data)
             res = el_residual(grid16, p, psi.data, A.data)
             assert rel(theta, res.theta) < 1e-12, mm
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_theta_of_the_plane_wave_at_any_mass(self, grid16, model, lam):
+        """On the lattice plane wave theta = -(hbar |k*|^2 / 2m - v.k*) at
+        every lambda: the residual divides by the measured |psi|^2 as well
+        as by hbar."""
+        p = params(model, v=(0.1, 0.05, 0.0), lam=lam)
+        psi, A = plane_wave_state(grid16, p)
+        dk = 2.0 * np.pi / grid16.box_l
+        kstar = np.round(p.mass * p.v_arr / (p.hbar * dk)) * dk
+        want = -(p.hbar * float(kstar @ kstar) / (2.0 * p.mass) - float(p.v_arr @ kstar))
+        assert rel(el_residual(grid16, p, psi.data, A.data).theta, want) <= 1e-13
 
     def test_omega_formula(self, grid16):
         p = params("S", v=0.1)
@@ -898,14 +910,13 @@ class TestPreconditionedDescent:
         Re <psi, d> vanishes to rounding and Re <Gt, d> = Re <Gt, P Gt> is
         positive, both Parseval sums."""
         p = params(model, v=0.15)
-        weight = grid16.cell / grid16.n ** 3
         for mm in (grid16.mode_cut // 2, None):
             psi, A = random_fields(grid16, p, seed=59, max_mode=mm)
             psi_hat = grid16.fft(psi.data) * grid16.dealias_mask
             st = minimize_mod.pauli._record(
                 grid16, p, psi_hat, grid16.ifft(psi_hat), spectral.dealias(grid16, A.data))
             lam = l2_norm_sq(grid16, psi_hat) / grid16.n ** 3
-            Gt, _ = _tangent(grid16, p, psi_hat, _gradient_hat(grid16, p, st), lam, weight)
+            Gt, _ = _tangent(grid16, p, psi_hat, _gradient_hat(grid16, p, st), lam)
             d = _direction(grid16, p, psi_hat, Gt, _shift(grid16, p, st, lam), lam)
             d_norm = np.sqrt(l2_norm_sq(grid16, d) / grid16.n ** 3)
             tangency = inner(grid16, psi_hat, d).real / grid16.n ** 3

@@ -519,6 +519,6 @@ class TestZeroField:
         for name, f in kernels.items():
             assert np.array_equal(free[name], f()), name
 
-        G_free = minimize_mod._gradient(grid16, p, kinetic_state(grid16, p, psi.data))
-        G_zero = minimize_mod._gradient(grid16, p, kinetic_state(grid16, p, psi.data, zero))
+        G_free = minimize_mod._gradient_hat(grid16, p, kinetic_state(grid16, p, psi.data))
+        G_zero = minimize_mod._gradient_hat(grid16, p, kinetic_state(grid16, p, psi.data, zero))
         assert np.array_equal(G_free, G_zero)
