@@ -9,7 +9,10 @@ Four commands cover the workflow:
 
 Configuration is a flat ``key = value`` text file with ``#`` comments.
 Each command-line flag is the pair of its config key, laid over the
-file's pairs and parsed with them.  All randomness flows from the
+file's pairs and parsed with them.  The pairs are laid over the library's
+own objects: each key names a field of the run's ``PhysParams``, ``Grid``
+or ``MinimizeConfig`` (or of the run itself), and those classes check the
+values they hold.  All randomness flows from the
 config seed, so identical configurations produce byte-identical
 artifacts; wall-clock timestamps appear only in the ``run.log`` sidecar.
 The speed is gated where it is used: each solve, each sweep speed and
@@ -72,67 +75,35 @@ def _parse_vec3(s: str) -> tuple:
 
 @dataclass
 class RunConfig:
-    """Everything one run needs, resolved from file plus flags.  The run
-    seed and the speed-gate override live in ``minimize`` (``seed`` and
-    ``force``), where the solver reads them."""
+    """Everything one run needs, resolved from file plus flags: the run's
+    ``PhysParams``, ``Grid`` and ``MinimizeConfig``, which hold the run
+    seed and the speed-gate override (``seed`` and ``force``), and the
+    settings of the CLI alone.  The speed is gated by the library call
+    that uses it: ``minimize`` per solve and per sweep speed,
+    ``negativity_witness`` for the trial scan."""
 
-    model: str = "S"
-    hbar: float = 1.0
-    mass: float = 1.0
-    light_speed: float = 1.0
-    charge: float = 1.0
-    lam: float = 1.0
-    velocity: tuple = (0.1, 0.0, 0.0)
-    grid_n: int = 32
-    box_l: float = 40.0
+    params: PhysParams = PhysParams(v=(0.1, 0.0, 0.0))
+    # built per config, not on import
+    grid: Grid = field(default_factory=lambda: Grid(32, 40.0))
+    minimize: MinimizeConfig = field(default_factory=MinimizeConfig)
     output_dir: str = "."
     speeds: tuple = ()
     direction: tuple = (1.0, 0.0, 0.0)
     trial_points: int = 24
-    minimize: MinimizeConfig = field(default_factory=MinimizeConfig)
-
-    def validate(self) -> None:
-        """InputError unless the model, the physical constants and the
-        grid are valid: the checks of ``PhysParams`` and ``Grid``."""
-        self.params()
-        self.grid()
-
-    def grid(self) -> Grid:
-        try:
-            return Grid(n=self.grid_n, box_l=self.box_l)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-
-    def params(self) -> PhysParams:
-        """The physical parameters; the speed is gated by the library
-        call that uses it (``minimize`` per solve and per sweep speed,
-        ``negativity_witness`` for the trial scan)."""
-        try:
-            return PhysParams(
-                hbar=self.hbar,
-                mass=self.mass,
-                light_speed=self.light_speed,
-                charge=self.charge,
-                lam=self.lam,
-                v=tuple(self.velocity),
-                model=self.model,
-            )
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
 
 
-# configuration keys: name -> (attribute path, parser); a path under
-# ``minimize.`` sets that MinimizeConfig field
+# configuration keys: name -> (field path, parser); a path ``owner.name``
+# sets field ``name`` of the RunConfig field ``owner``
 _KEYS = {
-    "model": ("model", str.strip),
-    "hbar": ("hbar", float),
-    "mass": ("mass", float),
-    "light_speed": ("light_speed", float),
-    "charge": ("charge", float),
-    "lambda": ("lam", float),
-    "v": ("velocity", _parse_vec3),
-    "grid_n": ("grid_n", int),
-    "box_l": ("box_l", float),
+    "model": ("params.model", str.strip),
+    "hbar": ("params.hbar", float),
+    "mass": ("params.mass", float),
+    "light_speed": ("params.light_speed", float),
+    "charge": ("params.charge", float),
+    "lambda": ("params.lam", float),
+    "v": ("params.v", _parse_vec3),
+    "grid_n": ("grid.n", int),
+    "box_l": ("grid.box_l", float),
     "seed": ("minimize.seed", int),
     "output_dir": ("output_dir", str.strip),
     "force_supercritical": ("minimize.force", _parse_bool),
@@ -179,23 +150,28 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
 
 
 def _apply_pairs(cfg: RunConfig, pairs: dict) -> RunConfig:
-    updates = {}
-    min_updates = {}
+    """``cfg`` with each pair parsed onto the field its key's path names.
+    Each owner is replaced once, minimize, then params, then grid, so its
+    own checks run on the values it is given; their ValueError is an
+    input error."""
+    updates = {"minimize": {}, "params": {}, "grid": {}, "": {}}
     for key, value in pairs.items():
         if key not in _KEYS:
             raise InputError(f"unknown config key {key!r}")
-        attr, parser = _KEYS[key]
+        path, parser = _KEYS[key]
         try:
             parsed = parser(value)
         except ValueError as exc:
             raise InputError(f"bad value for {key!r}: {exc}") from None
-        if attr.startswith("minimize."):
-            min_updates[attr[len("minimize."):]] = parsed
-        else:
-            updates[attr] = parsed
-    if min_updates:
-        updates["minimize"] = dataclasses.replace(cfg.minimize, **min_updates)
-    return dataclasses.replace(cfg, **updates)
+        owner, _, name = path.rpartition(".")
+        updates[owner][name] = parsed
+    fields = updates.pop("")
+    try:
+        for owner, kw in updates.items():
+            fields[owner] = dataclasses.replace(getattr(cfg, owner), **kw)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    return dataclasses.replace(cfg, **fields)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -215,21 +191,30 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, flag, None)
         if value:
             pairs[key] = str(value)
-    cfg = _apply_pairs(RunConfig(), pairs)
-    cfg.validate()
-    return cfg
+    return _apply_pairs(RunConfig(), pairs)
 
 
 # -- artifacts ------------------------------------------------------------------
 
 
 class _RunLog:
-    """Sidecar log; the only artifact allowed to carry timestamps."""
+    """Sidecar log; the only artifact allowed to carry timestamps.  As a
+    context manager it writes "<command> failed: ..." for a package error
+    and closes on every exit."""
 
-    def __init__(self, directory: str):
+    def __init__(self, directory: str, command: str):
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, "run.log")
+        self.command = command
         self._fh = open(self.path, "a")
+
+    def __enter__(self) -> "_RunLog":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, MpwaveError):
+            self.write(f"{self.command} failed: {exc}")
+        self.close()
 
     def write(self, msg: str) -> None:
         stamp = datetime.datetime.now().isoformat(timespec="seconds")
@@ -248,11 +233,12 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _report_lines(cfg: RunConfig, rep) -> list:
+    v = cfg.params.v
     lines = [
-        f"model = {cfg.model}",
-        f"grid_n = {cfg.grid_n}",
-        f"box_l = {_fmt(cfg.box_l)}",
-        f"velocity = {_fmt(cfg.velocity[0])},{_fmt(cfg.velocity[1])},{_fmt(cfg.velocity[2])}",
+        f"model = {cfg.params.model}",
+        f"grid_n = {cfg.grid.n}",
+        f"box_l = {_fmt(cfg.grid.box_l)}",
+        f"velocity = {_fmt(v[0])},{_fmt(v[1])},{_fmt(v[2])}",
         f"seed = {cfg.minimize.seed}",
         f"converged = {str(rep.converged).lower()}",
         f"iterations = {rep.iterations}",
@@ -273,22 +259,15 @@ def _report_lines(cfg: RunConfig, rep) -> list:
 
 
 def run_solve(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    p = cfg.params()
-    log = _RunLog(cfg.output_dir)
-    log.write(f"solve start: model={cfg.model} n={cfg.grid_n} L={cfg.box_l} v={cfg.velocity}")
-    try:
+    grid, p = cfg.grid, cfg.params
+    with _RunLog(cfg.output_dir, "solve") as log:
+        log.write(f"solve start: model={p.model} n={grid.n} L={grid.box_l} v={p.v}")
         rep = minimize(grid, p, config=cfg.minimize)
-    except MpwaveError as exc:
-        log.write(f"solve failed: {exc}")
-        log.close()
-        raise
-    state_io.write_state(os.path.join(cfg.output_dir, "state.mpwf"), grid, p, rep.psi, rep.A)
-    _write_lines(os.path.join(cfg.output_dir, "report.txt"), _report_lines(cfg, rep))
-    rows = ["sample,energy"] + [f"{i},{_fmt(e)}" for i, e in enumerate(rep.energy_trace)]
-    _write_lines(os.path.join(cfg.output_dir, "trace.csv"), rows)
-    log.write(f"solve done: converged={rep.converged} iters={rep.iterations}")
-    log.close()
+        state_io.write_state(os.path.join(cfg.output_dir, "state.mpwf"), grid, p, rep.psi, rep.A)
+        _write_lines(os.path.join(cfg.output_dir, "report.txt"), _report_lines(cfg, rep))
+        rows = ["sample,energy"] + [f"{i},{_fmt(e)}" for i, e in enumerate(rep.energy_trace)]
+        _write_lines(os.path.join(cfg.output_dir, "trace.csv"), rows)
+        log.write(f"solve done: converged={rep.converged} iters={rep.iterations}")
     print(
         f"energy = {_fmt(rep.energy)}\ntheta = {_fmt(rep.theta)}\n"
         f"omega = {_fmt(rep.omega)}\n"
@@ -300,62 +279,54 @@ def run_solve(cfg: RunConfig) -> int:
 
 
 def run_sweep(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    p = cfg.params()
+    p = cfg.params
     rows = ["v_mag,energy,energy_minus_rest,theta,omega,residual_psi,residual_A,converged"]
     if not cfg.speeds:
         os.makedirs(cfg.output_dir, exist_ok=True)
         _write_lines(os.path.join(cfg.output_dir, "sweep.csv"), rows)
         print("empty speed list: header-only CSV written")
         return 0
-    log = _RunLog(cfg.output_dir)
-    log.write(f"sweep start: speeds={list(cfg.speeds)}")
-    try:
+    with _RunLog(cfg.output_dir, "sweep") as log:
+        log.write(f"sweep start: speeds={list(cfg.speeds)}")
         result = diagnostics.mass_sweep(
-            grid, p, cfg.speeds, direction=cfg.direction, config=cfg.minimize
+            cfg.grid, p, cfg.speeds, direction=cfg.direction, config=cfg.minimize
         )
-    except MpwaveError as exc:
-        log.write(f"sweep failed: {exc}")
-        log.close()
-        raise
-    for pt in result.points:
-        rest = 0.5 * cfg.mass * pt.speed ** 2 * cfg.lam
-        rows.append(
-            ",".join(
-                [
-                    _fmt(pt.speed),
-                    _fmt(pt.energy_trav),
-                    _fmt(pt.energy_trav - rest),
-                    _fmt(pt.theta),
-                    _fmt(pt.omega),
-                    _fmt(pt.residual_psi),
-                    _fmt(pt.residual_a),
-                    str(pt.converged).lower(),
-                ]
+        for pt in result.points:
+            rest = 0.5 * p.mass * pt.speed ** 2 * p.lam
+            rows.append(
+                ",".join(
+                    [
+                        _fmt(pt.speed),
+                        _fmt(pt.energy_trav),
+                        _fmt(pt.energy_trav - rest),
+                        _fmt(pt.theta),
+                        _fmt(pt.omega),
+                        _fmt(pt.residual_psi),
+                        _fmt(pt.residual_a),
+                        str(pt.converged).lower(),
+                    ]
+                )
             )
-        )
-    if np.isnan(result.alpha):
-        undetermined = "undetermined: the fit needs two nonzero speeds of distinct magnitude"
-        rows.append(f"# fit: {undetermined}")
-        summary = f"fit {undetermined}"
-    else:
-        rows.append(
-            f"# fit: alpha = {_fmt(result.alpha)}, beta = {_fmt(result.beta)}, "
-            f"alpha_target = {_fmt(result.alpha_target)}, residual = {_fmt(result.fit_residual)}"
-        )
-        summary = (f"alpha = {_fmt(result.alpha)} (target {_fmt(result.alpha_target)}), "
-                   f"beta = {_fmt(result.beta)}")
-    _write_lines(os.path.join(cfg.output_dir, "sweep.csv"), rows)
-    log.write("sweep done")
-    log.close()
+        if np.isnan(result.alpha):
+            undetermined = "undetermined: the fit needs two nonzero speeds of distinct magnitude"
+            rows.append(f"# fit: {undetermined}")
+            summary = f"fit {undetermined}"
+        else:
+            rows.append(
+                f"# fit: alpha = {_fmt(result.alpha)}, beta = {_fmt(result.beta)}, "
+                f"alpha_target = {_fmt(result.alpha_target)}, "
+                f"residual = {_fmt(result.fit_residual)}"
+            )
+            summary = (f"alpha = {_fmt(result.alpha)} (target {_fmt(result.alpha_target)}), "
+                       f"beta = {_fmt(result.beta)}")
+        _write_lines(os.path.join(cfg.output_dir, "sweep.csv"), rows)
+        log.write("sweep done")
     print(summary)
     return 0
 
 
 def run_trial(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    p = cfg.params()
-    report = diagnostics.negativity_witness(grid, p, num=cfg.trial_points)
+    report = diagnostics.negativity_witness(cfg.grid, cfg.params, num=cfg.trial_points)
     os.makedirs(cfg.output_dir, exist_ok=True)
     rows = ["amplitude,dilation,energy,margin"]
     for r in report.rows:
@@ -441,7 +412,7 @@ def _half_band_checks(grid, p, psi_h, a_h) -> tuple:
     it."""
     psi_hat, psi_low = spectral.band(grid, psi_h)
     a_low = pauli._a_band(grid, a_h)[1]
-    stack = pauli._covariant_hat(grid, p, psi_hat, psi_low, a_low)
+    stack = pauli.kinetic_hat(grid, p.with_(model="S"), psi_hat, psi_low, a_low)
     spin = _spin_identity(grid, p, psi_hat, psi_low, stack, a_low)
     del psi_hat, psi_low, a_low
     return spin, _gauge_covariance(grid, p, psi_h, a_h, stack)

@@ -71,12 +71,18 @@ def _vk(grid: Grid, v: np.ndarray) -> np.ndarray:
     return v[0] * kx + v[1] * ky + v[2] * kz
 
 
-def _vk_real(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """v.k for the derivative of a real field, whose real part the inverse
-    transform keeps: that drops the Nyquist wavenumber of each axis, where
-    the odd multiplier i k has no real counterpart."""
+def _k_real(grid: Grid) -> np.ndarray:
+    """The wavenumbers of one axis for the derivative of a real field,
+    whose real part the inverse transform keeps: the Nyquist entry is
+    zeroed, where the odd multiplier i k has no real counterpart."""
     k1 = grid.k[0][:, 0, 0].copy()
     k1[grid.n // 2] = 0.0
+    return k1
+
+
+def _vk_real(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """v.k for the derivative of a real field (``_k_real``)."""
+    k1 = _k_real(grid)
     return v[0] * k1[:, None, None] + v[1] * k1[None, :, None] + v[2] * k1[None, None, :]
 
 
@@ -106,8 +112,10 @@ def _parseval(grid: Grid, fh: np.ndarray, weight: np.ndarray | None = None) -> f
 
 def _em_energy(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
     """``field_energy`` of A and (v.grad) A from the transform ``a_hat`` of
-    A by Parseval, with the derivatives of a real field (``_vk_real``)."""
-    kx, ky, kz = (_vk_real(grid, e) for e in np.eye(3))
+    A by Parseval, with the derivatives of a real field (``_k_real``), read
+    as 1-D broadcasts."""
+    k1 = _k_real(grid)
+    kx, ky, kz = k1[:, None, None], k1[None, :, None], k1[None, None, :]
     curl_sq = (
         _parseval(grid, ky * a_hat[2] - kz * a_hat[1])
         + _parseval(grid, kz * a_hat[0] - kx * a_hat[2])
@@ -157,8 +165,7 @@ def energy_functional(grid: Grid, p: PhysParams, psi, A) -> EnergyBreakdown:
 
     A psi whose spin-down component is exactly zero is evaluated on its
     spin-up block (``fields._spin_up``), for both models: with a field 11
-    scalar FFTs instead of 16 for model S, 10 instead of 12 for P; 2 at
-    A = 0 instead of 4.
+    scalar FFTs for model S and 10 for P, 2 at A = 0.
     """
     psi = _spin_up(component_array(grid, psi, 2, "psi"))
     a_low, field = _field_band(grid, p, component_array(grid, A, 3, "A"))[1:]

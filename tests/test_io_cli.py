@@ -309,9 +309,9 @@ class TestConfigParsing:
             "minimize.max_iter = 12\n"
             "minimize.init = plane\n",
         )
-        assert cfg.model == "P" and cfg.lam == 2.5
-        assert cfg.velocity == (0.05, 0.0, 0.1)
-        assert cfg.grid_n == 16 and cfg.box_l == 30.0
+        assert cfg.params.model == "P" and cfg.params.lam == 2.5
+        assert cfg.params.v == (0.05, 0.0, 0.1)
+        assert cfg.grid.n == 16 and cfg.grid.box_l == 30.0
         assert cfg.speeds == (0.1, 0.2) and cfg.trial_points == 9
         assert cfg.minimize.max_iter == 12
         assert cfg.minimize.init == "plane"
@@ -323,9 +323,9 @@ class TestConfigParsing:
     def test_flags_override_file(self, tmp_path):
         cfg = self._resolve(tmp_path, "v = 0.2,0,0\nseed = 3\n",
                             v="0.1,0,0", seed=9, model="P", grid=16)
-        assert cfg.velocity == (0.1, 0.0, 0.0)
+        assert cfg.params.v == (0.1, 0.0, 0.0)
         assert cfg.minimize.seed == 9
-        assert cfg.model == "P" and cfg.grid_n == 16
+        assert cfg.params.model == "P" and cfg.grid.n == 16
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(InputError, match="unknown config key"):
@@ -354,6 +354,45 @@ class TestConfigParsing:
             self._resolve(tmp_path, "box_l = -5\n")
         with pytest.raises(InputError, match="finite"):
             self._resolve(tmp_path, "box_l = inf\n")
+
+
+#: a valid value of each config key, none its default, and what it parses to
+_KEY_VALUES = {
+    "model": ("P", "P"),
+    "hbar": ("1.5", 1.5),
+    "mass": ("2", 2.0),
+    "light_speed": ("3", 3.0),
+    "charge": ("-0.5", -0.5),
+    "lambda": ("2.5", 2.5),
+    "v": ("0.05, 0, 0.1", (0.05, 0.0, 0.1)),
+    "grid_n": ("16", 16),
+    "box_l": ("30", 30.0),
+    "seed": ("7", 7),
+    "output_dir": ("runs/a", "runs/a"),
+    "force_supercritical": ("yes", True),
+    "speeds": ("0.1 0.2", (0.1, 0.2)),
+    "direction": ("0, 1, 0", (0.0, 1.0, 0.0)),
+    "trial_points": ("9", 9),
+    "minimize.max_iter": ("12", 12),
+    "minimize.init": ("plane", "plane"),
+    "minimize.log_every": ("3", 3),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._KEYS))
+def test_every_key_sets_the_field_its_path_names(tmp_path, key):
+    """Each entry of the key table resolves: a valid value written for it
+    lands on the field its path names (``owner.name`` for a field of the
+    run's PhysParams, Grid or MinimizeConfig), which held another value
+    before.  A misspelt path would raise TypeError, not an input error."""
+    text, expect = _KEY_VALUES[key]
+    path = tmp_path / "one.cfg"
+    path.write_text(f"{key} = {text}\n")
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["solve", "--config", str(path)]))
+    default = cli.RunConfig()
+    for part in cli._KEYS[key][0].split("."):
+        cfg, default = getattr(cfg, part), getattr(default, part)
+    assert cfg == expect and default != expect
 
 
 #: minimize.* keys of settings that no longer exist or are constants
@@ -809,10 +848,27 @@ class TestCheckSuite:
 
         psi_hat, psi_low = spectral.band(grid16, psi_h)
         a_low = pauli._a_band(grid16, a_h)[1]
-        stack = pauli._covariant_hat(grid16, p, psi_hat, psi_low, a_low)
+        stack = pauli.kinetic_hat(grid16, p.with_(model="S"), psi_hat, psi_low, a_low)
         assert cli._spin_identity(grid16, p, psi_hat, psi_low, stack, a_low)[0]
         stack[0] *= 1.0 + 1e-6
         assert not cli._spin_identity(grid16, p, psi_hat, psi_low, stack, a_low)[0]
+
+    @pytest.mark.parametrize("model", ["S", "P"])
+    def test_bound_verdicts_fail_below_their_bounds(self, grid16, model):
+        """The a-priori and Coulomb verdicts PASS with a state's own total
+        and FAIL on its record with the total moved below their bound: an
+        energy excess E + m v^2 lambda / 2 of -1, and the Coulomb bound less
+        1.  Real states pass both with wide margins."""
+        p, psi, A = _check_state(grid16, model, "random")
+        br, _, grad_a, _, _ = cli._state_record(grid16, p, psi.data, A.data)
+        excess_zero = -0.5 * p.mass * p.speed ** 2 * p.lam
+        apriori = [cli._apriori_check(grid16, p, psi.data, grad_a, total)[0]
+                   for total in (br.total, excess_zero - 1.0)]
+        assert apriori[0] is not None and apriori[0]
+        assert apriori[1] is not None and not apriori[1]
+        bound = coulomb_lower_bound(grid16, p, psi, A).bound
+        assert cli._coulomb_check(grid16, p, psi.data, A.data, br.total)[0]
+        assert not cli._coulomb_check(grid16, p, psi.data, A.data, bound - 1.0)[0]
 
     @pytest.mark.parametrize("state", ["random", "plane"])
     @pytest.mark.parametrize("model", ["S", "P"])

@@ -716,15 +716,24 @@ class TestMinimize:
     @pytest.mark.parametrize("model", ["S", "P"])
     def test_early_stop_is_not_converged(self, grid16, model):
         """A run cut at ``max_iter`` is judged by its polished residual like
-        any other: two steps from the trial start leave it far from
-        stationary (residual_psi about 0.45), so it is not converged and
-        its message says where it stopped."""
+        any other, so it is not converged and its message says where it
+        stopped: two steps from the trial start leave it far from
+        stationary (residual_psi about 0.45), and a given start 1e-4 off
+        the plane wave, stopped before its first step, near it (about
+        1.7e-3, between residual_tol and 1e3 times it)."""
         p = params(model, v=0.1)
-        rep = minimize(grid16, p, MinimizeConfig(max_iter=2))
-        assert rep.iterations == 2
-        assert rep.converged is False
-        assert rep.residual_psi > MinimizeConfig.residual_tol
-        assert rep.message == "max_iter reached"
+        near = plane_wave_state(grid16, p)[0].data + 1e-4 * random_fields(grid16, p, seed=4)[0].data
+        runs = [
+            (2, minimize(grid16, p, MinimizeConfig(max_iter=2))),
+            (0, minimize(grid16, p, MinimizeConfig(init="given", max_iter=0), near,
+                         np.zeros((3,) + grid16.shape))),
+        ]
+        for iterations, rep in runs:
+            assert rep.iterations == iterations
+            assert rep.converged is False
+            assert rep.residual_psi > MinimizeConfig.residual_tol
+            assert rep.message == "max_iter reached"
+        assert runs[1][1].residual_psi < 1e3 * MinimizeConfig.residual_tol
 
     @pytest.mark.parametrize("init", ["trial", "random", "given"])
     @pytest.mark.parametrize("model", ["S", "P"])

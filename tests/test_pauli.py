@@ -13,7 +13,6 @@ from mpwave.minimize import el_residual
 from mpwave.pauli import (
     SIGMA,
     KineticState,
-    _covariant_hat,
     _current_hat,
     _laplacian_hat,
     _pair,
@@ -226,7 +225,7 @@ class TestContractFirst:
         contraction of the three transformed D_a psi."""
         p = params("P")
         psi_hat, psi_low, a_low = self._band(grid16, layout, field)
-        stack = _covariant_hat(grid16, p, psi_hat, psi_low, a_low)
+        stack = kinetic_hat(grid16, p.with_(model="S"), psi_hat, psi_low, a_low)
         new = kinetic_hat(grid16, p, psi_hat, psi_low, a_low)
         self._assert_close(new, _spin_contract("P", stack), stack)
 
