@@ -383,7 +383,7 @@ def _state_record(grid, p, psi, A) -> tuple:
     pairs both components of sigma . D psi."""
     a_band = _field_band(grid, p, A)
     a_hat = a_band[0]
-    grad_a = 0.0 if a_hat is None else np.sqrt(_parseval(grid, a_hat, grid.k2))
+    grad_a = 0.0 if a_hat is None else np.sqrt(_parseval(grid, a_hat, grid.k2 * a_hat))
     psi_hat, psi_low = spectral.band(grid, psi if p.model == "P" else _spin_up(psi))
     psi_h, a_h = _half_band(grid, psi_hat, a_hat)
     del a_hat

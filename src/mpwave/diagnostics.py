@@ -109,7 +109,7 @@ class TrialSpec:
 
 
 def _check_fit(grid: Grid, spec: TrialSpec) -> None:
-    limit = (0.5 - TrialSpec.margin) * grid.box_l
+    limit = TrialSpec.fitted(grid, spec.amplitude).dilation
     if spec.dilation > limit + 1e-9:
         raise DomainGateError(
             f"trial support radius {spec.dilation:.3g} exceeds the "
@@ -288,11 +288,11 @@ def _base_integrals(grid: Grid, p: PhysParams, spec: TrialSpec) -> BaseQuadratur
     n2 = R ** 2 * float(np.sum(np.abs(grad_env) ** 2)) * grid.cell
 
     a0_hat = grid.fft(a0)
-    g2 = _parseval(grid, a0_hat, grid.k2) / R
+    g2 = _parseval(grid, a0_hat, grid.k2 * a0_hat) / R
 
     speed = p.speed
     vhat = p.v_arr / speed if speed > 0 else np.array([1.0, 0.0, 0.0])
-    g1v2 = _parseval(grid, a0_hat, _vk_real(grid, vhat) ** 2) / R
+    g1v2 = _parseval(grid, a0_hat, _vk_real(grid, vhat) ** 2 * a0_hat) / R
 
     m2 = float(np.sum(np.sum(a0 ** 2, axis=0) * dens)) * grid.cell
     overlap = float(np.sum(np.tensordot(a0, vhat, axes=(0, 0)) * dens)) * grid.cell
@@ -442,31 +442,28 @@ def negativity_witness(
 # -- concentration --------------------------------------------------------------
 
 
-def concentration_function(psi: SpinorField, radii) -> np.ndarray:
-    """C(r) = sup_y integral of |psi|^2 over the (periodic) ball B(y, r).
-
-    Evaluated for every radius by circular convolution of the density
-    with the ball indicator; exact at grid resolution.
-    """
+def _ball_masses(psi: SpinorField, radii):
+    """The mass of |psi|^2 in the periodic ball B(y, r) about every grid
+    point y, for each radius r in turn: the circular convolution of the
+    density with the ball indicator, exact at grid resolution."""
     grid = psi.grid
-    dens = psi.density()
-    dens_hat = grid.fft(dens)
+    dens_hat = grid.fft(psi.density())
     dist = _periodic_dist(grid, (0.0, 0.0, 0.0))
-    out = np.empty(len(radii), dtype=float)
-    for i, r in enumerate(radii):
+    for r in radii:
         ind = (dist <= r).astype(float)
-        mass = np.real(grid.ifft(dens_hat * grid.fft(ind))) * grid.cell
-        out[i] = float(np.max(mass))
-    return out
+        yield np.real(grid.ifft(dens_hat * grid.fft(ind), overwrite=True)) * grid.cell
+
+
+def concentration_function(psi: SpinorField, radii) -> np.ndarray:
+    """C(r) = sup_y integral of |psi|^2 over the (periodic) ball B(y, r),
+    for every radius (``_ball_masses``)."""
+    return np.array([float(np.max(mass)) for mass in _ball_masses(psi, radii)])
 
 
 def centering(psi: SpinorField, radius: float) -> np.ndarray:
     """Position maximizing the mass in a ball of the given radius."""
     grid = psi.grid
-    dens = psi.density()
-    dist = _periodic_dist(grid, (0.0, 0.0, 0.0))
-    ind = (dist <= radius).astype(float)
-    mass = np.real(grid.ifft(grid.fft(dens) * grid.fft(ind)))
+    mass = next(_ball_masses(psi, (radius,)))
     idx = np.unravel_index(int(np.argmax(mass)), grid.shape)
     ax = grid.axis_coords()
     return np.array([ax[idx[0]], ax[idx[1]], ax[idx[2]]])
@@ -491,27 +488,19 @@ class SplitSpec:
 
     The wave function is cut at scales ``radius`` (inner) and
     2^(doublings-1) * radius (outer); both gauge cutoffs act at
-    2^(gauge_level-1) * radius.  ``gauge_level = None`` picks the level
-    whose transition shell carries the smallest L^6 mass of A, scanning
-    {2, ..., doublings-2} when that range is nonempty (the nesting
-    identities chi_A chi_psi = chi_psi then hold with room to spare) and
-    {1, ..., doublings-1} otherwise.
+    2^(m-1) * radius, the gauge level m that ``split_fields`` picks and
+    ``SplitPieces.gauge_level`` reports.
     """
 
     center: tuple
     radius: float
     doublings: int = 3
-    gauge_level: int | None = None
 
     def __post_init__(self):
         if self.radius <= 0:
             raise InputError("split radius must be positive")
         if self.doublings < 2:
             raise InputError("need at least two doublings to separate the scales")
-        if self.gauge_level is not None and not (
-            1 <= self.gauge_level <= self.doublings - 1
-        ):
-            raise InputError("gauge_level must lie in {1, ..., doublings-1}")
 
 
 @dataclass(frozen=True)
@@ -536,8 +525,10 @@ def _periodic_dist(grid: Grid, center) -> np.ndarray:
 
 
 def _pick_gauge_level(grid: Grid, A: np.ndarray, spl: SplitSpec, dist: np.ndarray) -> int:
-    if spl.gauge_level is not None:
-        return spl.gauge_level
+    """The gauge level whose transition shell carries the smallest L^6 mass
+    of A, scanning {2, ..., doublings-2} when that range is nonempty (the
+    nesting identities chi_A chi_psi = chi_psi then hold with room to
+    spare) and {1, ..., doublings-1} otherwise."""
     candidates = list(range(2, spl.doublings - 1)) or list(range(1, spl.doublings))
     a_mag6 = np.sum(A ** 2, axis=0) ** 3
     best, best_val = candidates[0], np.inf

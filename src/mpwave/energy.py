@@ -98,16 +98,13 @@ def _wave_symbol(grid: Grid, p: PhysParams) -> np.ndarray:
     return grid.k2 - _vk_real(grid, p.v_arr) ** 2 / p.light_speed ** 2
 
 
-def _parseval(grid: Grid, fh: np.ndarray, weight: np.ndarray | None = None) -> float:
-    """Grid norm |f|^2 = h^3 sum |f|^2 = (h^3 / n^3) sum |f_hat|^2 read from
-    the transform, each mode weighted by the (n, n, n) symbol ``weight``
-    when one is given (the norm of the field that symbol maps f to).  The
-    unweighted sum is ``fields._re_dot``, a BLAS dot with no temporary."""
-    if weight is None:
-        return _re_dot(fh) * grid.cell / grid.n ** 3
-    sq = fh.real ** 2 + fh.imag ** 2
-    sq *= weight
-    return float(np.sum(sq)) * grid.cell / grid.n ** 3
+def _parseval(grid: Grid, uh: np.ndarray, wh: np.ndarray | None = None) -> float:
+    """Grid inner product Re <u, w> = h^3 Re sum conj(u) w
+    = (h^3 / n^3) Re sum conj(u_hat) w_hat read from the transforms, or
+    the norm |u|^2 when ``wh`` is None: the one place the Parseval weight
+    is applied.  A norm weighted by a real symbol s, sum s |u_hat|^2, passes
+    ``s * uh`` as ``wh``.  The sum is ``fields._re_dot``, a BLAS dot."""
+    return _re_dot(uh, wh) * (grid.cell / grid.n ** 3)
 
 
 def _em_energy(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
@@ -121,14 +118,14 @@ def _em_energy(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
         + _parseval(grid, kz * a_hat[0] - kx * a_hat[2])
         + _parseval(grid, kx * a_hat[1] - ky * a_hat[0])
     )
-    conv_sq = _parseval(grid, a_hat, _vk_real(grid, p.v_arr) ** 2) / p.light_speed ** 2
+    conv_sq = _parseval(grid, a_hat, _vk_real(grid, p.v_arr) ** 2 * a_hat) / p.light_speed ** 2
     return (curl_sq + conv_sq) / (8.0 * np.pi)
 
 
 def _field_part(grid: Grid, p: PhysParams, a_hat: np.ndarray) -> float:
     """Field term (1/8 pi) ( |grad A|^2 - |((v/c).grad) A|^2 ) of the energy,
     from the transform ``a_hat`` of A weighted by the wave symbol."""
-    return _parseval(grid, a_hat, _wave_symbol(grid, p)) / (8.0 * np.pi)
+    return _parseval(grid, a_hat, _wave_symbol(grid, p) * a_hat) / (8.0 * np.pi)
 
 
 def _field_band(grid: Grid, p: PhysParams, A: np.ndarray) -> tuple:
@@ -148,7 +145,7 @@ def _drift(grid: Grid, p: PhysParams, psi_hat: np.ndarray) -> float:
     (Parseval); 0 at rest."""
     if not np.any(p.v_arr):
         return 0.0
-    return -p.hbar * _parseval(grid, psi_hat, _vk(grid, p.v_arr))
+    return -p.hbar * _parseval(grid, psi_hat, _vk(grid, p.v_arr) * psi_hat)
 
 
 def field_energy(grid: Grid, p: PhysParams, A, Adot) -> float:
@@ -354,7 +351,8 @@ def apriori_bounds(
     A = component_array(grid, A, 3, "A")
     if total is None:
         total = energy_functional(grid, p, psi, A).total
-    return _apriori(grid, p, psi, np.sqrt(_parseval(grid, grid.fft(A), grid.k2)), total)
+    a_hat = grid.fft(A)
+    return _apriori(grid, p, psi, np.sqrt(_parseval(grid, a_hat, grid.k2 * a_hat)), total)
 
 
 def _apriori(grid: Grid, p: PhysParams, psi: np.ndarray, grad_a: float,

@@ -14,17 +14,21 @@ travels as its spin-up block ``psi[:1]``, shape ``(1,n,n,n)``
 (``_spin_up``), so no transform or product is spent on the zero; every
 container and public return value keeps ``(2,n,n,n)`` (``_spinor``).
 
-Reductions follow one deterministic-reduction convention.  Unweighted
-sums, Re Σ ū·w and Σ|u|² (``_re_dot``, read by ``l2_norm_sq``, the
-unweighted Parseval norm and the solver's inner products), are BLAS dots
-over the float64 views of each (n, n, n) block, with no temporary, and
-the block sums are added in order; ``inner`` is ``np.vdot``.  A BLAS dot
-splits its sum by the CPU's vector width and the BLAS thread count, so
-these bits are fixed on one machine at one BLAS thread count but may
-differ across CPUs.  Adding the blocks in order keeps a spin-up block's
-sum equal to its spinor's bit for bit: the spinor adds an exact 0 per
-spin-down block.  Weighted sums and integrals go through ``np.sum``,
-whose pairwise summation order is fixed for a given array shape.
+Reductions follow one deterministic-reduction convention.  Sums of
+products, Re Σ ū·w and Σ|u|² (``_re_dot``), are BLAS dots over the
+float64 views of each (n, n, n) block, with no temporary, and the block
+sums are added in order; ``inner`` is ``np.vdot``.  ``l2_norm_sq`` reads
+``_re_dot``, and so does ``energy._parseval``, the grid inner product on
+transforms behind every norm and every inner product of the solver: a
+norm weighted by a Fourier symbol s is the dot of û with s·û, so no sum
+on transforms has another order.  A BLAS dot splits its sum by the CPU's
+vector width and the BLAS thread count, so these bits are fixed on one
+machine at one BLAS thread count but may differ across CPUs.  Adding the
+blocks in order keeps a spin-up block's sum equal to its spinor's bit
+for bit: the spinor adds an exact 0 per spin-down block.  Integrals of
+other grid fields (``Grid.integrate``, the diagnostics' quadratures) go
+through ``np.sum``, whose pairwise summation order is fixed for a given
+array shape.
 """
 
 from __future__ import annotations

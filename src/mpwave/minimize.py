@@ -33,10 +33,11 @@ div A = 0 by alternating two moves:
   A = 0: A is a function of psi, and only a given pair's first solve
   reads its A0, so the loop holds no A between solves.
 
-The psi-loop lives in spectral space.  The tangent and theta, the
-direction P Gt, the step, the Armijo test and the renormalization of a
-trial read psi_hat, the transform of G and their Parseval sums
-(``fields._re_dot``, weighted by h^3 / n^3), with no transform: a
+The psi-loop and the A-solve live in spectral space.  Every sum on
+transforms is the grid inner product ``energy._parseval``, the one place
+the weight h^3 / n^3 is applied.  The tangent and theta, the direction
+P Gt, the step, the Armijo test and the renormalization of a trial read
+psi_hat, the transform of G and their sums, with no transform: a
 band-limited psi_hat is its own T psi, so a trial's record takes one
 inverse transform, ifft(psi_hat), besides its product transforms.  The
 start, normalized on the grid, is banded once and masked.  Each A-solve
@@ -44,10 +45,11 @@ reads psi_hat and T psi from the record the loop holds, and the record
 of psi against a new A reuses them for the product transforms alone, 6
 for model S and 2 for model P.  The run returns ifft(psi_hat) normalized
 on the grid; the polish and the report read the band of that psi.  The
-report (``_report``, which ``mpwave check`` reads too) takes the band of
-A as well: the residual, whose theta, |Gt|, |G| and |psi|^2 are Parseval
-sums of G_hat and psi_hat, the breakdown and omega read that A_hat and
-one record of the pair.  The public ``el_residual``, ``energy_functional``
+report (``_report``) takes the band of A as well: the residual, whose
+theta, |Gt|, |G| and |psi|^2 are sums of G_hat and psi_hat, the
+breakdown and omega read that A_hat and one record of the pair.  It is
+the one judge of a pair: ``el_residual`` is its residual, and the solver
+and ``mpwave check`` read all three.  The public ``energy_functional``
 and ``omega_from_theta`` check their inputs, build the same record and
 run the same bodies, so the report equals them bit for bit.
 
@@ -87,6 +89,7 @@ from .energy import (
     _drift,
     _field_band,
     _kinetic,
+    _parseval,
     _vk,
     carrier_gate,
     energy_functional,  # importable from this module, as before
@@ -159,9 +162,8 @@ def _tangent(
 ) -> tuple[np.ndarray, float]:
     """The transform of G + hbar theta psi and theta, the multiplier that
     makes the sum tangent to the mass sphere at psi, whose measured |psi|^2
-    is ``lam_meas``, from the transforms of psi and G by Parseval (weight
-    h^3 / n^3)."""
-    theta = -_re_dot(psi_hat, g_hat) * (grid.cell / grid.n ** 3) / (p.hbar * lam_meas)
+    is ``lam_meas``, from the transforms of psi and G by Parseval."""
+    theta = -_parseval(grid, psi_hat, g_hat) / (p.hbar * lam_meas)
     return g_hat + p.hbar * theta * psi_hat, theta
 
 
@@ -232,81 +234,13 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
     psi-side: |(1/2m) lap_{j,A} psi + hbar theta psi + i hbar v.grad psi|
     relative to the size of its constituents; A-side: analogous for the
     wave equation with the k = 0 mode split off into ``current_defect``
-    (reported as (4 pi / c) |mean J|).  Both read one ``KineticState``.
+    (reported as (4 pi / c) |mean J|).  The residual of the solver's
+    report (``_report``), from one band of psi and one of A.
     """
-    a_hat, a_low = pauli._a_band(grid, component_array(grid, A, 3, "A"))
-    st = pauli.kinetic_state(grid, p, component_array(grid, psi, 2, "psi"), a_low)
-    # the A side runs first and overwrites A_hat, which then goes, so it
-    # is not held through the gradient, where el_residual peaks
-    a_side = _a_residual(grid, p, st, a_hat)
-    del a_hat, a_low
-    return _el_residual(grid, p, st, a_side)
-
-
-def _a_residual(
-    grid: Grid, p: PhysParams, st: pauli.KineticState, a_hat: np.ndarray | None
-) -> tuple[float, float, float]:
-    """A side of ``el_residual`` from the record ``st`` and the transform
-    ``a_hat`` of A (None for A = 0), which it overwrites: the raw residual,
-    the sum of the norms of its two sides and the current defect."""
-    # (4 pi / c) P J_hat from the record; its k = 0 mode is the mean drive,
-    # reported as the defect and then split off
-    rhs_hat = spectral.project_hat(grid, 4.0 * np.pi * _source_hat(grid, p, st))
-    norm = lambda fh: np.sqrt(energy_mod._parseval(grid, fh))
-    defect = float(np.linalg.norm(rhs_hat[:, 0, 0, 0].real)) / grid.n ** 3
-    rhs_norm = norm(rhs_hat)
-    rhs_hat[:, 0, 0, 0] = 0.0
-    if a_hat is None:
-        lhs_norm, a_raw = 0.0, norm(rhs_hat)
-    else:
-        # the wave symbol vanishes at k = 0; the product and the difference
-        # are taken in place, so the A-side holds two stacks
-        a_hat *= energy_mod._wave_symbol(grid, p)
-        lhs_norm = norm(a_hat)
-        a_hat -= rhs_hat
-        a_raw = norm(a_hat)
-    return a_raw, lhs_norm + rhs_norm, defect
-
-
-def _el_residual(
-    grid: Grid, p: PhysParams, st: pauli.KineticState, a_side: tuple[float, float, float],
-) -> ELResidual:
-    """``el_residual`` of the record ``st`` and the A side ``a_side`` that
-    ``_a_residual`` read from it.  theta, |Gt|, |G| and |psi|^2 are Parseval
-    sums of the transform of G and ``st.psi_hat``, with no transform."""
-    a_raw, a_sum, defect = a_side
-    lam_meas = energy_mod._parseval(grid, st.psi_hat)
-    # exactly flat states (constant psi, vanishing current) leave every
-    # term at rounding scale; flooring the denominators by the weakest
-    # signal the box can carry turns 0/0 noise into a ~0 report
-    k_min = 2.0 * np.pi / grid.box_l
-    # scale against the full source (k = 0 included) so delocalised states
-    # with a pure mean current do not degenerate to 0/0, floored by the
-    # drive a unit-mass plane wave on the largest scale would produce
-    a_floor = (
-        4.0 * np.pi * abs(p.charge) * p.hbar * k_min * lam_meas
-        / (p.mass * p.light_speed * grid.box_l ** 1.5)
-    )
-    a_scale = max(a_sum, a_floor)
-
-    G = _gradient_hat(grid, p, st)
-    resid, theta = _tangent(grid, p, st.psi_hat, G, lam_meas)
-    psi_raw = np.sqrt(energy_mod._parseval(grid, resid))
-    psi_floor = p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass) * np.sqrt(lam_meas)
-    psi_scale = max(
-        np.sqrt(energy_mod._parseval(grid, G)) + abs(p.hbar * theta) * np.sqrt(lam_meas),
-        psi_floor,
-    )
-    return ELResidual(
-        psi_raw=float(psi_raw),
-        psi_scale=float(psi_scale),
-        psi_rel=_rel(psi_raw, psi_scale),
-        a_raw=float(a_raw),
-        a_scale=float(a_scale),
-        a_rel=_rel(a_raw, a_scale),
-        current_defect=defect,
-        theta=float(theta),
-    )
+    psi_hat, psi_low = spectral.band(grid, component_array(grid, psi, 2, "psi"))
+    # the band of A goes unnamed, so the report frees A_hat once it has read it
+    return _report(grid, p, psi_hat, psi_low,
+                   _field_band(grid, p, component_array(grid, A, 3, "A")))[0]
 
 
 # -- A-subproblem -------------------------------------------------------------
@@ -355,7 +289,7 @@ def _a_rhs(grid: Grid, p: PhysParams, st: pauli.KineticState) -> tuple[np.ndarra
     A = 0 read from the field-free record ``st``, with k = 0 frozen, and
     the grid norm of the unprojected (1/c) J0, k = 0 included."""
     j_hat = _source_hat(grid, p, st)
-    j_norm = np.sqrt(energy_mod._parseval(grid, j_hat))
+    j_norm = np.sqrt(_parseval(grid, j_hat))
     b = spectral.project_hat(grid, j_hat)
     b[:, 0, 0, 0] = 0.0
     return b, j_norm
@@ -428,11 +362,8 @@ def _solve_vector_potential(
     del st
     op = _a_operator(grid, p, psi_low)
 
-    # everything lives in spectral space; the inner product matches the
-    # grid one through Parseval
-    scale = grid.cell / grid.n ** 3
-    dot = lambda u, w: _re_dot(u, w) * scale
-    b_norm = np.sqrt(dot(b, b))
+    # everything lives in spectral space, in the grid inner product
+    b_norm = np.sqrt(_parseval(grid, b))
     if b_norm <= np.finfo(float).eps * np.log2(grid.n ** 3) * j_norm:
         logger.debug("A-solve: floor after 0 operator applications, |b|/|J| = %.3e",
                      b_norm / j_norm if j_norm > 0 else 0.0)
@@ -447,7 +378,7 @@ def _solve_vector_potential(
         x = spectral.project_hat(grid, grid.fft(A0))
         x[:, 0, 0, 0] = 0.0
         r, n_ops = b - op(x), 1
-        if dot(r, r) > b_norm ** 2:
+        if _parseval(grid, r) > b_norm ** 2:
             # a warm start farther from the solution than x = 0 is dropped,
             # so the target is relative to |b| on every start
             x[...] = 0.0
@@ -455,12 +386,12 @@ def _solve_vector_potential(
     del b  # r is b itself on a cold start; past the start nothing reads b
     z = inv * r
     d = z.copy()
-    rz = dot(r, z)
+    rz = _parseval(grid, r, z)
     best = np.inf
     best_x = x.copy()
     since_best = 0
     for _ in range(max_iter):
-        r_norm = np.sqrt(dot(r, r))
+        r_norm = np.sqrt(_parseval(grid, r))
         if r_norm < best * (1.0 - 1e-3):
             best, since_best = r_norm, 0
             best_x[...] = x
@@ -476,7 +407,7 @@ def _solve_vector_potential(
             break
         od = op(d)
         n_ops += 1
-        denom = dot(d, od)
+        denom = _parseval(grid, d, od)
         if denom <= 0:
             reason = "dAd <= 0"
             break
@@ -485,13 +416,13 @@ def _solve_vector_potential(
         r -= alpha * od
         del od  # so the next op(d) does not run beside this one's result
         z = inv * r
-        rz_new = dot(r, z)
+        rz_new = _parseval(grid, r, z)
         d = z + (rz_new / rz) * d
         rz = rz_new
     else:
         reason = "max_iter"
         # the last step's iterate has not been tested yet
-        r_norm = np.sqrt(dot(r, r))
+        r_norm = np.sqrt(_parseval(grid, r))
         if r_norm < best:
             best = r_norm
             best_x[...] = x
@@ -641,7 +572,7 @@ def _direction(
     transforms of psi and Gt with no transform.  For a tangent Gt,
     Re <Gt, d> = Re <Gt, P Gt> > 0, so d is a descent direction."""
     d = gt_hat * (1.0 / (alpha + p.hbar ** 2 * grid.k2 / (2.0 * p.mass)))
-    d -= (_re_dot(psi_hat, d) * grid.cell / grid.n ** 3 / lam_meas) * psi_hat
+    d -= (_parseval(grid, psi_hat, d) / lam_meas) * psi_hat
     return d
 
 
@@ -700,9 +631,7 @@ def minimize(
 
     # the loop iterates psi as its transform psi_hat, zero outside the
     # dealias band, so ifft(psi_hat) is T psi and psi itself; its sums are
-    # Parseval sums, weighted by h^3 / n^3
-    weight = grid.cell / grid.n ** 3
-    dot = lambda u, w=None: _re_dot(u, w) * weight
+    # Parseval sums
     a_ops = a_solves = 0
 
     def solve_a(psi_hat: np.ndarray, psi_low: np.ndarray, tol: float) -> np.ndarray:
@@ -723,12 +652,12 @@ def minimize(
     psi_hat, psi_low = spectral.band(grid, psi)
     psi_hat *= grid.dealias_mask
     del psi
-    lam_meas = dot(psi_hat)
+    lam_meas = _parseval(grid, psi_hat)
     if abs(lam_meas - p.lam) > np.finfo(float).eps * np.log2(grid.n ** 3) * p.lam:
         scale = np.sqrt(p.lam / lam_meas)
         psi_hat *= scale
         psi_low *= scale
-        lam_meas = dot(psi_hat)
+        lam_meas = _parseval(grid, psi_hat)
     # an all-zero A, as the solve returns at a forcing on its rounding
     # floor, is the field-free record: no transform of A or of a product
     a_low, field_term = _field_band(grid, p, solve_a(psi_hat, psi_low, config.a_tol))[1:]
@@ -751,13 +680,13 @@ def minimize(
     for it in range(1, config.max_iter + 1):
         st = None
         d = _direction(grid, p, psi_hat, Gt, alpha, lam_meas)
-        gd = dot(Gt, d)
+        gd = _parseval(grid, Gt, d)
 
         # BB step in the metric of P, with Armijo guard
         if prev_psi is not None:
             dGt = Gt - prev_Gt
-            num = dot(psi_hat - prev_psi, dGt)
-            den = dot(d - prev_d, dGt)
+            num = _parseval(grid, psi_hat - prev_psi, dGt)
+            den = _parseval(grid, d - prev_d, dGt)
             if num > 0 and den > 0:
                 step = num / den
         accepted = False
@@ -772,7 +701,7 @@ def minimize(
             if s * gd <= floor:
                 break
             trial = psi_hat - s * d
-            trial *= np.sqrt(p.lam / dot(trial))
+            trial *= np.sqrt(p.lam / _parseval(grid, trial))
             # a band-limited trial is its own T psi: one inverse transform
             st = pauli._record(grid, p, trial, grid.ifft(trial), a_low)
             e_trial = _psi_energy(grid, p, st)
@@ -797,7 +726,7 @@ def minimize(
             st = pauli._record(grid, p, psi_hat, psi_low, a_low)
             E = _psi_energy(grid, p, st) + field_term
 
-        lam_meas = dot(psi_hat)
+        lam_meas = _parseval(grid, psi_hat)
         alpha = _shift(grid, p, st, lam_meas)
         Gt = _tangent(grid, p, psi_hat, _gradient_hat(grid, p, st), lam_meas)[0]
         trace.append(E)
@@ -848,18 +777,68 @@ def _report(
     the pair (psi, A), bit for bit, from the band ``psi_hat``, ``psi_low``
     of psi and the band ``a_band`` of A (``energy._field_band``): one
     record of the pair, 6 (S) or 2 (P) scalar transforms for K psi with a
-    field and none at A = 0, and the residual's current.  A caller that
-    passes ``a_band`` unnamed leaves T A to the record alone.  Each reader
-    that writes into what it reads comes after every other reader of it."""
+    field and none at A = 0, and the residual's current.  theta, |Gt|, |G|
+    and |psi|^2 are Parseval sums of the transform of G and psi_hat, with
+    no transform.  A caller that passes ``a_band`` unnamed leaves T A to
+    the record alone.  Each reader that writes into what it reads comes
+    after every other reader of it."""
     a_hat, a_low, field_term = a_band
     del a_band
     st = pauli._record(grid, p, psi_hat, psi_low, a_low)
     del a_low
     # E_EM is read before the residual's A side overwrites A_hat
     em = None if a_hat is None else energy_mod._em_energy(grid, p, a_hat) / p.hbar
-    a_side = _a_residual(grid, p, st, a_hat)
-    del a_hat
-    res = _el_residual(grid, p, st, a_side)
+    norm = lambda fh: np.sqrt(_parseval(grid, fh))
+
+    # A side: (4 pi / c) P J_hat from the record; its k = 0 mode is the
+    # mean drive, reported as the defect and then split off
+    rhs_hat = spectral.project_hat(grid, 4.0 * np.pi * _source_hat(grid, p, st))
+    defect = float(np.linalg.norm(rhs_hat[:, 0, 0, 0].real)) / grid.n ** 3
+    rhs_norm = norm(rhs_hat)
+    rhs_hat[:, 0, 0, 0] = 0.0
+    if a_hat is None:
+        lhs_norm, a_raw = 0.0, norm(rhs_hat)
+    else:
+        # the wave symbol vanishes at k = 0; the product and the difference
+        # are taken in place, so the A side holds two stacks, which go
+        # before the gradient, where the report peaks
+        a_hat *= energy_mod._wave_symbol(grid, p)
+        lhs_norm = norm(a_hat)
+        a_hat -= rhs_hat
+        a_raw = norm(a_hat)
+    del a_hat, rhs_hat
+
+    lam_meas = _parseval(grid, st.psi_hat)
+    # exactly flat states (constant psi, vanishing current) leave every
+    # term at rounding scale; flooring the denominators by the weakest
+    # signal the box can carry turns 0/0 noise into a ~0 report
+    k_min = 2.0 * np.pi / grid.box_l
+    # scale against the full source (k = 0 included) so delocalised states
+    # with a pure mean current do not degenerate to 0/0, floored by the
+    # drive a unit-mass plane wave on the largest scale would produce
+    a_floor = (
+        4.0 * np.pi * abs(p.charge) * p.hbar * k_min * lam_meas
+        / (p.mass * p.light_speed * grid.box_l ** 1.5)
+    )
+    a_scale = max(lhs_norm + rhs_norm, a_floor)
+
+    G = _gradient_hat(grid, p, st)
+    resid, theta = _tangent(grid, p, st.psi_hat, G, lam_meas)
+    psi_raw = norm(resid)
+    psi_floor = p.hbar ** 2 * k_min ** 2 / (2.0 * p.mass) * np.sqrt(lam_meas)
+    psi_scale = max(norm(G) + abs(p.hbar * theta) * np.sqrt(lam_meas), psi_floor)
+    del G, resid
+    res = ELResidual(
+        psi_raw=float(psi_raw),
+        psi_scale=float(psi_scale),
+        psi_rel=_rel(psi_raw, psi_scale),
+        a_raw=float(a_raw),
+        a_scale=float(a_scale),
+        a_rel=_rel(a_raw, a_scale),
+        current_defect=defect,
+        theta=float(theta),
+    )
+    # the breakdown adds the boost into K psi_hat in place: the last reader
     breakdown = energy_mod._energy(grid, p, st, field_term)
     omega = -res.theta if em is None else em - res.theta
     return res, breakdown, omega

@@ -6,12 +6,12 @@ and an (n, n, n) symbol broadcasts over them.  Vector fields are
 (3, n, n, n) stacks.  Real inputs give real outputs (the imaginary
 round-off from the FFT round trip is dropped).
 
-The only nonlinear product is the 2/3-rule product T(T(a)·T(f)) of
-:func:`dealiased_mul`.  T is an orthogonal projector in the grid inner
-product, so the product is self-adjoint in each factor.  The kernels
-inline the same T(Ta·Tf) product rather than call :func:`dealiased_mul`;
-every energy and gradient is built from it, which is what makes the
-discrete integration-by-parts identities exact.
+The only nonlinear product is the 2/3-rule product T(T(a)·T(f)), with T
+the sharp band limit :func:`dealias`.  T is an orthogonal projector in
+the grid inner product, so the product is self-adjoint in each factor.
+The kernels inline it on the transforms they hold; every energy and
+gradient is built from it, which is what makes the discrete
+integration-by-parts identities exact.
 """
 
 from __future__ import annotations
@@ -103,14 +103,6 @@ def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     return band(grid, f)[1]
 
 
-def dealiased_mul(grid: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """2/3-rule product T(T(a)·T(f)); ``a`` is a real scalar field.
-
-    Broadcasts over leading component axes of ``f``.
-    """
-    return dealias(grid, dealias(grid, a) * dealias(grid, f))
-
-
 def zero_mean(grid: Grid, F: np.ndarray) -> np.ndarray:
     """Remove the k=0 (mean) component of each field component."""
     return F - np.mean(F, axis=(-3, -2, -1), keepdims=True)
@@ -126,6 +118,5 @@ __all__ = [
     "poisson_solve",
     "band",
     "dealias",
-    "dealiased_mul",
     "zero_mean",
 ]

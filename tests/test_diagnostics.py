@@ -309,8 +309,6 @@ class TestSplitting:
             SplitSpec(center=(0, 0, 0), radius=0.0)
         with pytest.raises(InputError):
             SplitSpec(center=(0, 0, 0), radius=1.0, doublings=1)
-        with pytest.raises(InputError):
-            SplitSpec(center=(0, 0, 0), radius=1.0, doublings=3, gauge_level=3)
 
     def test_box_gate(self, grid32):
         p = params("S", v=0.1)

@@ -23,6 +23,12 @@ def lattice_mode(grid, m):
     return np.exp(1j * dk * (m[0] * x + m[1] * y + m[2] * z))
 
 
+def product(grid, a, f):
+    """The 2/3-rule product T(T(a) T(f)) the kernels inline."""
+    T = lambda g: spectral.dealias(grid, g)
+    return T(T(a) * T(f))
+
+
 class TestGridBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -262,13 +268,13 @@ class TestDealias:
         cut = grid16.mode_cut
         a = lattice_mode(grid16, (cut, 0, 0))
         f = lattice_mode(grid16, (cut, 0, 0))
-        prod = spectral.dealiased_mul(grid16, a, f)
+        prod = product(grid16, a, f)
         assert np.max(np.abs(prod)) < 1e-12
 
     def test_product_exact_in_band(self, grid16):
         a = lattice_mode(grid16, (2, -1, 0))
         f = lattice_mode(grid16, (1, 1, 3))
-        prod = spectral.dealiased_mul(grid16, a, f)
+        prod = product(grid16, a, f)
         expect = lattice_mode(grid16, (3, 0, 3))
         assert np.max(np.abs(prod - expect)) < 1e-12
 
@@ -278,8 +284,8 @@ class TestDealias:
         a = rng.standard_normal(grid16.shape)
         f = rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
         g = rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
-        left = np.sum(np.conj(g) * spectral.dealiased_mul(grid16, a, f))
-        right = np.sum(np.conj(spectral.dealiased_mul(grid16, a, g)) * f)
+        left = np.sum(np.conj(g) * product(grid16, a, f))
+        right = np.sum(np.conj(product(grid16, a, g)) * f)
         assert rel(left, right) < 1e-12
 
 
