@@ -103,13 +103,18 @@ class TrialSpec:
             raise InputError("wave-function bump must stay below the x2 = 0 plane")
 
     @classmethod
-    def fitted(cls, grid: Grid, amplitude: float, **kw) -> "TrialSpec":
+    def fit_limit(cls, grid: Grid) -> float:
         """Largest dilation that keeps the support inside the margin."""
-        return cls(amplitude=amplitude, dilation=(0.5 - cls.margin) * grid.box_l, **kw)
+        return (0.5 - cls.margin) * grid.box_l
+
+    @classmethod
+    def fitted(cls, grid: Grid, amplitude: float, **kw) -> "TrialSpec":
+        """The spec at the fit limit."""
+        return cls(amplitude=amplitude, dilation=cls.fit_limit(grid), **kw)
 
 
 def _check_fit(grid: Grid, spec: TrialSpec) -> None:
-    limit = TrialSpec.fitted(grid, spec.amplitude).dilation
+    limit = TrialSpec.fit_limit(grid)
     if spec.dilation > limit + 1e-9:
         raise DomainGateError(
             f"trial support radius {spec.dilation:.3g} exceeds the "
@@ -391,7 +396,7 @@ def negativity_witness(
     base = base_quadratures(grid, p, spec)
     threshold = -0.5 * p.mass * p.speed ** 2 * p.lam
 
-    r_cap = TrialSpec.fitted(grid, 1.0).dilation
+    r_cap = TrialSpec.fit_limit(grid)
     # R_a scales as a^(-2/3), so the amplitude that balances at R is
     # (R_1 / R)^(3/2), with R_1 the balancing dilation of a = 1
     r_one = effective_dilation(p, base, 1.0)

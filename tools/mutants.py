@@ -1,20 +1,23 @@
 """Mutation harness: plant one-line mutants in a copy of the tree and
 report which ones the test suite kills.
 
-    python tools/mutants.py [--list tools/mutants.txt] [--timeout 900] [--keep] [ID ...]
+    python tools/mutants.py [ID ...]
 
 The script copies ``src/``, ``tests/`` and ``pyproject.toml`` of the
 working tree to a temporary directory and runs the suite there once
 unmutated, the fast layer (``-m "not acceptance"``) and then the
 acceptance layer, to learn which tests already fail; those are
 deselected from every later run, so a failure the tree already has
-kills no mutant.  Each mutant of the list (``tools/mutants.txt``; the
+kills no mutant.  An unmutated run that fails without naming its
+failing tests (a timeout, a collection or usage error) stops the
+script, since every mutant would then count as killed.  Each mutant of the list (``tools/mutants.txt``; the
 format is described at its top), or each one named by ID, is then
 planted alone and the fast layer is run with ``-x``; a mutant it does
 not kill goes on to the acceptance layer.  One line per mutant reads
 ``killed (fast: <test>)``, ``killed (acceptance: <test>)``, ``survived``
 or ``not planted`` (its line no longer occurs exactly once), followed by
-the counts.  A run that exceeds ``--timeout`` seconds counts as killed.
+the counts.  A mutant whose run exceeds ``TIMEOUT`` seconds (one that
+makes a loop spin, say) counts as killed.
 
 The full list takes about 10 minutes on a 2-core machine, so this is not
 part of the test suite: pytest collects ``tests/`` only.
@@ -30,7 +33,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LIST = ROOT / "tools" / "mutants.txt"
 LAYERS = (("fast", "not acceptance"), ("acceptance", "acceptance"))
+TIMEOUT = 900.0  # seconds allowed for one layer of one run
 
 
 def read_list(path: Path) -> list[dict]:
@@ -66,22 +71,23 @@ def plant(text: str, old: str, new: str) -> str | None:
     return "\n".join(lines)
 
 
-def run_layer(copy: Path, marker: str, deselect: list[str], timeout: float,
+def run_layer(copy: Path, marker: str, deselect: list[str],
               stop_first: bool) -> tuple[bool, list[str]]:
-    """Run one layer of the suite in ``copy``: (passed, failing test ids);
-    a run past ``timeout`` fails with the id "timeout"."""
+    """Run one layer of the suite in ``copy``: (passed, failing test ids).
+    A run past ``TIMEOUT``, or one that fails naming no test, fails with
+    a single id that says why and holds no "::"."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "-m", marker]
     if stop_first:
         cmd.append("-x")
     for test in deselect:
         cmd += ["--deselect", test]
     # no bytecode is written, so a module is always read from its mutated source
-    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return False, ["timeout"]
+        return False, [f"timeout after {TIMEOUT:g} s"]
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1]
     # exit code 5: every test of the layer was deselected
@@ -94,13 +100,9 @@ def run_layer(copy: Path, marker: str, deselect: list[str], timeout: float,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("ids", nargs="*", help="run only these mutants")
-    ap.add_argument("--list", type=Path, default=ROOT / "tools" / "mutants.txt")
-    ap.add_argument("--timeout", type=float, default=900.0,
-                    help="seconds allowed for one layer of one run (default 900)")
-    ap.add_argument("--keep", action="store_true", help="keep the copy of the tree")
     args = ap.parse_args(argv)
 
-    mutants = read_list(args.list)
+    mutants = read_list(LIST)
     unknown = set(args.ids) - {m["id"] for m in mutants}
     if unknown:
         ap.error(f"no such mutant: {', '.join(sorted(unknown))}")
@@ -115,9 +117,10 @@ def main(argv=None) -> int:
     try:
         baseline = []
         for layer, marker in LAYERS:
-            _, failed = run_layer(copy, marker, [], args.timeout, stop_first=False)
-            if "timeout" in failed:
-                sys.exit(f"the unmutated {layer} layer ran past {args.timeout:g} s")
+            _, failed = run_layer(copy, marker, [], stop_first=False)
+            broken = [t for t in failed if "::" not in t]
+            if broken:
+                sys.exit(f"the unmutated {layer} layer failed: {', '.join(broken)}")
             baseline += failed
         print(f"unmutated tree: {len(baseline)} failing test(s) deselected"
               + "".join(f"\n  {t}" for t in baseline), flush=True)
@@ -135,8 +138,7 @@ def main(argv=None) -> int:
                 try:
                     verdict = "survived"
                     for layer, marker in LAYERS:
-                        passed, failed = run_layer(copy, marker, baseline, args.timeout,
-                                                   stop_first=True)
+                        passed, failed = run_layer(copy, marker, baseline, stop_first=True)
                         if not passed:
                             verdict = f"killed ({layer}: {failed[0]})"
                             break
@@ -146,10 +148,7 @@ def main(argv=None) -> int:
             print(f"{m['id']:<{width}}  {verdict}", flush=True)
         print(", ".join(f"{n} {k}" for k, n in tally.items()) + f" of {len(mutants)}")
     finally:
-        if args.keep:
-            print(f"copy kept at {copy}")
-        else:
-            shutil.rmtree(copy, ignore_errors=True)
+        shutil.rmtree(copy, ignore_errors=True)
     return 0
 
 
