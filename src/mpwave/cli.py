@@ -18,15 +18,20 @@ artifacts; wall-clock timestamps appear only in the ``run.log`` sidecar.
 The speed is gated where it is used: each solve, each sweep speed and
 the trial scan.  Exit codes: 0 success, 2 input error, 3 domain gate,
 4 solver failure.  The environment variable ``MPW_THREADS`` sets the FFT
-worker count of each grid.
+worker count of each grid.  ``main`` pins glibc's mmap and trim thresholds
+for its process (``_heap``); importing the package leaves the allocator
+alone.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import datetime
+import functools
 import logging
 import os
+import platform
 import sys
 from dataclasses import dataclass, field
 
@@ -262,6 +267,7 @@ def run_solve(cfg: RunConfig) -> int:
     grid, p = cfg.grid, cfg.params
     with _RunLog(cfg.output_dir, "solve") as log:
         log.write(f"solve start: model={p.model} n={grid.n} L={grid.box_l} v={p.v}")
+        log.write(_heap())
         rep = minimize(grid, p, config=cfg.minimize)
         state_io.write_state(os.path.join(cfg.output_dir, "state.mpwf"), grid, p, rep.psi, rep.A)
         _write_lines(os.path.join(cfg.output_dir, "report.txt"), _report_lines(cfg, rep))
@@ -288,6 +294,7 @@ def run_sweep(cfg: RunConfig) -> int:
         return 0
     with _RunLog(cfg.output_dir, "sweep") as log:
         log.write(f"sweep start: speeds={list(cfg.speeds)}")
+        log.write(_heap())
         result = diagnostics.mass_sweep(
             cfg.grid, p, cfg.speeds, direction=cfg.direction, config=cfg.minimize
         )
@@ -502,6 +509,41 @@ def run_check(args: argparse.Namespace) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+# glibc's mallopt parameters (malloc.h) and the values ``_heap`` sets: every
+# stack the package allocates up to n = 64 (a (3, 2, 64^3) complex stack is
+# 25 MB) stays below the mmap threshold
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_SETTINGS = (("mmap_threshold", _M_MMAP_THRESHOLD, 32 << 20),
+                  ("trim_threshold", _M_TRIM_THRESHOLD, 256 << 20))
+
+
+@functools.cache
+def _heap() -> str:
+    """Pin glibc's mmap and trim thresholds for this process, once, and
+    return the run.log line that says how its heap is set.
+
+    With glibc's dynamic thresholds each field of n = 32 (0.25-3 MiB) is
+    mapped, faulted in zero-filled and unmapped again, or the heap is
+    trimmed and grown again, on every pass; with the thresholds pinned the
+    freed blocks are reused.  A process whose environment already sets the
+    allocator (``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or a
+    ``glibc.malloc.`` tunable) is left as it is, and so is a C library that
+    is not glibc.  The numerics do not depend on the allocator."""
+    if platform.libc_ver()[0] != "glibc":
+        return "heap: not glibc"
+    chosen = [name for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+              if name in os.environ]
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        chosen.append("GLIBC_TUNABLES")
+    if chosen:
+        return f"heap: left to the environment ({', '.join(chosen)})"
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for name, param, value in _HEAP_SETTINGS:
+        if not mallopt(param, value):
+            return f"heap: glibc refused {name} = {value}"
+    return "heap: " + ", ".join(f"{name} = {value}" for name, _, value in _HEAP_SETTINGS)
+
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value configuration file")
@@ -552,6 +594,7 @@ def main(argv=None) -> int:
     # solver progress (``minimize.log_every``) goes to stderr; stdout
     # carries only the results
     logging.basicConfig(format="%(message)s", level=logging.INFO)
+    _heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -182,14 +182,17 @@ def _trial_sample(grid: Grid, p: PhysParams, spec: TrialSpec, carrier: np.ndarra
     """The spin-up block (1, n, n, n) of the psi of ``trial_fields``, the
     bump times ``carrier`` normalized to lambda, which takes no transform,
     and, with ``potential``, the transform of its A: the sampled A
-    projected on its transform with the k = 0 mode set to 0, 3 scalar
-    FFTs; without, A is not sampled and reads None."""
+    projected on its transform with the k = 0 mode set to 0, 2 scalar
+    FFTs, since A_0 = (d2 Xi, -d1 Xi, 0) has a zero z component, whose
+    transform is zero; without, A is not sampled and reads None."""
     env, a_data = _trial_raw(grid, p, spec, potential)
     up = (env * carrier)[None]
     up *= np.sqrt(p.lam / l2_norm_sq(grid, up))
     if a_data is None:
         return up, None
-    a_hat = spectral.project_hat(grid, grid.fft(a_data))
+    a_hat = np.zeros((3,) + grid.shape, dtype=complex)
+    a_hat[:2] = grid.fft(a_data[:2])
+    spectral.project_hat(grid, a_hat)
     a_hat[:, 0, 0, 0] = 0.0
     return up, a_hat
 
@@ -198,7 +201,7 @@ def _witness_energy(grid: Grid, p: PhysParams, spec: TrialSpec, carrier: np.ndar
     """``energy_functional(*trial_fields(grid, p, spec)).total`` to rounding,
     read from the transforms the sampler holds: the record of the spin-up
     block against T A, taken from the projected A_hat, and the field term
-    of that A_hat.  11 scalar FFTs for model S, 10 for P: A_hat 3, T A 3,
+    of that A_hat.  10 scalar FFTs for model S, 9 for P: A_hat 2, T A 3,
     psi_hat and T psi 2, K psi_hat 3 / 2."""
     up, a_hat = _trial_sample(grid, p, spec, carrier, potential=True)
     a_low = grid.ifft(a_hat * grid.dealias_mask, overwrite=True).real
@@ -386,7 +389,7 @@ def negativity_witness(
     transforms the sampler holds (``_witness_energy``): the spin-up block
     of psi, and the trial A projected once on its transform, from which
     the field term and T A are read with no round trip through real space.
-    A row costs 11 scalar FFTs for model S, 10 for model P.
+    A row costs 10 scalar FFTs for model S, 9 for model P.
     """
     if num < 1:
         raise InputError(f"the scan needs at least one point, got num = {num}")

@@ -235,9 +235,11 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
     relative to the size of its constituents; A-side: analogous for the
     wave equation with the k = 0 mode split off into ``current_defect``
     (reported as (4 pi / c) |mean J|).  The residual of the solver's
-    report (``_report``), from one band of psi and one of A.
+    report (``_report``), from one band of psi and one of A: model S bands
+    the spin-up block of a spin-up psi, model P the spinor.
     """
-    psi_hat, psi_low = spectral.band(grid, component_array(grid, psi, 2, "psi"))
+    psi = component_array(grid, psi, 2, "psi")
+    psi_hat, psi_low = spectral.band(grid, psi if p.model == "P" else _spin_up(psi))
     # the band of A goes unnamed, so the report frees A_hat once it has read it
     return _report(grid, p, psi_hat, psi_low,
                    _field_band(grid, p, component_array(grid, A, 3, "A")))[0]

@@ -37,9 +37,11 @@ BUDGET = {
     # psi_down = 0: A 6, the spin-up block forward 1 + band limit 1, and the
     # product transforms 3 / 2; parent 11 / 11
     "energy_functional, spin-up": (11, 10),
-    # one row of the witness scan: the trial A projected on its transform 3,
-    # T A 3 inverse, the spin-up block 2 and its products 3 / 2; parent 11 / 11
-    "witness row": (11, 10),
+    # one row of the witness scan: the trial A projected on its transform 2
+    # (its z component is zero), T A 3 inverse, the spin-up block 2 and its
+    # products 3 / 2; 11 / 10 while the zero component was transformed,
+    # parent 11 / 11
+    "witness row": (10, 9),
     # the KineticState 16 / 12, K^dagger K 8 / 4, one inverse 2; parent 30 / 30
     "grad_psi": (26, 18),
     # the transform of G as the solver and the residual read it from the
@@ -51,6 +53,10 @@ BUDGET = {
     # limit of A, and theta, |Gt|, |G| and |psi|^2 are Parseval sums of
     # G_hat and psi_hat; 35 / 23 while it inverted G, 39 / 35 before that
     "el_residual": (33, 21),
+    # psi_down = 0: model S bands the spin-up block, as the report of a
+    # solve does: A 6, the block 2, K psi 3, T K psi 3 inverse and the pair 3,
+    # G_hat 4; model P bands the spinor; 33 / 21 while S banded the spinor
+    "el_residual, spin-up": (21, 21),
     # one Armijo trial energy: psi_hat, T psi and K psi_hat; parent 10 / 10
     "trial energy": (10, 6),
     # the KineticState 16 / 12, the pairing 9 / 5, one inverse 3; parent 28 / 24
@@ -178,6 +184,7 @@ def test_transforms_per_call(grid16, model, count_ffts):
         "grad_psi": count_ffts(lambda: grad_psi(grid16, p, psi, A)),
         "G_hat from the record": count_ffts(lambda: minimize_mod._gradient_hat(grid16, p, st)),
         "el_residual": count_ffts(lambda: el_residual(grid16, p, psi, A)),
+        "el_residual, spin-up": count_ffts(lambda: el_residual(grid16, p, up, A)),
         "trial energy": count_ffts(
             lambda: minimize_mod._psi_energy(grid16, p, kinetic_state(grid16, p, psi, a_low))
         ),

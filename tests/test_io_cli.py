@@ -8,8 +8,11 @@ with plane-wave initialisation so the whole module stays fast.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -33,16 +36,20 @@ from mpwave.pauli import covariant_gradient, covariant_laplacian, spin_term
 from conftest import params
 
 
-def run_module(*args):
-    """``python -m mpwave args`` in a child process that imports the same
-    package as this suite, also from a checkout that is not installed."""
+def run_python(*args, env=None):
+    """``python args`` in a child process with the environment ``env``
+    (this one's by default) that imports the same package as this suite,
+    also from a checkout that is not installed."""
+    env = dict(os.environ if env is None else env)
     src = os.path.dirname(os.path.dirname(mpwave.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "mpwave", *args],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
+def run_module(*args):
+    """``python -m mpwave args`` in a child process (``run_python``)."""
+    return run_python("-m", "mpwave", *args)
 
 
 # header layout: magic(4) version(u32) n(u32) box_l(f64) model(u8) 8*f64
@@ -736,6 +743,74 @@ class TestCli:
         progress = [line for line in proc.stderr.splitlines() if line.startswith("iter ")]
         assert len(progress) == 2
         assert "iter " not in proc.stdout
+
+
+#: a child that runs ``mpwave check`` on the state file argv[1] in process,
+#: then allocates and frees a 16 MiB array, and prints the heap line of
+#: ``cli._heap`` and what glibc's ``mallinfo2`` counters did: the mmapped
+#: blocks the array added and the bytes its release trimmed from the arena
+_HEAP_PROBE = """
+import contextlib, ctypes, io, json, sys
+import numpy as np
+from mpwave import cli
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes, mallinfo2.restype = (), MallInfo2
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["check", sys.argv[1]])
+before = mallinfo2()
+block = np.ones(2 << 20)
+held = mallinfo2()
+del block
+freed = mallinfo2()
+print(json.dumps({"code": code, "heap": cli._heap(), "mapped": held.hblks - before.hblks,
+                  "trimmed": held.arena - freed.arena}))
+"""
+
+_GLIBC = platform.libc_ver()[0] == "glibc" and hasattr(ctypes.CDLL(None), "mallinfo2")
+#: the environment variables through which glibc's allocator is set
+_ALLOCATOR_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+@pytest.mark.skipif(not _GLIBC, reason="reads glibc's mallinfo2")
+class TestHeap:
+    """``main`` pins glibc's mmap and trim thresholds of its process
+    unless the environment has set the allocator."""
+
+    def _probe(self, tmp_path, **allocator_env):
+        path = str(tmp_path / "state.mpwf")
+        _write_sample(path)
+        env = {k: v for k, v in os.environ.items() if k not in _ALLOCATOR_ENV}
+        proc = run_python("-c", _HEAP_PROBE, path, env={**env, **allocator_env})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_check_runs_on_a_pinned_heap(self, tmp_path):
+        """After ``mpwave check`` a 16 MiB array comes from the heap, and
+        its release leaves the arena as it is."""
+        assert self._probe(tmp_path) == {
+            "code": 0, "heap": "heap: mmap_threshold = 33554432, trim_threshold = 268435456",
+            "mapped": 0, "trimmed": 0}
+
+    @pytest.mark.parametrize("name, value", [
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=131072"),
+    ])
+    def test_allocator_set_by_the_environment_is_left_alone(self, tmp_path, name, value):
+        got = self._probe(tmp_path, **{name: value})
+        assert got["code"] == 0 and got["mapped"] == 1
+        assert got["heap"] == f"heap: left to the environment ({name})"
+
+    def test_run_log_records_the_heap(self, solve_dir):
+        """The solve's run.log carries the heap line of its process."""
+        _, _, out = solve_dir
+        assert (out / "run.log").read_text().splitlines()[1].endswith("] " + cli._heap())
 
 
 def reference_check_lines(grid, p, psi, A):

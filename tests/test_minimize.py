@@ -9,7 +9,8 @@ import pytest
 
 from mpwave import Grid, PhysParams
 from mpwave import spectral
-from mpwave.energy import _wave_symbol, apriori_bounds, energy_functional, field_energy, psi_l6_norm
+from mpwave.energy import (_field_band, _wave_symbol, apriori_bounds, energy_functional,
+                           field_energy, psi_l6_norm)
 from mpwave.diagnostics import TrialSpec, coulomb_double_integral, trial_fields
 from mpwave.errors import DomainGateError, InputError, SolverError
 from mpwave.fields import SpinorField, inner, l2_norm_sq, normalize_to_lambda, random_fields
@@ -291,6 +292,22 @@ class TestGradients:
             ref = real_space_residual(grid, p, psi.data, A.data)
             assert rel(res.a_raw, ref["a_raw"]) <= 1e-13, model
             assert rel(res.a_scale, ref["a_scale"]) <= 1e-13, model
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_spin_up_residual_bands_the_block(self, grid16, grid32, n):
+        """A model S residual of a psi with psi_down = 0 bands its spin-up
+        block, as the solver's report does, and every field equals that of
+        the banded spinor bit for bit."""
+        grid = {16: grid16, 32: grid32}[n]
+        p = params("S", v=(0.2, -0.1, 0.05))
+        psi, A = random_fields(grid, p, seed=66, a_amp=0.3)
+        up = psi.data.copy()
+        up[1] = 0.0
+        spinor = minimize_mod._report(grid, p, *spectral.band(grid, up),
+                                      _field_band(grid, p, A.data))[0]
+        res = el_residual(grid, p, up, A.data)
+        bits = lambda r: [np.float64(x).tobytes() for x in dataclasses.astuple(r)]
+        assert bits(res) == bits(spinor)
 
     def test_theta_against_energy_at_zero_field(self, grid16):
         """With A = 0 the multiplier reduces to -E / (hbar lambda)."""
