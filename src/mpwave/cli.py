@@ -43,7 +43,7 @@ from .energy import _apriori, _field_band, _parseval, speed_gate
 # restores this binding; the check reads the record of ``_report``
 from .energy import energy_functional  # noqa: F401
 from .errors import DomainGateError, InputError, MpwaveError, SolverError
-from .fields import PhysParams, _spin_up, _spinor, component_array
+from .fields import PhysParams, _banded_psi, _spinor, component_array
 from .grid import Grid
 from .minimize import MinimizeConfig, _report, minimize
 
@@ -391,7 +391,7 @@ def _state_record(grid, p, psi, A) -> tuple:
     a_band = _field_band(grid, p, A)
     a_hat = a_band[0]
     grad_a = 0.0 if a_hat is None else np.sqrt(_parseval(grid, a_hat, grid.k2 * a_hat))
-    psi_hat, psi_low = spectral.band(grid, psi if p.model == "P" else _spin_up(psi))
+    psi_hat, psi_low = spectral.band(grid, _banded_psi(p, psi))
     psi_h, a_h = _half_band(grid, psi_hat, a_hat)
     del a_hat
     res, br, _ = _report(grid, p, psi_hat, psi_low, a_band)

@@ -179,6 +179,13 @@ def _spin_up(psi: np.ndarray) -> np.ndarray:
     return psi if np.any(psi[1]) else psi[:1]
 
 
+def _banded_psi(p: PhysParams, psi: np.ndarray) -> np.ndarray:
+    """The part of ``psi`` a record bands: the spinor for model P, whose
+    current pairs both components of sigma . D psi, and for model S the
+    spin-up block of a spin-up psi (``_spin_up``)."""
+    return psi if p.model == "P" else _spin_up(psi)
+
+
 def _spinor(psi: np.ndarray) -> np.ndarray:
     """The (2, n, n, n) spinor of ``psi``: a spin-up block gets its zero
     spin-down component back, a full spinor is returned as it is."""

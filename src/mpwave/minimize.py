@@ -100,9 +100,9 @@ from .fields import (
     PhysParams,
     SpinorField,
     VectorField,
+    _banded_psi,
     _random_psi,
     _re_dot,
-    _spin_up,
     _spinor,
     as_array,
     component_array,
@@ -238,8 +238,7 @@ def el_residual(grid: Grid, p: PhysParams, psi, A) -> ELResidual:
     report (``_report``), from one band of psi and one of A: model S bands
     the spin-up block of a spin-up psi, model P the spinor.
     """
-    psi = component_array(grid, psi, 2, "psi")
-    psi_hat, psi_low = spectral.band(grid, psi if p.model == "P" else _spin_up(psi))
+    psi_hat, psi_low = spectral.band(grid, _banded_psi(p, component_array(grid, psi, 2, "psi")))
     # the band of A goes unnamed, so the report frees A_hat once it has read it
     return _report(grid, p, psi_hat, psi_low,
                    _field_band(grid, p, component_array(grid, A, 3, "A")))[0]
@@ -628,8 +627,7 @@ def minimize(
     else:
         speed_gate(p)
     psi, a0 = _initial_state(grid, p, config, psi0, A0)
-    if p.model == "S":
-        psi = _spin_up(psi)
+    psi = _banded_psi(p, psi)
 
     # the loop iterates psi as its transform psi_hat, zero outside the
     # dealias band, so ifft(psi_hat) is T psi and psi itself; its sums are

@@ -67,20 +67,12 @@ def project_hat(grid: Grid, Fh: np.ndarray) -> np.ndarray:
     Nyquist planes are dropped: the per-mode multiplier is not
     conjugate-symmetric there, so a real field cannot stay both real and
     solenoidal with that content.  Returns ``Fh``.
-
-    The products go through one (n, n, n) buffer, so no (3, n, n, n)
-    temporary is made; the sums and differences are those of the
-    stack-wide expression, in its order, bit for bit.
     """
     Fh *= grid.nyquist_mask
     kx, ky, kz = grid.k
-    kdot = kx * Fh[0]
-    tmp = np.empty_like(kdot)
-    kdot += np.multiply(ky, Fh[1], out=tmp)
-    kdot += np.multiply(kz, Fh[2], out=tmp)
+    kdot = kx * Fh[0] + ky * Fh[1] + kz * Fh[2]
     kdot *= grid.inv_k2
-    for a in range(3):
-        Fh[a] -= np.multiply(grid.k[a], kdot, out=tmp)
+    Fh -= grid.k * kdot
     return Fh
 
 

@@ -195,16 +195,6 @@ class TestHelmholtz:
         P = spectral.helmholtz_project(grid16, F)
         assert np.max(np.abs(P)) < 1e-12
 
-    def test_projection_equals_the_stack_expression(self, grid32, rng):
-        """``project_hat`` forms its products one component at a time and
-        equals F - k (k . F) / |k|^2 taken on whole stacks bit for bit."""
-        shape = (3,) + grid32.shape
-        Fh = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * grid32.nyquist_mask
-        kx, ky, kz = grid32.k
-        want = Fh - grid32.k * (grid32.inv_k2 * (kx * Fh[0] + ky * Fh[1] + kz * Fh[2]))
-        got = spectral.project_hat(grid32, Fh.copy())
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
-
 
 class TestPoisson:
     def test_exact_inverse_identity(self, grid16, rng):
